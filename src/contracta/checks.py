@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+
+import numpy as np
 
 from .maps import compose, is_idempotent, map_to_text
 from .partitions import (
@@ -19,15 +20,13 @@ from .partitions import (
     partition_to_text,
 )
 from .relations import (
+    STARRED_KINDS,
     abundance_witness,
-    d_char,
+    characterized_rows,
     green_oracle,
-    l_char,
-    r_char,
     regular_char_ct,
     regular_char_oct,
     regular_char_orct,
-    starred_char,
     starred_partition,
     unipotence_witness,
 )
@@ -53,6 +52,8 @@ class VerifyReport:
     p: int | None = None
     counterexample: dict | None = None
     detail: dict = field(default_factory=dict)
+    # Time from the previous report of the same check (or from the check's
+    # start, so the first report also carries the check's shared setup).
     elapsed_ms: float = 0.0
 
     @property
@@ -97,162 +98,150 @@ def _require_family(check: str, family: str, allowed: tuple[str, ...]) -> None:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_regularity_ct(family: str, n: int) -> list[VerifyReport]:
+def check_regularity_ct(family: str, n: int):
     _require_family("regularity-ct", family, ("ct",))
     s = enumerate_family("ct", n)
     oracle = set(regular_elements(s))
     for a in s.elements:
         if (a in oracle) != regular_char_ct(a):
-            return [
-                _report(
-                    "regularity-ct", family, n, "fail",
-                    {
-                        "map": map_to_text(a),
-                        "oracle": a in oracle,
-                        "characterized": regular_char_ct(a),
-                    },
-                )
-            ]
-    return [_report("regularity-ct", family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})]
+            yield _report(
+                "regularity-ct", family, n, "fail",
+                {
+                    "map": map_to_text(a),
+                    "oracle": a in oracle,
+                    "characterized": regular_char_ct(a),
+                },
+            )
+            return
+    yield _report("regularity-ct", family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})
 
 
-def check_regularity_orct(family: str, n: int) -> list[VerifyReport]:
+def check_regularity_orct(family: str, n: int):
     _require_family("regularity-orct", family, ("orct", "oct"))
     s = enumerate_family(family, n)
     char = regular_char_orct if family == "orct" else regular_char_oct
     oracle = set(regular_elements(s))
     for a in s.elements:
         if (a in oracle) != char(a):
-            return [
-                _report(
-                    "regularity-orct", family, n, "fail",
-                    {"map": map_to_text(a), "oracle": a in oracle, "characterized": char(a)},
-                )
-            ]
-    return [_report("regularity-orct", family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})]
+            yield _report(
+                "regularity-orct", family, n, "fail",
+                {"map": map_to_text(a), "oracle": a in oracle, "characterized": char(a)},
+            )
+            return
+    yield _report("regularity-orct", family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})
 
 
-def _check_green(kind: str, check_id: str, family: str, n: int) -> list[VerifyReport]:
+def _scan_pairs(s, oracle_partition, rows) -> tuple[int, dict | None]:
+    """Compare an oracle partition with characterized rows on every pair.
+
+    Pairs (i, j) with i <= j are visited in ``combinations_with_replacement``
+    order, one numpy row comparison per i.  Returns the number of disagreeing
+    pairs and the first one as a witness, or None.
+    """
+    labels = np.array([oracle_partition.class_index_of(i) for i in range(s.size)], dtype=np.int32)
+    disagreements = 0
+    witness = None
+    for i in range(s.size):
+        oracle = labels[i:] == labels[i]
+        char = rows(i)[i:]
+        bad = np.flatnonzero(oracle != char)
+        if bad.size:
+            disagreements += int(bad.size)
+            if witness is None:
+                j = int(bad[0])
+                witness = {
+                    "maps": [map_to_text(s.elements[i]), map_to_text(s.elements[i + j])],
+                    "oracle": bool(oracle[j]),
+                    "characterized": bool(char[j]),
+                }
+    return disagreements, witness
+
+
+def _check_green(kind: str, check_id: str, family: str, n: int):
     _require_family(check_id, family, ("ct",))
     s = enumerate_family("ct", n)
     part = green_oracle(s, kind)
-    char = {"l": l_char, "r": r_char, "d": d_char}[kind]
-    disagreements = 0
-    witness = None
-    for i, j in combinations_with_replacement(range(s.size), 2):
-        o = part.same_class(i, j)
-        c = char(s.elements[i], s.elements[j])
-        if o != c:
-            disagreements += 1
-            if witness is None:
-                witness = {
-                    "maps": [map_to_text(s.elements[i]), map_to_text(s.elements[j])],
-                    "oracle": o,
-                    "characterized": c,
-                }
+    disagreements, witness = _scan_pairs(s, part, characterized_rows(s, kind))
     detail = {"elements": s.size, "classes": part.class_count, "pairs_disagreeing": disagreements}
-    if witness is not None:
-        return [_report(check_id, family, n, "fail", witness, detail)]
-    return [_report(check_id, family, n, "pass", detail=detail)]
+    yield _report(check_id, family, n, "pass" if witness is None else "fail", witness, detail)
 
 
-def check_green_l(family: str, n: int) -> list[VerifyReport]:
+def check_green_l(family: str, n: int):
     return _check_green("l", "green-l", family, n)
 
 
-def check_green_r(family: str, n: int) -> list[VerifyReport]:
+def check_green_r(family: str, n: int):
     return _check_green("r", "green-r", family, n)
 
 
-def check_green_d(family: str, n: int) -> list[VerifyReport]:
+def check_green_d(family: str, n: int):
     return _check_green("d", "green-d", family, n)
 
 
-def check_starred(family: str, n: int) -> list[VerifyReport]:
+def check_starred(family: str, n: int):
     _require_family("starred", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
-    reports = []
     empirical = family == "orct"  # characterizations are only claimed for ct and oct
-    for kind in ("lstar", "rstar", "hstar", "dstar"):
+    for kind in STARRED_KINDS:
         part = starred_partition(s, kind)
-        witness = None
-        disagreements = 0
-        for i, j in combinations_with_replacement(range(s.size), 2):
-            o = part.same_class(i, j)
-            c = starred_char(s.elements[i], s.elements[j], kind)
-            if o != c:
-                disagreements += 1
-                if witness is None:
-                    witness = {
-                        "maps": [map_to_text(s.elements[i]), map_to_text(s.elements[j])],
-                        "kind": kind,
-                        "oracle": o,
-                        "characterized": c,
-                    }
+        disagreements, witness = _scan_pairs(s, part, characterized_rows(s, kind))
+        if witness is not None:
+            witness["kind"] = kind
         detail = {"kind": kind, "elements": s.size, "pairs_disagreeing": disagreements}
         if empirical:
             detail["note"] = "empirical comparison; no claim backs this family"
-        reports.append(
-            _report("starred", family, n, "pass" if witness is None else "fail", witness, detail)
-        )
-    return reports
+        yield _report("starred", family, n, "pass" if witness is None else "fail", witness, detail)
 
 
-def check_abundance(family: str, n: int) -> list[VerifyReport]:
+def check_abundance(family: str, n: int):
     _require_family("abundance", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
-    reports = []
     for side, check_id in (("left", "abundance-left"), ("right", "abundance-right")):
         witness = abundance_witness(s, side)
         if witness is None:
-            reports.append(_report(check_id, family, n, "pass", detail={"elements": s.size}))
+            yield _report(check_id, family, n, "pass", detail={"elements": s.size})
         else:
-            reports.append(
-                _report(
-                    check_id, family, n, "fail",
-                    {
-                        "maps": [map_to_text(m) for m in witness],
-                        "reason": f"this {side[0]}-starred class contains no idempotent",
-                    },
-                )
+            yield _report(
+                check_id, family, n, "fail",
+                {
+                    "maps": [map_to_text(m) for m in witness],
+                    "reason": f"this {side[0]}-starred class contains no idempotent",
+                },
             )
-    return reports
 
 
-def check_unipotence(family: str, n: int) -> list[VerifyReport]:
+def check_unipotence(family: str, n: int):
     _require_family("unipotence", family, ("orct", "oct"))
     s = enumerate_family(family, n)
     reg = regular_elements(s)
-    reports = []
     for side, check_id in (("l", "unipotence-l"), ("r", "unipotence-r")):
         witness = unipotence_witness(s, reg, side)
         if witness is None:
-            reports.append(_report(check_id, family, n, "pass", detail={"regular_elements": len(reg)}))
+            yield _report(check_id, family, n, "pass", detail={"regular_elements": len(reg)})
         else:
             ids = [map_to_text(m) for m in witness if is_idempotent(m)]
-            reports.append(
-                _report(
-                    check_id, family, n, "fail",
-                    {
-                        "maps": [map_to_text(m) for m in witness],
-                        "idempotents_in_class": ids,
-                        "reason": f"{side}-class of the regular elements with {len(ids)} idempotents",
-                    },
-                )
+            yield _report(
+                check_id, family, n, "fail",
+                {
+                    "maps": [map_to_text(m) for m in witness],
+                    "idempotents_in_class": ids,
+                    "reason": f"{side}-class of the regular elements with {len(ids)} idempotents",
+                },
             )
-    return reports
 
 
-def check_orthodox(family: str, n: int) -> list[VerifyReport]:
+def check_orthodox(family: str, n: int):
     _require_family("orthodox", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
     reg = regular_elements(s)
     try:
         verdict = is_orthodox(s, reg)
     except ValueError as exc:
-        return [_report("orthodox", family, n, "fail", {"reason": str(exc)})]
+        yield _report("orthodox", family, n, "fail", {"reason": str(exc)})
+        return
     if verdict:
-        return [_report("orthodox", family, n, "pass", detail={"regular_elements": len(reg)})]
+        yield _report("orthodox", family, n, "pass", detail={"regular_elements": len(reg)})
+        return
     ids = idempotents(s)
     witness = None
     for e in ids:
@@ -274,14 +263,13 @@ def check_orthodox(family: str, n: int) -> list[VerifyReport]:
             "maps": [map_to_text(stray)],
             "reason": "not regular within the regular elements",
         }
-    return [_report("orthodox", family, n, "fail", witness)]
+    yield _report("orthodox", family, n, "fail", witness)
 
 
-def check_idempotent_products(family: str, n: int) -> list[VerifyReport]:
+def check_idempotent_products(family: str, n: int):
     _require_family("idempotent-products", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
     ids = idempotents(s)
-    reports = []
     if family == "ct":
         reg = set(regular_elements(s))
         witness = None
@@ -292,12 +280,10 @@ def check_idempotent_products(family: str, n: int) -> list[VerifyReport]:
                     break
             if witness:
                 break
-        reports.append(
-            _report(
-                "idempotent-products", family, n,
-                "pass" if witness is None else "fail", witness,
-                {"claim": "products of idempotents are regular", "idempotents": len(ids)},
-            )
+        yield _report(
+            "idempotent-products", family, n,
+            "pass" if witness is None else "fail", witness,
+            {"claim": "products of idempotents are regular", "idempotents": len(ids)},
         )
         gen = generated_subsemigroup(s, ids)
         regular_inside = regular_elements(gen)
@@ -306,11 +292,9 @@ def check_idempotent_products(family: str, n: int) -> list[VerifyReport]:
         if not ok:
             missing = sorted(set(gen.elements) - set(regular_inside))
             bad = {"map": map_to_text(missing[0]), "reason": "not regular inside the idempotent-generated subsemigroup"}
-        reports.append(
-            _report(
-                "idempotent-products", family, n, "pass" if ok else "fail", bad,
-                {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size},
-            )
+        yield _report(
+            "idempotent-products", family, n, "pass" if ok else "fail", bad,
+            {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size},
         )
     else:
         witness = None
@@ -322,17 +306,14 @@ def check_idempotent_products(family: str, n: int) -> list[VerifyReport]:
                     break
             if witness:
                 break
-        reports.append(
-            _report(
-                "idempotent-products", family, n,
-                "pass" if witness is None else "fail", witness,
-                {"claim": "idempotents are closed under product", "idempotents": len(ids)},
-            )
+        yield _report(
+            "idempotent-products", family, n,
+            "pass" if witness is None else "fail", witness,
+            {"claim": "idempotents are closed under product", "idempotents": len(ids)},
         )
-    return reports
 
 
-def check_refinement_readings(family: str, n: int) -> list[VerifyReport]:
+def check_refinement_readings(family: str, n: int):
     """Informational: compare the two readings of the coarsest convex refinement.
 
     The primary reading requires refinements to collapse through a contraction
@@ -362,7 +343,7 @@ def check_refinement_readings(family: str, n: int) -> list[VerifyReport]:
     detail = {"kernels_scanned": len(seen), "readings_differ_on": differing}
     if example is not None:
         detail["example"] = example
-    return [_report("refinement-readings", family, n, "pass", detail=detail)]
+    yield _report("refinement-readings", family, n, "pass", detail=detail)
 
 
 CHECKS = {
@@ -388,11 +369,13 @@ def run_check(check_id: str, n: int, family: str | None = None) -> list[VerifyRe
         fn, default_family = CHECKS[check_id]
     except KeyError:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}") from None
+    reports = []
     start = time.perf_counter()
-    reports = fn(family or default_family, n)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    for r in reports:
-        r.elapsed_ms = elapsed / len(reports)
+    for report in fn(family or default_family, n):
+        now = time.perf_counter()
+        report.elapsed_ms = (now - start) * 1000.0
+        reports.append(report)
+        start = now
     return reports
 
 

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 
 from .checks import CHECK_IDS, run_check
 from .maps import (
@@ -42,14 +41,10 @@ from .partitions import (
 from .relations import (
     GREEN_KINDS,
     STARRED_KINDS,
-    d_char,
+    char_partition,
     green_oracle,
-    l_char,
-    partition_from_predicate,
-    r_char,
     regular_char_ct,
     regular_char_orct,
-    starred_char,
     starred_partition,
 )
 from .rees import quotient_idempotents, rees_quotient, verify_inverse
@@ -252,21 +247,13 @@ def _char_partition(s, relation: str):
                 "characterized starred relations are available for the contraction "
                 "families only; use --method oracle"
             )
-        pred = lambda a, b: starred_char(a, b, relation)
-    elif s.family == "ct" and relation in ("l", "r", "d", "h"):
-        pred = {
-            "l": l_char,
-            "r": r_char,
-            "d": d_char,
-            "h": lambda a, b: l_char(a, b) and r_char(a, b),
-        }[relation]
     elif relation == "j":
         raise ValueError("no characterized procedure exists for the j relation; use --method oracle")
-    else:
+    elif s.family != "ct":
         raise ValueError(
             f"characterized {relation} is only available for family 'ct'; use --method oracle"
         )
-    return partition_from_predicate(s, relation, pred)
+    return char_partition(s, relation)
 
 
 def cmd_relations(args) -> int:
@@ -309,10 +296,9 @@ def cmd_verify(args) -> int:
     ids = [c.strip() for c in args.check.split(",") if c.strip()]
     reports = []
     for check_id in ids:
-        start = time.perf_counter()
-        reports.extend(run_check(check_id, args.n, args.family))
-        elapsed = (time.perf_counter() - start) * 1000.0
-        print(f"# {check_id}: {elapsed:.1f} ms", file=sys.stderr)
+        batch = run_check(check_id, args.n, args.family)
+        reports.extend(batch)
+        print(f"# {check_id}: {sum(r.elapsed_ms for r in batch):.1f} ms", file=sys.stderr)
     payload = {
         "schema": SCHEMA,
         "command": "verify",

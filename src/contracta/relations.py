@@ -11,7 +11,7 @@ Relation kinds are the strings ``l r h d j lstar rstar hstar dstar``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .semigroups import FiniteSemigroup, subsemigroup
 __all__ = [
     "RelationPartition",
     "green_oracle",
-    "partition_from_predicate",
+    "characterized_rows",
+    "char_partition",
     "starred_partition",
     "lstar_oracle",
     "rstar_oracle",
@@ -124,21 +125,45 @@ def _join_classes(size: int, *partitions) -> tuple[frozenset[int], ...]:
     return _grouped(size, [uf.find(i) for i in range(size)])
 
 
-def _left_ideal_keys(s) -> list[frozenset[int]]:
-    """frozenset of {x*a : x in S} together with a itself, per element a."""
-    size = s.size
-    table = s.table() if hasattr(s, "table") else None
-    if table is not None:
-        return [frozenset(np.unique(table[:, a]).tolist()) | {a} for a in range(size)]
-    return [frozenset(s.product(x, a) for x in range(size)) | {a} for a in range(size)]
+def _per_carrier(fn):
+    """Compute ``fn(s, *args)`` once per carrier.
+
+    Carriers are immutable, so keys and class labels derived from their
+    products are stored on the instance and shared by every relation kind
+    built on them.
+    """
+
+    @wraps(fn)
+    def cached(s, *args):
+        memo = vars(s).setdefault("_relation_memo", {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(s, *args)
+        return memo[key]
+
+    return cached
 
 
-def _right_ideal_keys(s) -> list[frozenset[int]]:
+@_per_carrier
+def _ideal_keys(s, side: str) -> list[np.ndarray]:
+    """Sorted principal ideal of each element a in S^1: {x*a : x in S} with a
+    itself for side "l", {a*x : x in S} with a for side "r"."""
     size = s.size
     table = s.table() if hasattr(s, "table") else None
-    if table is not None:
-        return [frozenset(np.unique(table[a, :]).tolist()) | {a} for a in range(size)]
-    return [frozenset(s.product(a, x) for x in range(size)) | {a} for a in range(size)]
+    keys = []
+    for a in range(size):
+        if table is not None:
+            ideal = np.unique(np.append(table[:, a] if side == "l" else table[a, :], a))
+        else:
+            ideal = sorted({s.product(x, a) if side == "l" else s.product(a, x) for x in range(size)} | {a})
+        keys.append(np.asarray(ideal, dtype=np.int32))
+    return keys
+
+
+@_per_carrier
+def _ideal_labels(s, side: str) -> tuple[int, ...]:
+    """Equal labels exactly when the principal ideals on ``side`` are equal."""
+    return _canon(k.tobytes() for k in _ideal_keys(s, side))
 
 
 def _assert_eggbox(classes_d, lkeys, rkeys) -> None:
@@ -153,30 +178,30 @@ def _assert_eggbox(classes_d, lkeys, rkeys) -> None:
             raise RuntimeError("join of L and R is not their composition; product machinery is broken")
 
 
-def _two_sided_classes(s, lkeys_sets, rkeys_sets) -> tuple[frozenset[int], ...]:
+def _two_sided_classes(s) -> tuple[frozenset[int], ...]:
     size = s.size
+    lkeys, rkeys = _ideal_keys(s, "l"), _ideal_keys(s, "r")
     if size <= _J_DIRECT_MAX:
         # Principal two-sided ideal: right ideals of everything in S^1 a.
         membership = np.zeros((size, size), dtype=bool)
         for b in range(size):
-            membership[b, list(rkeys_sets[b])] = True
+            membership[b, rkeys[b]] = True
         keys = []
         for a in range(size):
-            members = sorted(lkeys_sets[a])
-            keys.append(membership[members].any(axis=0).tobytes())
+            keys.append(membership[lkeys[a]].any(axis=0).tobytes())
         return _grouped(size, keys)
     # Reachability route: J-classes are the mutually-reachable groups under
     # one-step left/right multiplication; computed on the D-quotient, which is
     # sound because D refines J.
-    classes_d = _join_classes(size, _grouped(size, lkeys_sets), _grouped(size, rkeys_sets))
-    cls = [0] * size
+    classes_d = _join_classes(
+        size, _grouped(size, _ideal_labels(s, "l")), _grouped(size, _ideal_labels(s, "r"))
+    )
+    cls = np.empty(size, dtype=np.int32)
     for ci, c in enumerate(classes_d):
-        for i in c:
-            cls[i] = ci
+        cls[list(c)] = ci
     adj: list[set[int]] = [set() for _ in classes_d]
     for a in range(size):
-        targets = {cls[b] for b in lkeys_sets[a]} | {cls[b] for b in rkeys_sets[a]}
-        adj[cls[a]].update(targets)
+        adj[cls[a]].update(cls[lkeys[a]].tolist(), cls[rkeys[a]].tolist())
     reach = []
     for start in range(len(classes_d)):
         seen = {start}
@@ -188,27 +213,9 @@ def _two_sided_classes(s, lkeys_sets, rkeys_sets) -> tuple[frozenset[int], ...]:
                     stack.append(t)
         reach.append(seen)
     keys = []
-    for i in range(size):
-        ci = cls[i]
-        scc = frozenset(c for c in reach[ci] if ci in reach[c])
-        keys.append(scc)
+    for ci in cls.tolist():
+        keys.append(frozenset(c for c in reach[ci] if ci in reach[c]))
     return _grouped(size, keys)
-
-
-def partition_from_predicate(s, kind: str, pred) -> RelationPartition:
-    """Classes of a pairwise predicate over a semigroup's elements.
-
-    Built through a union-find, so even a non-transitive predicate yields a
-    partition; the verify suites compare such partitions to the oracles pair
-    by pair rather than trusting transitivity.
-    """
-    uf = _UnionFind(s.size)
-    for i in range(s.size):
-        for j in range(i + 1, s.size):
-            if pred(s.elements[i], s.elements[j]):
-                uf.union(i, j)
-    classes = _grouped(s.size, [uf.find(i) for i in range(s.size)])
-    return RelationPartition(s, kind, classes, "char")
 
 
 def green_oracle(s, kind: str) -> RelationPartition:
@@ -221,16 +228,16 @@ def green_oracle(s, kind: str) -> RelationPartition:
     kind = kind.lower()
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green's relation kind {kind!r}")
-    lkeys = _left_ideal_keys(s)
+    if kind == "j":
+        return RelationPartition(s, "j", _two_sided_classes(s), "oracle")
+    lkeys = _ideal_labels(s, "l")
     if kind == "l":
         return RelationPartition(s, "l", _grouped(s.size, lkeys), "oracle")
-    rkeys = _right_ideal_keys(s)
+    rkeys = _ideal_labels(s, "r")
     if kind == "r":
         return RelationPartition(s, "r", _grouped(s.size, rkeys), "oracle")
     if kind == "h":
         return RelationPartition(s, "h", _grouped(s.size, list(zip(lkeys, rkeys))), "oracle")
-    if kind == "j":
-        return RelationPartition(s, "j", _two_sided_classes(s, lkeys, rkeys), "oracle")
     classes_d = _join_classes(s.size, _grouped(s.size, lkeys), _grouped(s.size, rkeys))
     _assert_eggbox(classes_d, lkeys, rkeys)
     return RelationPartition(s, "d", classes_d, "oracle")
@@ -270,21 +277,25 @@ def _canon(seq) -> tuple[int, ...]:
     return tuple(first.setdefault(v, len(first)) for v in seq)
 
 
-def _translation_fingerprints(s, side: str) -> list[tuple[int, ...]]:
+@_per_carrier
+def _fingerprint_labels(s, side: str) -> tuple[int, ...]:
     # side "l": partition of S^1 induced by x -> a*x (grouped by fiber);
     # side "r": by x -> x*a.  Two elements are starred-related exactly when
     # these partitions coincide, so a canonical renumbering is a class key.
+    # Only the labels of the distinct keys are kept.
     size = s.size
     table = s.table() if hasattr(s, "table") else None
-    out = []
-    for a in range(size):
-        if table is not None:
-            row = (table[a, :] if side == "l" else table[:, a]).tolist()
-        else:
-            row = [s.product(a, x) if side == "l" else s.product(x, a) for x in range(size)]
-        row.append(a)  # formal identity column
-        out.append(_canon(row))
-    return out
+
+    def fingerprints():
+        for a in range(size):
+            if table is not None:
+                row = (table[a, :] if side == "l" else table[:, a]).tolist()
+            else:
+                row = [s.product(a, x) if side == "l" else s.product(x, a) for x in range(size)]
+            row.append(a)  # formal identity column
+            yield _canon(row)
+
+    return _canon(fingerprints())
 
 
 def starred_partition(s, kind: str) -> RelationPartition:
@@ -295,10 +306,10 @@ def starred_partition(s, kind: str) -> RelationPartition:
     kind = kind.lower()
     if kind not in STARRED_KINDS:
         raise ValueError(f"unknown starred relation kind {kind!r}")
-    lfp = _translation_fingerprints(s, "l")
+    lfp = _fingerprint_labels(s, "l")
     if kind == "lstar":
         return RelationPartition(s, "lstar", _grouped(s.size, lfp), "oracle")
-    rfp = _translation_fingerprints(s, "r")
+    rfp = _fingerprint_labels(s, "r")
     if kind == "rstar":
         return RelationPartition(s, "rstar", _grouped(s.size, rfp), "oracle")
     if kind == "hstar":
@@ -307,23 +318,12 @@ def starred_partition(s, kind: str) -> RelationPartition:
     return RelationPartition(s, "dstar", classes, "oracle")
 
 
-def starred_char(a: ChainMap, b: ChainMap, kind: str) -> bool:
-    """Characterized starred relations: image, kernel, both, or height equality."""
-    if a.n != b.n:
-        raise ValueError(f"maps live on chains of size {a.n} and {b.n}")
-    kind = kind.lower()
-    if kind == "lstar":
-        return image(a) == image(b)
-    if kind == "rstar":
-        return kernel(a).blocks == kernel(b).blocks
-    if kind == "hstar":
-        return image(a) == image(b) and kernel(a).blocks == kernel(b).blocks
-    if kind == "dstar":
-        return height(a) == height(b)
-    raise ValueError(f"unknown starred relation kind {kind!r}")
-
-
-# -- characterized plain Green's relations on contractions --------------------
+# -- characterized relations as per-element keys -------------------------------
+#
+# Every characterization reads the kernel and image of each map alone, so it is
+# a per-element key.  For r and the starred kinds each map has one label; for
+# l and d it has a set of keys (collapse profiles, or kernel patterns with the
+# height), and a matches b when a key of b is a key of a or its reflection.
 
 
 def _require_contraction(a: ChainMap) -> None:
@@ -338,12 +338,6 @@ def _require_pair(a: ChainMap, b: ChainMap) -> None:
     _require_contraction(b)
 
 
-def r_char(a: ChainMap, b: ChainMap) -> bool:
-    """Contractions are R-related exactly when their kernels coincide."""
-    _require_pair(a, b)
-    return kernel(a).blocks == kernel(b).blocks
-
-
 @lru_cache(maxsize=None)
 def _collapse_profiles(a: ChainMap) -> frozenset[tuple[int, ...]]:
     """Value tuples of ``a`` along every admissible convex refinement
@@ -352,22 +346,6 @@ def _collapse_profiles(a: ChainMap) -> frozenset[tuple[int, ...]]:
     return frozenset(
         tuple(a.images[t - 1] for t in T) for T in convex_refinement_transversals(k)
     )
-
-
-def l_char(a: ChainMap, b: ChainMap) -> bool:
-    """Characterized L on contractions.
-
-    a and b are L-related exactly when their kernels admit refinements with
-    admissible convex transversals T_a = {t_1 < ... < t_s} and
-    T_b = {u_1 < ... < u_s} of a common size such that either
-    a(t_i) = b(u_i) for all i (translation pairing) or
-    a(t_i) = b(u_{s-i+1}) for all i (reflection pairing).
-    """
-    _require_pair(a, b)
-    check_refinement_scan(a.n)
-    pa = _collapse_profiles(a)
-    pb = _collapse_profiles(b)
-    return any(t in pb or tuple(reversed(t)) in pb for t in pa)
 
 
 @lru_cache(maxsize=None)
@@ -386,6 +364,74 @@ def _kernel_patterns(a: ChainMap) -> frozenset[tuple[int, ...]]:
     )
 
 
+def _label(fn):
+    return lambda a: frozenset((fn(a),))
+
+
+def _kernel_word(a: ChainMap) -> tuple[int, ...]:
+    # Entry x - 1 numbers the fiber of x, fibers ordered by least point, so
+    # two words are equal exactly when the kernels' blocks are.
+    return _canon(a.images)
+
+
+def _d_keys(a: ChainMap) -> frozenset:
+    h = height(a)
+    return frozenset((h, q) for q in _kernel_patterns(a))
+
+
+# kind -> (keys of a map, reflection of one key or None)
+_CHAR_KEYS = {
+    "l": (_collapse_profiles, lambda t: t[::-1]),
+    "r": (_label(_kernel_word), None),
+    "d": (_d_keys, lambda hq: (hq[0], _canon(reversed(hq[1])))),
+    "lstar": (_label(image), None),
+    "rstar": (_label(_kernel_word), None),
+    "hstar": (_label(lambda a: (image(a), _kernel_word(a))), None),
+    "dstar": (_label(height), None),
+}
+
+
+def _probes(kind: str, a: ChainMap) -> frozenset:
+    keys_of, reflect = _CHAR_KEYS[kind]
+    keys = keys_of(a)
+    return keys if reflect is None else keys | {reflect(k) for k in keys}
+
+
+def _char_related(kind: str, a: ChainMap, b: ChainMap) -> bool:
+    """a and b are related exactly when a key of b is a key of a or its reflection."""
+    return not _probes(kind, a).isdisjoint(_CHAR_KEYS[kind][0](b))
+
+
+def starred_char(a: ChainMap, b: ChainMap, kind: str) -> bool:
+    """Characterized starred relations: image, kernel, both, or height equality."""
+    if a.n != b.n:
+        raise ValueError(f"maps live on chains of size {a.n} and {b.n}")
+    kind = kind.lower()
+    if kind not in STARRED_KINDS:
+        raise ValueError(f"unknown starred relation kind {kind!r}")
+    return _char_related(kind, a, b)
+
+
+def r_char(a: ChainMap, b: ChainMap) -> bool:
+    """Contractions are R-related exactly when their kernels coincide."""
+    _require_pair(a, b)
+    return _char_related("r", a, b)
+
+
+def l_char(a: ChainMap, b: ChainMap) -> bool:
+    """Characterized L on contractions.
+
+    a and b are L-related exactly when their kernels admit refinements with
+    admissible convex transversals T_a = {t_1 < ... < t_s} and
+    T_b = {u_1 < ... < u_s} of a common size such that either
+    a(t_i) = b(u_i) for all i (translation pairing) or
+    a(t_i) = b(u_{s-i+1}) for all i (reflection pairing).
+    """
+    _require_pair(a, b)
+    check_refinement_scan(a.n)
+    return _char_related("l", a, b)
+
+
 def d_char(a: ChainMap, b: ChainMap) -> bool:
     """Characterized D on contractions.
 
@@ -399,11 +445,72 @@ def d_char(a: ChainMap, b: ChainMap) -> bool:
     """
     _require_pair(a, b)
     check_refinement_scan(a.n)
-    if height(a) != height(b):
-        return False
-    qa = _kernel_patterns(a)
-    qb = _kernel_patterns(b)
-    return any(q in qb or _canon(tuple(reversed(q))) in qb for q in qa)
+    return _char_related("d", a, b)
+
+
+def characterized_rows(s, kind: str):
+    """A characterized relation on a carrier, as a row function.
+
+    ``rows(i)`` is a boolean array over the carrier's indices marking every j
+    with ``char(element_i, element_j)``.  Keys are computed and validated once
+    per element; an inverted index from each key to the elements holding it
+    makes a row O(size) numpy work, so scanning every pair does no pairwise
+    Python work.  ``h`` is the conjunction of ``l`` and ``r``.
+    """
+    kind = kind.lower()
+    if kind == "h":
+        l_rows, r_rows = characterized_rows(s, "l"), characterized_rows(s, "r")
+        return lambda i: l_rows(i) & r_rows(i)
+    if kind not in _CHAR_KEYS:
+        raise ValueError(f"no characterized procedure for relation kind {kind!r}")
+    if kind in ("l", "r", "d"):
+        for a in s.elements:
+            _require_contraction(a)
+        if kind != "r":
+            check_refinement_scan(s.n)
+    keys_of = _CHAR_KEYS[kind][0]
+    buckets: dict = {}
+    for i, a in enumerate(s.elements):
+        for key in keys_of(a):
+            buckets.setdefault(key, []).append(i)
+    probes = [_probes(kind, a) for a in s.elements]
+    index = {key: np.array(members, dtype=np.int32) for key, members in buckets.items()}
+    size = s.size
+
+    def rows(i: int) -> np.ndarray:
+        row = np.zeros(size, dtype=bool)
+        for p in probes[i]:
+            if p in index:
+                row[index[p]] = True
+        return row
+
+    return rows
+
+
+def char_partition(s, kind: str) -> RelationPartition:
+    """Classes of a characterized relation: connected components of its rows.
+
+    Each sweep takes the rows of a class's members masked by the still
+    unassigned elements, so even a non-transitive characterization yields a
+    partition; the verify suites compare rows with the oracles pair by pair
+    rather than trusting transitivity.
+    """
+    rows = characterized_rows(s, kind)
+    unassigned = np.ones(s.size, dtype=bool)
+    classes = []
+    for start in range(s.size):
+        if not unassigned[start]:
+            continue
+        unassigned[start] = False
+        members = [start]
+        stack = [start]
+        while stack:
+            fresh = np.flatnonzero(rows(stack.pop()) & unassigned)
+            unassigned[fresh] = False
+            members.extend(fresh.tolist())
+            stack.extend(fresh.tolist())
+        classes.append(frozenset(members))
+    return RelationPartition(s, kind, tuple(classes), "char")
 
 
 # -- abundance and unipotence -------------------------------------------------

@@ -32,6 +32,7 @@ from contracta import (
     regular_char_oct,
     regular_char_orct,
     regular_elements,
+    run_check,
     starred_char,
     starred_partition,
     unipotence_witness,
@@ -209,6 +210,27 @@ def test_criterion_7_idempotent_structure(family):
         "criterion-7 (idempotent structure)",
         "idempotent closure (order-compatible, n<=6), orthodoxy/unipotence of the regular part, "
         "regular idempotent products (full contractions, n<=5), pinned [3,2,2,2] witness",
+    )
+
+
+def test_criterion_7_boundary_at_ct6():
+    # Both idempotent-product claims for full contractions stop holding at
+    # chain size 6; the first witness is pinned so the boundary replays.
+    clock = _Clock(60)
+    reports = run_check("idempotent-products", 6, "ct")
+    assert [r.verdict for r in reports] == ["fail", "fail"]
+    assert reports[0].counterexample == {
+        "maps": ["[1,2,3,4,3,2]", "[6,5,5,4,5,6]"],
+        "product": "[6,5,5,4,5,5]",
+    }
+    assert reports[1].counterexample["map"] == "[1,2,2,3,2,2]"
+    assert reports[1].detail["generated_size"] == 523
+    e, f = make_map(6, [1, 2, 3, 4, 3, 2]), make_map(6, [6, 5, 5, 4, 5, 6])
+    assert is_idempotent(e) and is_idempotent(f)
+    assert not regular_char_ct(compose(e, f))
+    clock.done(
+        "criterion-7 boundary (ct6)",
+        "products of idempotents and the idempotent-generated subsemigroup both lose regularity at n=6",
     )
 
 

@@ -1,9 +1,14 @@
 """Command-line interface: formats, determinism, exit codes, replayability."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import types
 
+import pytest
+
+import contracta.checks as checks
 from contracta.cli import main
 
 
@@ -166,6 +171,16 @@ class TestVerify:
         assert code == 2
         assert "unknown check" in err
 
+    def test_timing_is_per_report(self, capsys, monkeypatch):
+        ticks = iter([0.0, 1.0, 3.0, 6.0, 10.0])
+        monkeypatch.setattr(checks, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        code, out, err = run_cli(
+            capsys, "verify", "--check", "starred", "--family", "ct", "--n", "3", "--timing"
+        )
+        assert code == 0
+        assert [r["elapsed_ms"] for r in json.loads(out)["reports"]] == [1000.0, 2000.0, 3000.0, 4000.0]
+        assert err == "# starred: 10000.0 ms\n"
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--check", "abundance", "--family", "ct", "--n", "4")
         _, second, _ = run_cli(capsys, "verify", "--check", "abundance", "--family", "ct", "--n", "4")
@@ -182,6 +197,37 @@ class TestVerify:
             assert payload["idempotent"] is False  # the violation: no idempotent here
             kernels.add(payload["kernel_text"])
         assert kernels == {"{1}|{2,3}|{4}"}  # one shared kernel = one r-starred class
+
+
+# SHA-256 of stdout, recorded on the pairwise-predicate implementation that
+# the per-element key scans replaced; the JSON must stay byte-identical.
+GOLDEN_STDOUT = [
+    (
+        ("verify", "--check", "green-l,green-r,green-d,starred", "--family", "ct", "--n", "5"),
+        "fb0e1209dcc8ab9dc526f340badcd0807f2232444f4db7920d4547efda598145",
+    ),
+] + [
+    (("relations", "--method", "char", "--family", family, "--n", "4", "--relation", relation), digest)
+    for family, relation, digest in [
+        ("ct", "l", "b2c3e34ffb14ae2020636519ad34f77d487204dc772e49495fad3c88866a044a"),
+        ("ct", "r", "93169deaed63be32262bb81f7e08713f2334efe34835c78deffdc0f2cf15a5ed"),
+        ("ct", "d", "e2c9d8b6608666a0c2f02c71ecfb5a04cae1fbb26e7b11bab41a43a3e7c6db6b"),
+        ("ct", "h", "a3c9c09b0c6234f9bb3abe8ea135ca7f398a5f399aa33e4285f19bfe4ce71e69"),
+        ("ct", "lstar", "ba51d843a1cd4cf402c3860c9b30dfea84beaae43c76f45883974ae6cd9edc8f"),
+        ("ct", "rstar", "be446aed248a23829ca03e8131b98f5ede9f57299355b9e358bcba6246d83df4"),
+        ("ct", "hstar", "7c39ce898113e7997521a0dd4f6a5b653f6d689308e47551124b9b8d0e2b8898"),
+        ("ct", "dstar", "5d0c3a1740c3f808bcffd7819e83ee7923f191de7939325da481f11ba4973524"),
+        ("orct", "rstar", "ab2e08b48bad737cb5b4c40d1bd13d07af49afbff694d2489c760f9c17a8a827"),
+    ]
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRees:

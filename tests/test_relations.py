@@ -3,9 +3,11 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import contracta.relations as rel
 from contracta import (
+    FiniteSemigroup,
     abundance_witness,
     d_char,
     green_oracle,
@@ -26,11 +28,13 @@ from contracta import (
     regular_char_orct,
     regular_elements,
     rstar_oracle,
+    run_check,
     starred_char,
     starred_partition,
     subsemigroup,
     unipotence_witness,
 )
+from contracta.relations import characterized_rows
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -314,3 +318,96 @@ class TestSubsetRelations:
         q = rees_quotient(base, 2)
         part = green_oracle(q, "d")
         assert frozenset([q.zero_index]) in part.classes
+
+
+# -- characterized relations as per-element rows --------------------------------
+
+KEYED_KINDS = ("l", "r", "d", "lstar", "rstar", "hstar", "dstar")
+
+
+def _scalar(kind):
+    return {"l": l_char, "r": r_char, "d": d_char}.get(kind) or (
+        lambda a, b: starred_char(a, b, kind)
+    )
+
+
+def _assert_rows_match_scalar(s, kind):
+    rows = characterized_rows(s, kind)
+    pred = _scalar(kind)
+    for i, a in enumerate(s.elements):
+        assert rows(i).tolist() == [pred(a, b) for b in s.elements], (kind, a)
+
+
+def _walk_map(start, steps):
+    word = [start]
+    for step in steps:
+        word.append(min(7, max(1, word[-1] + step)))
+    return make_map(7, word)
+
+
+# Adjacent images differ by at most 1, so every walk is a contraction.
+CT7_MAPS = st.builds(
+    _walk_map, st.integers(1, 7), st.lists(st.sampled_from((-1, 0, 1)), min_size=6, max_size=6)
+)
+
+
+class TestCharacterizedRows:
+    @pytest.mark.parametrize("kind", KEYED_KINDS)
+    def test_agree_with_scalar_predicate_on_ct5(self, family, kind):
+        _assert_rows_match_scalar(family("ct", 5), kind)
+
+    @pytest.mark.parametrize("kind", rel.STARRED_KINDS)
+    def test_starred_agree_with_scalar_predicate_on_orct5(self, family, kind):
+        _assert_rows_match_scalar(family("orct", 5), kind)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(CT7_MAPS, min_size=2, max_size=6))
+    def test_agree_with_scalar_predicate_on_random_ct7_maps(self, maps):
+        s = FiniteSemigroup(7, "ct", maps, check_closed=False)
+        for kind in KEYED_KINDS:
+            _assert_rows_match_scalar(s, kind)
+
+    def test_h_is_l_and_r(self, family):
+        s = family("ct", 4)
+        h, l, r = (characterized_rows(s, k) for k in ("h", "l", "r"))
+        for i in range(s.size):
+            assert (h(i) == (l(i) & r(i))).all()
+
+    def test_rejects_non_contraction(self):
+        s = FiniteSemigroup(3, "custom", [make_map(3, [3, 1, 3])], check_closed=False)
+        for kind in ("l", "r", "d", "h"):
+            with pytest.raises(ValueError, match="not a contraction"):
+                characterized_rows(s, kind)
+
+    def test_unknown_kind(self, family):
+        with pytest.raises(ValueError, match="no characterized"):
+            characterized_rows(family("ct", 2), "j")
+
+    @pytest.mark.parametrize("check_id,kind", [("green-r", "r"), ("starred", "dstar")])
+    def test_scan_matches_reference_pair_loop(self, family, monkeypatch, check_id, kind):
+        # A deliberately wrong key makes the characterization disagree with
+        # the oracle; the row scan must count and order the disagreements
+        # exactly as a plain loop over the pairs does.
+        monkeypatch.setitem(rel._CHAR_KEYS, kind, (rel._label(lambda a: a.images[0]), None))
+        s = family("ct", 4)
+        part = green_oracle(s, kind) if kind in rel.GREEN_KINDS else starred_partition(s, kind)
+        pred = _scalar(kind)
+        disagreements, witness = 0, None
+        for i, j in combinations_with_replacement(range(s.size), 2):
+            o = part.same_class(i, j)
+            c = pred(s.elements[i], s.elements[j])
+            if o != c:
+                disagreements += 1
+                if witness is None:
+                    witness = {
+                        "maps": [str(s.elements[i]), str(s.elements[j])],
+                        "oracle": o,
+                        "characterized": c,
+                    }
+        assert disagreements > 0
+        if check_id == "starred":
+            witness["kind"] = kind
+        [report] = [r for r in run_check(check_id, 4, "ct") if r.detail.get("kind", kind) == kind]
+        assert report.verdict == "fail"
+        assert report.detail["pairs_disagreeing"] == disagreements
+        assert report.counterexample == witness
