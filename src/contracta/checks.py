@@ -230,6 +230,17 @@ def check_unipotence(family: str, n: int):
             )
 
 
+def _first_idempotent_pair(ids, fails) -> dict | None:
+    """Witness payload for the first (e, f) in ``ids`` x ``ids``, row by row,
+    whose product e*f fails, or None."""
+    for e in ids:
+        for f in ids:
+            ef = compose(e, f)
+            if fails(ef):
+                return {"maps": [map_to_text(e), map_to_text(f)], "product": map_to_text(ef)}
+    return None
+
+
 def check_orthodox(family: str, n: int):
     _require_family("orthodox", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
@@ -242,21 +253,10 @@ def check_orthodox(family: str, n: int):
     if verdict:
         yield _report("orthodox", family, n, "pass", detail={"regular_elements": len(reg)})
         return
-    ids = idempotents(s)
-    witness = None
-    for e in ids:
-        for f in ids:
-            ef = compose(e, f)
-            if not is_idempotent(ef):
-                witness = {
-                    "maps": [map_to_text(e), map_to_text(f)],
-                    "product": map_to_text(ef),
-                    "reason": "product of idempotents is not idempotent",
-                }
-                break
-        if witness:
-            break
-    if witness is None:
+    witness = _first_idempotent_pair(idempotents(s), lambda ef: not is_idempotent(ef))
+    if witness is not None:
+        witness["reason"] = "product of idempotents is not idempotent"
+    else:
         inside = set(regular_elements(s, subset=reg))
         stray = next(m for m in reg if m not in inside)
         witness = {
@@ -272,14 +272,7 @@ def check_idempotent_products(family: str, n: int):
     ids = idempotents(s)
     if family == "ct":
         reg = set(regular_elements(s))
-        witness = None
-        for e in ids:
-            for f in ids:
-                if compose(e, f) not in reg:
-                    witness = {"maps": [map_to_text(e), map_to_text(f)], "product": map_to_text(compose(e, f))}
-                    break
-            if witness:
-                break
+        witness = _first_idempotent_pair(ids, lambda ef: ef not in reg)
         yield _report(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,
@@ -297,15 +290,7 @@ def check_idempotent_products(family: str, n: int):
             {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size},
         )
     else:
-        witness = None
-        for e in ids:
-            for f in ids:
-                ef = compose(e, f)
-                if not is_idempotent(ef):
-                    witness = {"maps": [map_to_text(e), map_to_text(f)], "product": map_to_text(ef)}
-                    break
-            if witness:
-                break
+        witness = _first_idempotent_pair(ids, lambda ef: not is_idempotent(ef))
         yield _report(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,

@@ -47,9 +47,10 @@ from .relations import (
     regular_char_orct,
     starred_partition,
 )
-from .rees import quotient_idempotents, rees_quotient, verify_inverse
+from .rees import rees_quotient, verify_inverse
 from .semigroups import (
     enumerate_family,
+    idempotent_indices,
     idempotents,
     is_regular_in,
     regular_elements,
@@ -83,8 +84,6 @@ def _positive_int(text: str) -> int:
 def _add_common(sub):
     sub.add_argument("--n", type=_positive_int, required=True)
     sub.add_argument("--output", choices=("json", "csv"), default="json")
-    sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="accepted for interface stability; execution is sequential")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +330,7 @@ def cmd_rees(args) -> int:
     base = subsemigroup(base_family, reg)
     q = rees_quotient(base, args.p)
     verification = verify_inverse(q)
-    ids = quotient_idempotents(q)
+    ids = idempotent_indices(q)
     payload = {
         "schema": SCHEMA,
         "command": "rees",

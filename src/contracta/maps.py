@@ -170,19 +170,11 @@ class FamilyTag(Enum):
             ) from None
 
     def contains(self, a: ChainMap) -> bool:
-        if self is FamilyTag.T:
-            return True
-        if not _word_is_contraction(a.images):
-            return False
-        if self is FamilyTag.CT:
-            return True
-        if self is FamilyTag.OCT:
-            return _word_is_order_preserving(a.images)
-        return _word_is_order_preserving(a.images) or _word_is_order_reversing(a.images)
+        return self._word_member(a.images)
 
     def _word_member(self, word: tuple[int, ...]) -> bool:
-        # Raw-word variant used by the enumerators to avoid building maps
-        # that will be discarded.
+        # Membership of a raw image word; the enumerators use it to avoid
+        # building maps that will be discarded.
         if self is FamilyTag.T:
             return True
         if not _word_is_contraction(word):

@@ -9,8 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps import ChainMap, compose, height, map_to_text
-from .semigroups import FiniteSemigroup, regular_elements
+import numpy as np
+
+from .maps import ChainMap, height, map_to_text
+from .semigroups import (
+    FiniteSemigroup,
+    _regular_mask,
+    _unique_inverse_counts,
+    idempotents_commute,
+    is_orthodox,
+    regular_elements,
+)
 
 __all__ = [
     "HeightIdeal",
@@ -22,7 +31,7 @@ __all__ = [
 ]
 
 # Associativity of the collapsing product is asserted exhaustively up to this
-# carrier size (cubic cost).
+# carrier size (cubic cost, one numpy row at a time).
 _ASSOC_CHECK_MAX = 220
 
 
@@ -40,14 +49,15 @@ def height_ideal(base: FiniteSemigroup, p: int) -> HeightIdeal:
     if not 1 <= p <= base.n:
         raise ValueError(f"height bound p={p} out of range 1..{base.n}")
     selected = tuple(m for m in base.elements if height(m) <= p)
-    chosen = {base.index_of(m) for m in selected}
-    for i in chosen:
-        for j in range(base.size):
-            if base.product(i, j) not in chosen or base.product(j, i) not in chosen:
-                raise RuntimeError(
-                    f"height-{p} slice of {base!r} is not a two-sided ideal; "
-                    "the base is not height-monotone"
-                )
+    chosen = np.array([base.index_of(m) for m in selected], dtype=np.intp)
+    inside = np.zeros(base.size, dtype=bool)
+    inside[chosen] = True
+    table = base.table()
+    if not (inside[table[chosen, :]].all() and inside[table[:, chosen]].all()):
+        raise RuntimeError(
+            f"height-{p} slice of {base!r} is not a two-sided ideal; "
+            "the base is not height-monotone"
+        )
     return HeightIdeal(base, p, selected)
 
 
@@ -94,31 +104,33 @@ class ReesQuotient:
             raise ValueError(f"{m} is not in this quotient's carrier") from None
 
     def product(self, i: int, j: int) -> int:
-        return self._table[i][j]
+        return int(self._table[i, j])
+
+    def table(self) -> np.ndarray:
+        """The int32 product table; row and column 0 are the zero."""
+        return self._table
 
     def _build_table(self):
-        m = len(self.maps)
-        table = [[0] * (m + 1) for _ in range(m + 1)]
-        for i, a in enumerate(self.maps, start=1):
-            for j, b in enumerate(self.maps, start=1):
-                ab = compose(a, b)
-                if height(ab) == self.p:
-                    # The slice at height p of an ideal: the composite must be
-                    # one of the carrier maps.
-                    table[i][j] = self._map_index[ab]
+        # pos[x] is base element x's carrier index if it is a height-p map and
+        # 0 otherwise.  Below height p the products fall into the lower ideal,
+        # so reading composites through pos is exactly the collapsing product.
+        layer = np.array([self.base.index_of(m) for m in self.maps], dtype=np.intp)
+        pos = np.zeros(self.base.size, dtype=np.int32)
+        pos[layer] = np.arange(1, len(layer) + 1)
+        table = np.zeros((self.size, self.size), dtype=np.int32)
+        table[1:, 1:] = pos[self.base.table()[np.ix_(layer, layer)]]
         return table
 
     def _assert_associative(self):
-        size = self.size
         t = self._table
-        for i in range(size):
-            for j in range(size):
-                ij = t[i][j]
-                for k in range(size):
-                    if t[ij][k] != t[i][t[j][k]]:
-                        raise RuntimeError(
-                            f"collapsing product is not associative at indices ({i},{j},{k})"
-                        )
+        for i in range(self.size):
+            # bad[j, k] iff (i*j)*k != i*(j*k)
+            bad = t[t[i]] != t[i][t]
+            if bad.any():
+                j, k = divmod(int(np.argmax(bad)), self.size)
+                raise RuntimeError(
+                    f"collapsing product is not associative at indices ({i},{j},{k})"
+                )
 
     def __repr__(self):
         return f"ReesQuotient(n={self.n}, p={self.p}, size={self.size})"
@@ -176,10 +188,6 @@ class InverseVerification:
         }
 
 
-def quotient_idempotents(q: ReesQuotient) -> list[int]:
-    return [i for i in range(q.size) if q.product(i, i) == i]
-
-
 def verify_inverse(q: ReesQuotient) -> InverseVerification:
     """Check the inverse-semigroup property three independent ways.
 
@@ -187,37 +195,21 @@ def verify_inverse(q: ReesQuotient) -> InverseVerification:
     exactly one inverse, (iii) orthodox plus unique idempotents per L-class
     and per R-class.  All three must agree.
     """
-    from .relations import green_oracle  # local import to avoid a cycle
+    from .relations import _non_unipotent_class  # local import to avoid a cycle
 
-    size = q.size
-    idx = range(size)
-    all_regular = all(
-        any(q.product(q.product(a, b), a) == a for b in idx) for a in idx
-    )
-    ids = quotient_idempotents(q)
-    commute = all(q.product(e, f) == q.product(f, e) for e in ids for f in ids)
-    unique = all(
-        sum(
-            1
-            for b in idx
-            if q.product(q.product(a, b), a) == a and q.product(q.product(b, a), b) == b
-        )
-        == 1
-        for a in idx
-    )
-    id_set = set(ids)
-    ids_closed = all(q.product(e, f) in id_set for e in ids for f in ids)
-    orthodox = all_regular and ids_closed
-    l_classes = green_oracle(q, "l").classes
-    r_classes = green_oracle(q, "r").classes
-    l_uni = all(len(id_set.intersection(c)) == 1 for c in l_classes)
-    r_uni = all(len(id_set.intersection(c)) == 1 for c in r_classes)
+    table, whole = q.table(), np.arange(q.size)
+    all_regular = bool(_regular_mask(table, whole).all())
+    commute = idempotents_commute(q)
+    unique = bool((_unique_inverse_counts(table, whole) == 1).all())
+    orthodox = is_orthodox(q)
+    l_uni = _non_unipotent_class(q, "l") is None
+    r_uni = _non_unipotent_class(q, "r") is None
     by_structure = all_regular and commute
     by_uniqueness = unique
     by_unipotence = orthodox and l_uni and r_uni
     consistent = by_structure == by_uniqueness == by_unipotence
     return InverseVerification(
-        size=size,
+        size=q.size,
         all_regular=all_regular,
         idempotents_commute=commute,
         unique_inverses=unique,

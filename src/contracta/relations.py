@@ -18,7 +18,7 @@ import numpy as np
 from .limits import check_refinement_scan
 from .maps import ChainMap, FamilyTag, height, image, is_contraction
 from .partitions import convex_refinement_transversals, has_convex_transversal, kernel
-from .semigroups import FiniteSemigroup, subsemigroup
+from .semigroups import FiniteSemigroup, idempotent_indices, row_blocks, subsemigroup
 
 __all__ = [
     "RelationPartition",
@@ -147,16 +147,21 @@ def _per_carrier(fn):
 @_per_carrier
 def _ideal_keys(s, side: str) -> list[np.ndarray]:
     """Sorted principal ideal of each element a in S^1: {x*a : x in S} with a
-    itself for side "l", {a*x : x in S} with a for side "r"."""
+    itself for side "l", {a*x : x in S} with a for side "r".
+
+    Membership rows are filled one block of elements at a time, so no
+    size x size matrix is held.
+    """
     size = s.size
-    table = s.table() if hasattr(s, "table") else None
+    table = s.table()
     keys = []
-    for a in range(size):
-        if table is not None:
-            ideal = np.unique(np.append(table[:, a] if side == "l" else table[a, :], a))
-        else:
-            ideal = sorted({s.product(x, a) if side == "l" else s.product(a, x) for x in range(size)} | {a})
-        keys.append(np.asarray(ideal, dtype=np.int32))
+    for block in row_blocks(np.arange(size), size):
+        products = table[:, block].T if side == "l" else table[block, :]
+        member = np.zeros((len(block), size), dtype=bool)
+        rows = np.arange(len(block))[:, None]
+        member[rows, products] = True
+        member[rows[:, 0], block] = True
+        keys.extend(np.flatnonzero(row).astype(np.int32) for row in member)
     return keys
 
 
@@ -283,15 +288,11 @@ def _fingerprint_labels(s, side: str) -> tuple[int, ...]:
     # side "r": by x -> x*a.  Two elements are starred-related exactly when
     # these partitions coincide, so a canonical renumbering is a class key.
     # Only the labels of the distinct keys are kept.
-    size = s.size
-    table = s.table() if hasattr(s, "table") else None
+    table = s.table()
 
     def fingerprints():
-        for a in range(size):
-            if table is not None:
-                row = (table[a, :] if side == "l" else table[:, a]).tolist()
-            else:
-                row = [s.product(a, x) if side == "l" else s.product(x, a) for x in range(size)]
+        for a in range(s.size):
+            row = (table[a, :] if side == "l" else table[:, a]).tolist()
             row.append(a)  # formal identity column
             yield _canon(row)
 
@@ -516,10 +517,6 @@ def char_partition(s, kind: str) -> RelationPartition:
 # -- abundance and unipotence -------------------------------------------------
 
 
-def _idempotent_indices(s) -> set[int]:
-    return {i for i in range(s.size) if s.product(i, i) == i}
-
-
 def _require_contraction_family(s: FiniteSemigroup) -> None:
     if getattr(s, "family", None) not in ("ct", "oct", "orct"):
         raise ValueError(
@@ -535,7 +532,7 @@ def abundance_witness(s: FiniteSemigroup, side: str):
     _require_contraction_family(s)
     kind = {"left": "lstar", "right": "rstar"}[side]
     part = starred_partition(s, kind)
-    ids = _idempotent_indices(s)
+    ids = set(idempotent_indices(s))
     for c in part.classes:
         if not ids.intersection(c):
             return tuple(s.elements[i] for i in sorted(c))
@@ -552,6 +549,16 @@ def is_right_abundant(s: FiniteSemigroup) -> bool:
     return abundance_witness(s, "right") is None
 
 
+def _non_unipotent_class(carrier, side: str):
+    """The first L- (side "l") or R-class (side "r") of a carrier whose
+    idempotent count is not 1, or None."""
+    ids = set(idempotent_indices(carrier))
+    for c in green_oracle(carrier, side).classes:
+        if len(ids.intersection(c)) != 1:
+            return c
+    return None
+
+
 def unipotence_witness(s: FiniteSemigroup, subset, side: str):
     """A Green's class of the subset with idempotent count != 1, or None.
 
@@ -559,12 +566,8 @@ def unipotence_witness(s: FiniteSemigroup, subset, side: str):
     as a semigroup in its own right.
     """
     sub = subsemigroup(s, subset)
-    part = green_oracle(sub, side)
-    ids = _idempotent_indices(sub)
-    for c in part.classes:
-        if len(ids.intersection(c)) != 1:
-            return tuple(sub.elements[i] for i in sorted(c))
-    return None
+    c = _non_unipotent_class(sub, side)
+    return None if c is None else tuple(sub.elements[i] for i in sorted(c))
 
 
 def is_l_unipotent(s: FiniteSemigroup, subset) -> bool:

@@ -12,7 +12,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .limits import check_family_size
-from .maps import ChainMap, FamilyTag, compose, is_idempotent
+from .maps import ChainMap, FamilyTag, compose
 
 __all__ = [
     "FiniteSemigroup",
@@ -28,12 +28,24 @@ __all__ = [
     "is_inverse",
 ]
 
-# Product tables are cached once size^2 fits this entry budget.
+# Product tables are built only while size^2 fits this entry budget; bigger
+# carriers fail fast instead of computing products one at a time.
 DEFAULT_TABLE_BUDGET = 64_000_000
+
+# Row-blocked scans keep each temporary array near this many entries.
+_BLOCK_ENTRIES = 1 << 17
 
 
 class ClosureError(ValueError):
     """An element set claimed to be closed under composition is not."""
+
+
+def row_blocks(rows, width: int):
+    """Consecutive slices of ``rows`` sized so a block times ``width`` stays
+    near the block-entry budget."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    for start in range(0, len(rows), step):
+        yield rows[start:start + step]
 
 
 class FiniteSemigroup:
@@ -44,7 +56,7 @@ class FiniteSemigroup:
     construction; the lazily built product table is write-once.
     """
 
-    def __init__(self, n, family, elements, *, table_budget=DEFAULT_TABLE_BUDGET, check_closed=True):
+    def __init__(self, n, family, elements, *, check_closed=True):
         self.n = n
         self.family = family
         self.elements = tuple(sorted(set(elements)))
@@ -54,10 +66,11 @@ class FiniteSemigroup:
             if m.n != n:
                 raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
         self._index = {m: i for i, m in enumerate(self.elements)}
-        self._table_budget = table_budget
         self._table = None
-        if check_closed:
-            self._assert_closed()
+        # The full family is closed by completeness; any other carrier is
+        # checked by building its table, which raises ClosureError on an escape.
+        if check_closed and not (family == "t" and self.size == n ** n):
+            self.table()
 
     # -- basic container behaviour -------------------------------------
 
@@ -87,20 +100,18 @@ class FiniteSemigroup:
 
     def product(self, i: int, j: int) -> int:
         """Index of element_i composed-then element_j."""
-        table = self.table()
-        if table is not None:
-            return int(table[i, j])
-        ab = compose(self.elements[i], self.elements[j])
-        try:
-            return self._index[ab]
-        except KeyError:
-            raise ClosureError(
-                f"product {self.elements[i]} * {self.elements[j]} = {ab} escapes the element set"
-            ) from None
+        return int(self.table()[i, j])
 
-    def table(self):
-        """The full product table, or None when it exceeds the entry budget."""
-        if self._table is None and self.size * self.size <= self._table_budget:
+    def table(self) -> np.ndarray:
+        """The full int32 product table; ValueError when it exceeds the entry budget."""
+        if self._table is None:
+            entries = self.size * self.size
+            if entries > DEFAULT_TABLE_BUDGET:
+                raise ValueError(
+                    f"a product table for {self.size:,} elements needs {entries:,} entries "
+                    f"({4 * entries:,} bytes), over the budget of {DEFAULT_TABLE_BUDGET:,} entries; "
+                    "lower n"
+                )
             self._table = self._build_table()
         return self._table
 
@@ -125,19 +136,8 @@ class FiniteSemigroup:
             table[:, j] = idx
         return table
 
-    def _assert_closed(self):
-        if self.family == "t" and self.size == self.n ** self.n:
-            return  # the full family is closed by completeness
-        if self.size * self.size <= self._table_budget:
-            self.table()  # construction raises ClosureError on any escape
-            return
-        # Over budget for a cached table: same check, product by product.
-        for i in range(self.size):
-            for j in range(self.size):
-                self.product(i, j)
 
-
-def enumerate_family(family, n: int, *, table_budget=DEFAULT_TABLE_BUDGET) -> FiniteSemigroup:
+def enumerate_family(family, n: int) -> FiniteSemigroup:
     """All members of a family on the chain of size n, as a closed semigroup."""
     tag = FamilyTag.coerce(family)
     check_family_size(tag.value, n)
@@ -146,7 +146,7 @@ def enumerate_family(family, n: int, *, table_budget=DEFAULT_TABLE_BUDGET) -> Fi
         for word in iter_product(range(1, n + 1), repeat=n)
         if tag._word_member(word)
     ]
-    return FiniteSemigroup(n, tag.value, members, table_budget=table_budget)
+    return FiniteSemigroup(n, tag.value, members)
 
 
 def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
@@ -155,20 +155,82 @@ def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
     for m in elements:
         s.index_of(m)
     try:
-        return FiniteSemigroup(s.n, "custom", elements, table_budget=s._table_budget)
+        return FiniteSemigroup(s.n, "custom", elements)
     except ClosureError as exc:
         raise ValueError(f"subset is not closed under composition: {exc}") from None
 
 
+# -- criteria over an index pool -------------------------------------------
+#
+# Every criterion reads a carrier's product table (a FiniteSemigroup or a
+# ReesQuotient) restricted to a pool of its indices: a subset, or the whole
+# carrier when ``subset`` is None.
+
+
+def _pool(s, subset) -> np.ndarray:
+    if subset is None:
+        return np.arange(s.size)
+    idx = [s.index_of(m) for m in subset]
+    if not idx:
+        raise ValueError("subset must be nonempty")
+    return np.array(idx, dtype=np.intp)
+
+
+def _idempotents_of(table, pool) -> np.ndarray:
+    """The pool elements e with e*e = e, read off the table's diagonal."""
+    return pool[table[pool, pool] == pool]
+
+
+def idempotent_indices(s) -> list[int]:
+    """Indices i of the carrier with i*i = i."""
+    return _idempotents_of(s.table(), np.arange(s.size)).tolist()
+
+
+def _regular_mask(table, pool) -> np.ndarray:
+    """Per pool element a, whether a*b*a = a for some b in the pool."""
+    mask = []
+    for rows in row_blocks(pool, len(pool)):
+        a = rows[:, None]
+        mask.append((table[table[a, pool], a] == a).any(axis=1))
+    return np.concatenate(mask)
+
+
+def _unique_inverse_counts(table, pool) -> np.ndarray:
+    """Per pool element a, the number of b in the pool with aba = a and bab = b."""
+    counts = []
+    for rows in row_blocks(pool, len(pool)):
+        a, b = rows[:, None], pool[None, :]
+        inverse = (table[table[a, b], a] == a) & (table[table[b, a], b] == b)
+        counts.append(inverse.sum(axis=1))
+    return np.concatenate(counts)
+
+
+def _escaping_pair(table, pool):
+    """The first (a, b) of pool x pool, row by row, whose product leaves the pool."""
+    inside = np.zeros(len(table), dtype=bool)
+    inside[pool] = True
+    for rows in row_blocks(pool, len(pool)):
+        out = ~inside[table[rows[:, None], pool]]
+        if out.any():
+            r, c = divmod(int(np.argmax(out)), len(pool))
+            return int(rows[r]), int(pool[c])
+    return None
+
+
 def idempotents(s: FiniteSemigroup) -> tuple[ChainMap, ...]:
     """All elements e with e*e = e."""
-    return tuple(m for m in s.elements if is_idempotent(m))
+    return tuple(s.elements[i] for i in idempotent_indices(s))
 
 
 def is_regular_in(s: FiniteSemigroup, m: ChainMap) -> bool:
-    """True iff m = m*b*m for some witness b in s (single-element scan)."""
-    a = s.index_of(m)
-    return any(s.product(s.product(a, b), a) == a for b in range(s.size))
+    """True iff m = m*b*m for some witness b in s.
+
+    Scans the image words of s directly, so it needs no product table.
+    """
+    s.index_of(m)  # m must be an element of s
+    a = np.array(m.images, dtype=np.int8) - 1
+    words = np.array([e.images for e in s.elements], dtype=np.int8) - 1
+    return bool((a[words[:, a]] == a).all(axis=1).any())
 
 
 def regular_elements(s: FiniteSemigroup, subset=None) -> tuple[ChainMap, ...]:
@@ -177,24 +239,8 @@ def regular_elements(s: FiniteSemigroup, subset=None) -> tuple[ChainMap, ...]:
     With ``subset`` given, both a and the witness b range over the subset
     ("regular within"); otherwise over the whole semigroup.
     """
-    if subset is None:
-        pool = list(range(s.size))
-    else:
-        pool = [s.index_of(m) for m in subset]
-    table = s.table()
-    out = []
-    if table is not None:
-        pool_arr = np.array(pool, dtype=np.int32)
-        for a in pool:
-            # a*b for all b in pool, then *a again
-            aba = table[table[a, pool_arr], a]
-            if bool((aba == a).any()):
-                out.append(s.elements[a])
-    else:
-        for a in pool:
-            if any(s.product(s.product(a, b), a) == a for b in pool):
-                out.append(s.elements[a])
-    return tuple(out)
+    pool = _pool(s, subset)
+    return tuple(s.elements[a] for a in pool[_regular_mask(s.table(), pool)])
 
 
 def regular_subsemigroup(family, n: int) -> FiniteSemigroup:
@@ -209,80 +255,49 @@ def regular_subsemigroup(family, n: int) -> FiniteSemigroup:
 
 def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
     """Closure of ``gens`` under composition, as a semigroup."""
-    current = {s.elements[s.index_of(m)] for m in gens}
-    if not current:
+    table = s.table()
+    inside = np.zeros(s.size, dtype=bool)
+    frontier = np.unique([s.index_of(m) for m in gens]).astype(np.intp)
+    if not frontier.size:
         raise ValueError("at least one generator is required")
-    frontier = list(current)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(current):
-                for prod_map in (compose(a, b), compose(b, a)):
-                    if prod_map not in current:
-                        current.add(prod_map)
-                        fresh.append(prod_map)
-        frontier = fresh
-    return FiniteSemigroup(s.n, "custom", current, table_budget=s._table_budget)
-
-
-def _subset_indices(s: FiniteSemigroup, subset) -> list[int]:
-    idx = [s.index_of(m) for m in subset]
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    return idx
+    inside[frontier] = True
+    while frontier.size:
+        current = np.flatnonzero(inside)
+        reached = np.zeros(s.size, dtype=bool)
+        for rows in row_blocks(frontier, len(current)):
+            reached[table[rows[:, None], current]] = True
+            reached[table[current[:, None], rows]] = True
+        frontier = np.flatnonzero(reached & ~inside)
+        inside[frontier] = True
+    return FiniteSemigroup(s.n, "custom", [s.elements[i] for i in np.flatnonzero(inside)])
 
 
 def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
     """True iff the subset is closed under the ambient product."""
-    idx = _subset_indices(s, subset)
-    pool = set(idx)
-    return all(s.product(a, b) in pool for a in idx for b in idx)
+    return _escaping_pair(s.table(), _pool(s, subset)) is None
 
 
-def _require_closed(s: FiniteSemigroup, subset) -> list[int]:
-    idx = _subset_indices(s, subset)
-    pool = set(idx)
-    for a in idx:
-        for b in idx:
-            if s.product(a, b) not in pool:
-                raise ValueError(
-                    f"subset is not closed: {s.elements[a]} * {s.elements[b]} escapes"
-                )
-    return idx
-
-
-def idempotents_commute(s: FiniteSemigroup, subset) -> bool:
+def idempotents_commute(s, subset=None) -> bool:
     """True iff e*f = f*e for all idempotents e, f of the subset."""
-    idx = _subset_indices(s, subset)
-    ids = [a for a in idx if s.product(a, a) == a]
-    return all(s.product(e, f) == s.product(f, e) for e in ids for f in ids)
+    table = s.table()
+    ids = _idempotents_of(table, _pool(s, subset))
+    ef = table[np.ix_(ids, ids)]
+    return bool((ef == ef.T).all())
 
 
-def is_orthodox(s: FiniteSemigroup, subset) -> bool:
+def is_orthodox(s, subset=None) -> bool:
     """True iff every subset element is regular within the subset and the
     subset's idempotents are closed under product."""
-    idx = _require_closed(s, subset)
-    for a in idx:
-        if not any(s.product(s.product(a, b), a) == a for b in idx):
-            return False
-    ids = [a for a in idx if s.product(a, a) == a]
-    for e in ids:
-        for f in ids:
-            ef = s.product(e, f)
-            if s.product(ef, ef) != ef:
-                return False
-    return True
-
-
-def _unique_inverse_counts(s: FiniteSemigroup, idx: list[int]) -> list[int]:
-    counts = []
-    for a in idx:
-        c = 0
-        for b in idx:
-            if s.product(s.product(a, b), a) == a and s.product(s.product(b, a), b) == b:
-                c += 1
-        counts.append(c)
-    return counts
+    table, pool = s.table(), _pool(s, subset)
+    escape = _escaping_pair(table, pool)
+    if escape is not None:
+        a, b = escape
+        raise ValueError(f"subset is not closed: {s.elements[a]} * {s.elements[b]} escapes")
+    if not _regular_mask(table, pool).all():
+        return False
+    ids = _idempotents_of(table, pool)
+    ef = table[np.ix_(ids, ids)]
+    return bool((table[ef, ef] == ef).all())
 
 
 def is_inverse(s: FiniteSemigroup, subset) -> bool:
@@ -291,9 +306,8 @@ def is_inverse(s: FiniteSemigroup, subset) -> bool:
     The equivalent unique-inverse criterion is computed independently and the
     two verdicts are required to agree.
     """
-    idx = _require_closed(s, subset)
     by_structure = is_orthodox(s, subset) and idempotents_commute(s, subset)
-    by_uniqueness = all(c == 1 for c in _unique_inverse_counts(s, idx))
+    by_uniqueness = bool((_unique_inverse_counts(s.table(), _pool(s, subset)) == 1).all())
     if by_structure != by_uniqueness:
         raise RuntimeError(
             "inverse-semigroup criteria disagree (orthodox+commuting vs unique inverses); "

@@ -36,6 +36,21 @@ class TestEnumerate:
         assert lines[0] == "word,idempotent,regular"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--family", "t", "--n", "6"),
+        ("relations", "--family", "t", "--n", "6", "--relation", "l"),
+    ], ids=["enumerate", "relations"])
+    def test_table_budget_fails_fast(self, capsys, argv):
+        # T_6 has 46,656 elements: its product table would need about 2.2e9
+        # entries, so the command stops with the estimate instead of
+        # computing products one at a time for hours.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "46,656 elements" in err
+        assert "2,176,782,336 entries" in err
+        assert "8,707,129,344 bytes" in err
+
     def test_guard_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--family", "ct", "--n", "9")
         assert code == 2
@@ -199,15 +214,19 @@ class TestVerify:
         assert kernels == {"{1}|{2,3}|{4}"}  # one shared kernel = one r-starred class
 
 
-# SHA-256 of stdout, recorded on the pairwise-predicate implementation that
-# the per-element key scans replaced; the JSON must stay byte-identical.
+# (argv, exit code, SHA-256 of stdout).  The first block was recorded on the
+# pairwise-predicate implementation that the per-element key scans replaced;
+# the second on the implementation with a separate list-of-lists Rees carrier
+# and per-product fallbacks, before the single product-table carrier.  The
+# JSON must stay byte-identical.
 GOLDEN_STDOUT = [
     (
         ("verify", "--check", "green-l,green-r,green-d,starred", "--family", "ct", "--n", "5"),
+        0,
         "fb0e1209dcc8ab9dc526f340badcd0807f2232444f4db7920d4547efda598145",
     ),
 ] + [
-    (("relations", "--method", "char", "--family", family, "--n", "4", "--relation", relation), digest)
+    (("relations", "--method", "char", "--family", family, "--n", "4", "--relation", relation), 0, digest)
     for family, relation, digest in [
         ("ct", "l", "b2c3e34ffb14ae2020636519ad34f77d487204dc772e49495fad3c88866a044a"),
         ("ct", "r", "93169deaed63be32262bb81f7e08713f2334efe34835c78deffdc0f2cf15a5ed"),
@@ -219,14 +238,74 @@ GOLDEN_STDOUT = [
         ("ct", "dstar", "5d0c3a1740c3f808bcffd7819e83ee7923f191de7939325da481f11ba4973524"),
         ("orct", "rstar", "ab2e08b48bad737cb5b4c40d1bd13d07af49afbff694d2489c760f9c17a8a827"),
     ]
+] + [
+    (("rees", "--family", family, "--n", "5", "--p", str(p)), 0, digest)
+    for family, p, digest in [
+        ("orct", 2, "d20d4d9e3ee00194a148fff84400fa6b072209cee279da90030f62640741a1da"),
+        ("orct", 3, "b747b7b3386e4c4be1b576bc570f4133cabc14f535417e341f5ff1522fd267c5"),
+        ("orct", 4, "55ed64e8e9bee2e7df91957e13e2f76e3fc9755612895331f2b7bc36ced03bcf"),
+        ("orct", 5, "905a1ba2ee2ba8f22f6ca7490a1836d394a42bc17faef2fae515f95dec24ef1b"),
+        ("oct", 2, "c0a8e279f183d42f5d61477c78ff7aadf252fb4b2ed4a98a885f3e9d17f8f0d2"),
+        ("oct", 3, "cf6a44d1001214fce0baec63a535cadff3980ad0828af472c7a9a01f86d964b3"),
+        ("oct", 4, "ff3544250ed0145da069ef7200ef72536b3c168917849bf69763ff1576b97215"),
+        ("oct", 5, "6cacf4b00ee4a9b89f8b8dd595df58ed4ad2ed59c06c24f652f2e56fa2855c38"),
+    ]
+] + [
+    (
+        ("verify", "--check", "regularity-ct,orthodox,idempotent-products", "--family", "ct", "--n", "5"),
+        1,
+        "975c72f9b6268045cda6eb9fb311cda0a7661d13b2163cfe41dfe6872fb2b31d",
+    ),
+    (
+        ("verify", "--check", "regularity-orct,unipotence,orthodox,idempotent-products",
+         "--family", "orct", "--n", "5"),
+        1,
+        "666b6f90380ca3e1db7bd8a5ceabdfa634b340458f1ede49e24fdb27512953f6",
+    ),
+    (
+        # Fails on closure: the witness is the first escaping pair, row by row.
+        ("verify", "--check", "orthodox", "--family", "ct", "--n", "6"),
+        1,
+        "3a92ca8c2942ce02f9d578420aa8cdc2b81c9cc3b40ca6b7f31de58244036a7c",
+    ),
+    (
+        ("analyze", "--n", "6", "--map", "[2,1,1,1,1,1]"),
+        0,
+        "81eff5eed7f8440ff0d7be60010c22fa76c247182a2c84723e5fbe267bc025ae",
+    ),
+    (
+        ("enumerate", "--family", "t", "--n", "4"),
+        0,
+        "e3a22c82574e5cf1cb2b72425a1bb23a77540dc413d05284a12d5d8edb585bb1",
+    ),
+    (
+        ("relations", "--family", "t", "--n", "3", "--relation", "j"),
+        0,
+        "1d6d7a17896d0c5a2093621bc556648f09b8c8755faa9047722a9b6afa39cd1e",
+    ),
+] + [
+    (("relations", "--method", "oracle", "--family", "ct", "--n", "4", "--relation", relation), 0, digest)
+    for relation, digest in [
+        ("l", "c23203751fe17de7ae3d9f2b8102f48ebc12f092c69188fee4de16cd9d1fe231"),
+        ("r", "e737427063ceeb6c4e37dd8149db5439e790e60f616eba1aa574a404526417b6"),
+        ("h", "97f5618ec222e222bc3f5b05606097e1c54c139f73a21fa1082a20fbdbb951a0"),
+        ("d", "aa4968f49f3fbbcd3fcab5ff87ebef722565a3b82557cd9111104301fd3c3466"),
+        ("j", "8062905576405449ffd6ddb42fa936249064ebec6b3d328340f91ba6c60acc55"),
+        ("lstar", "ebf6dc2cdad6414d3d0cf47cacad03949e5ac920c6ced10574dc037f374a57b7"),
+        ("rstar", "1463ba727146d2a1ed33247c1461b4772cb040e3715e2b3319f537c4936e6ce4"),
+        ("hstar", "185a89b47ee6a0a7d245bc4ffd848fd0ea252c019631d5315b18792a620b6ed0"),
+        ("dstar", "fe512471f45c8805dea4ae589e74999a755364d63904954a0e87a041d2e04e7e"),
+    ]
 ]
 
 
 class TestGoldenOutput:
-    @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
-    def test_stdout_digest(self, capsys, argv, digest):
+    @pytest.mark.parametrize(
+        "argv,exit_code,digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_digest(self, capsys, argv, exit_code, digest):
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -282,8 +361,9 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 3
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "enumerate", "--family", "oct", "--n", "2", "--threads", "4"
-        )
-        assert code == 0
+    def test_threads_flag_rejected(self, capsys):
+        # The flag never changed execution and was removed.
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--family", "oct", "--n", "2", "--threads", "4"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import pytest
 
 from contracta import (
+    ReesQuotient,
     compose,
     height,
     height_ideal,
@@ -14,7 +15,7 @@ from contracta import (
     subsemigroup,
     verify_inverse,
 )
-from contracta.rees import quotient_idempotents
+from contracta.semigroups import idempotent_indices
 
 
 class TestHeightIdeal:
@@ -98,6 +99,25 @@ class TestQuotientConstruction:
         q = rees_quotient(whole, 2, allow_irregular_base=True)
         assert q.size > 1
 
+    def test_corrupted_table_fails_associativity(self, regular_base, monkeypatch):
+        base = regular_base("orct", 4)
+        build = ReesQuotient._build_table
+
+        def corrupted(q):
+            t = build(q)
+            t[1, 1] = 2 if t[1, 1] != 2 else 3
+            return t
+
+        monkeypatch.setattr(ReesQuotient, "_build_table", corrupted)
+        with pytest.raises(RuntimeError, match="not associative"):
+            rees_quotient(base, 2)
+
+    def test_table_matches_products(self, regular_base):
+        q = rees_quotient(regular_base("orct", 4), 3)
+        t = q.table()
+        assert t.shape == (q.size, q.size)
+        assert [[q.product(i, j) for j in range(q.size)] for i in range(q.size)] == t.tolist()
+
     def test_associativity_holds(self, regular_base):
         # construction asserts associativity internally; reaching here means
         # the exhaustive triple scan passed
@@ -137,7 +157,7 @@ class TestQuotientIdempotents:
         base = regular_base("orct", 5)
         for p in range(2, 6):
             q = rees_quotient(base, p)
-            got = {q.label(i) for i in quotient_idempotents(q)}
+            got = {q.label(i) for i in idempotent_indices(q)}
             expected = {"0"} | {
                 str(m) for m in base.elements if is_idempotent(m) and height(m) == p
             }
@@ -148,7 +168,7 @@ class TestQuotientIdempotents:
 
         base = regular_base("orct", 5)
         q = rees_quotient(base, 3)
-        ids = set(quotient_idempotents(q))
+        ids = set(idempotent_indices(q))
         r_classes = green_oracle(q, "r").classes
         for c in r_classes:
             if q.zero_index in c:

@@ -2,6 +2,7 @@
 
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +77,19 @@ class TestGreenOracle:
             via_reachability = green_oracle(s, "j").classes
             monkeypatch.undo()
             assert direct == via_reachability
+
+    @pytest.mark.parametrize("fam,n", [("ct", 5), ("t", 4)])
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_ideal_keys_match_unique_reference(self, family, fam, n, side):
+        s = family(fam, n)
+        table = s.table()
+        keys = rel._ideal_keys(s, side)
+        assert len(keys) == s.size
+        for a, key in enumerate(keys):
+            products = table[:, a] if side == "l" else table[a, :]
+            want = np.unique(np.append(products, a)).astype(np.int32)
+            assert key.dtype == np.int32
+            assert np.array_equal(key, want)
 
     def test_refinement_chain(self, family):
         s = family("ct", 4)

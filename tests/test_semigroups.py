@@ -20,7 +20,8 @@ from contracta import (
     regular_elements,
     subsemigroup,
 )
-from contracta.semigroups import ClosureError
+import contracta.semigroups as semigroups
+from contracta.semigroups import ClosureError, is_regular_in
 
 # Computed once by the brute-force filters below and pinned.
 CT_SIZES = {1: 1, 2: 4, 3: 17, 4: 68, 5: 259, 6: 950}
@@ -93,13 +94,14 @@ class TestClosure:
             for j, b in enumerate(s.elements):
                 assert s.elements[s.product(i, j)] == compose(a, b)
 
-    def test_on_demand_products_match_table(self, family):
+    def test_table_over_budget_raises(self, family, monkeypatch):
         s = family("ct", 3)
-        tiny = FiniteSemigroup(3, "ct", s.elements, table_budget=1)
-        assert tiny.table() is None
-        for i in range(s.size):
-            for j in range(s.size):
-                assert tiny.product(i, j) == s.product(i, j)
+        monkeypatch.setattr(semigroups, "DEFAULT_TABLE_BUDGET", 100)
+        with pytest.raises(ValueError, match=r"17 elements needs 289 entries \(1,156 bytes\)"):
+            FiniteSemigroup(3, "ct", s.elements)
+        fresh = FiniteSemigroup(3, "ct", s.elements, check_closed=False)
+        with pytest.raises(ValueError, match="over the budget of 100 entries"):
+            fresh.table()
 
     def test_subsemigroup_rejects_non_closed(self, family):
         s = family("ct", 3)
@@ -144,6 +146,14 @@ class TestRegularElements:
             if any(compose(compose(a, b), a) == a for b in s.elements)
         }
         assert set(regular_elements(s)) == direct
+
+    @pytest.mark.parametrize("fam,n", [("ct", 5), ("orct", 5), ("t", 4)])
+    def test_single_element_scan_agrees(self, family, fam, n):
+        # is_regular_in scans image words without a table; regular_elements
+        # reads the product table.
+        s = family(fam, n)
+        reg = set(regular_elements(s))
+        assert [is_regular_in(s, m) for m in s.elements] == [m in reg for m in s.elements]
 
     def test_regular_within_subset(self, family):
         s = family("ct", 4)
