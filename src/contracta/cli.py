@@ -14,6 +14,7 @@ import json
 import sys
 
 from .checks import CHECK_IDS, run_check
+from .limits import check_family_size
 from .maps import (
     FamilyTag,
     fix_points,
@@ -49,6 +50,7 @@ from .relations import (
 )
 from .rees import rees_quotient, verify_inverse
 from .semigroups import (
+    check_table_budget,
     enumerate_family,
     idempotent_indices,
     idempotents,
@@ -136,8 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies ---------------------------------------------------------
 
 
+def _enumerate_with_table(family: str, n: int):
+    """enumerate_family for a command that reads the product table.
+
+    The size of ``t`` is n^n, known before enumerating, so its table budget
+    is checked first instead of after building every map.
+    """
+    if family == "t":
+        check_family_size(family, n)
+        check_table_budget(n ** n)
+    return enumerate_family(family, n)
+
+
 def cmd_enumerate(args) -> int:
-    s = enumerate_family(args.family, args.n)
+    s = _enumerate_with_table(args.family, args.n)
     ids = idempotents(s)
     reg = regular_elements(s)
     if args.output == "json":
@@ -239,24 +253,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _char_partition(s, relation: str):
+def _check_char_method(family: str, relation: str) -> None:
     if relation in STARRED_KINDS:
-        if s.family not in ("ct", "oct", "orct"):
+        if family not in ("ct", "oct", "orct"):
             raise ValueError(
                 "characterized starred relations are available for the contraction "
                 "families only; use --method oracle"
             )
     elif relation == "j":
         raise ValueError("no characterized procedure exists for the j relation; use --method oracle")
-    elif s.family != "ct":
+    elif family != "ct":
         raise ValueError(
             f"characterized {relation} is only available for family 'ct'; use --method oracle"
         )
-    return char_partition(s, relation)
 
 
 def cmd_relations(args) -> int:
-    s = enumerate_family(args.family, args.n)
+    if args.method == "char":
+        _check_char_method(args.family, args.relation)
+    s = _enumerate_with_table(args.family, args.n)
     if args.method == "oracle":
         part = (
             green_oracle(s, args.relation)
@@ -264,7 +279,7 @@ def cmd_relations(args) -> int:
             else starred_partition(s, args.relation)
         )
     else:
-        part = _char_partition(s, args.relation)
+        part = char_partition(s, args.relation)
     classes = [sorted(map_to_text(s.elements[i]) for i in c) for c in part.classes]
     if args.output == "json":
         payload = {

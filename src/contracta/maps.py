@@ -77,8 +77,8 @@ def compose(a: ChainMap, b: ChainMap) -> ChainMap:
 
 
 def _word_is_contraction(word: tuple[int, ...]) -> bool:
-    # Checks every pair, not just adjacent positions; see the note on
-    # is_contraction.
+    # Checks every pair, not just adjacent positions, so that it stays
+    # independent of the walk generator; see the note on is_contraction.
     n = len(word)
     for i in range(n):
         wi = word[i]
@@ -91,8 +91,11 @@ def _word_is_contraction(word: tuple[int, ...]) -> bool:
 def is_contraction(a: ChainMap) -> bool:
     """True iff |a(x) - a(y)| <= |x - y| for every pair x, y.
 
-    All O(n^2) pairs are checked; the adjacent-pair shortcut is only obviously
-    valid for monotone maps and is deliberately not relied on here.
+    By the triangle inequality this holds exactly when adjacent images differ
+    by -1, 0 or +1, and ``semigroups.family_words`` generates the contraction
+    families from that adjacent-step form.  This test checks all O(n^2) pairs
+    on purpose: it is the independent side against which the tests
+    cross-check the generated families.
     """
     return _word_is_contraction(a.images)
 
@@ -173,8 +176,8 @@ class FamilyTag(Enum):
         return self._word_member(a.images)
 
     def _word_member(self, word: tuple[int, ...]) -> bool:
-        # Membership of a raw image word; the enumerators use it to avoid
-        # building maps that will be discarded.
+        # Membership of a raw image word by the all-pairs test; the tests
+        # use it as the oracle for the walk generator.
         if self is FamilyTag.T:
             return True
         if not _word_is_contraction(word):

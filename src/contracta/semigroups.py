@@ -1,8 +1,12 @@
 """Enumerated finite semigroups of chain maps, with cached product tables.
 
-Families are enumerated by filtering all n^n image words, which guarantees no
-element is missed and doubles as a closure oracle: building the product table
-fails loudly if any product escapes the element set.
+A map is a contraction exactly when adjacent images differ by -1, 0 or +1
+(see ``maps.is_contraction``), so the contraction families are generated as
+walks on 1..n: ``ct`` takes steps in {-1, 0, +1}, ``oct`` steps in {0, +1},
+and ``orct`` the ``oct`` walks together with those with steps in {-1, 0}.
+``t`` is all n^n image words.  Building the product table doubles as a
+closure oracle: it fails loudly if any product escapes the element set, and
+every carrier but the full ``t`` builds it on construction.
 """
 
 from __future__ import annotations
@@ -32,18 +36,31 @@ __all__ = [
 # carriers fail fast instead of computing products one at a time.
 DEFAULT_TABLE_BUDGET = 64_000_000
 
-# Row-blocked scans keep each temporary array near this many entries.
+# Row-blocked scans keep each temporary array near this many entries; the
+# table build, which holds several int64 temporaries per block, uses fewer.
 _BLOCK_ENTRIES = 1 << 17
+_TABLE_BLOCK_ENTRIES = 1 << 13
 
 
 class ClosureError(ValueError):
     """An element set claimed to be closed under composition is not."""
 
 
-def row_blocks(rows, width: int):
+def check_table_budget(size: int) -> None:
+    """ValueError with the estimate when a size x size table exceeds the entry budget."""
+    entries = size * size
+    if entries > DEFAULT_TABLE_BUDGET:
+        raise ValueError(
+            f"a product table for {size:,} elements needs {entries:,} entries "
+            f"({4 * entries:,} bytes), over the budget of {DEFAULT_TABLE_BUDGET:,} entries; "
+            "lower n"
+        )
+
+
+def row_blocks(rows, width: int, entries: int | None = None):
     """Consecutive slices of ``rows`` sized so a block times ``width`` stays
-    near the block-entry budget."""
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    near ``entries`` (by default the block-entry budget)."""
+    step = max(1, (entries or _BLOCK_ENTRIES) // max(1, width))
     for start in range(0, len(rows), step):
         yield rows[start:start + step]
 
@@ -105,47 +122,78 @@ class FiniteSemigroup:
     def table(self) -> np.ndarray:
         """The full int32 product table; ValueError when it exceeds the entry budget."""
         if self._table is None:
-            entries = self.size * self.size
-            if entries > DEFAULT_TABLE_BUDGET:
-                raise ValueError(
-                    f"a product table for {self.size:,} elements needs {entries:,} entries "
-                    f"({4 * entries:,} bytes), over the budget of {DEFAULT_TABLE_BUDGET:,} entries; "
-                    "lower n"
-                )
+            check_table_budget(self.size)
             self._table = self._build_table()
         return self._table
 
     def _build_table(self):
         m, n = self.size, self.n
-        words = np.array([e.images for e in self.elements], dtype=np.int64)
+        words = np.array([e.images for e in self.elements], dtype=np.int64) - 1
         weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        codes = (words - 1) @ weights  # ascending, since elements are sorted
+        codes = words @ weights  # ascending, since elements are sorted
+        # The code of a*b is sum_x b(x) * spread_a[x], where spread_a[x] sums
+        # the weights of the positions k with a(k) = x.
+        spread = np.zeros((m, n), dtype=np.int64)
+        for k in range(n):
+            spread[np.arange(m), words[:, k]] += weights[k]
+        right = np.ascontiguousarray(words.T)
         table = np.empty((m, m), dtype=np.int32)
-        for j in range(m):
-            right = words[j]
-            composed = right[words - 1]  # row i = element_i then element_j
-            ccodes = (composed - 1) @ weights
+        escape = None  # the first escaping (j, i), column by column
+        for rows in row_blocks(np.arange(m), m, _TABLE_BLOCK_ENTRIES):
+            ccodes = spread[rows] @ right
             idx = np.searchsorted(codes, ccodes)
-            bad = (idx >= m) | (codes[np.minimum(idx, m - 1)] != ccodes)
+            bad = codes[np.minimum(idx, m - 1)] != ccodes
             if bad.any():
-                i = int(np.argmax(bad))
-                ab = compose(self.elements[i], self.elements[j])
-                raise ClosureError(
-                    f"product {self.elements[i]} * {self.elements[j]} = {ab} escapes the element set"
-                )
-            table[:, j] = idx
+                j = int(np.argmax(bad.any(axis=0)))
+                first = (j, int(rows[np.argmax(bad[:, j])]))
+                escape = first if escape is None else min(escape, first)
+            table[rows] = idx
+        if escape is not None:
+            j, i = escape
+            ab = compose(self.elements[i], self.elements[j])
+            raise ClosureError(
+                f"product {self.elements[i]} * {self.elements[j]} = {ab} escapes the element set"
+            )
         return table
+
+
+def _walks(n: int, steps: tuple[int, ...]) -> np.ndarray:
+    """All words on 1..n whose adjacent steps lie in ``steps`` (ascending),
+    in lexicographic order."""
+    words = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    for _ in range(n - 1):
+        nxt = words[:, -1:] + np.array(steps)
+        keep = ((nxt >= 1) & (nxt <= n)).ravel()
+        words = np.column_stack([np.repeat(words, len(steps), axis=0), nxt.ravel()])[keep]
+    return words
+
+
+def family_words(family, n: int):
+    """The image words of a family on the chain of size n, in lexicographic order.
+
+    ``t`` is an iterator over all n^n words; the contraction families are
+    lists of walks, generated directly rather than filtered.
+    """
+    tag = FamilyTag.coerce(family)
+    if tag is FamilyTag.T:
+        return iter_product(range(1, n + 1), repeat=n)
+    if tag is FamilyTag.CT:
+        words = _walks(n, (-1, 0, 1))
+    else:
+        words = _walks(n, (0, 1))
+        if tag is FamilyTag.ORCT:
+            down = _walks(n, (-1, 0))
+            # Constant maps are both; keep the non-increasing ones that move.
+            words = np.concatenate([words, down[down[:, 0] != down[:, -1]]])
+            words = words[np.lexsort(words.T[::-1])]
+    return [tuple(w) for w in words.tolist()]
 
 
 def enumerate_family(family, n: int) -> FiniteSemigroup:
     """All members of a family on the chain of size n, as a closed semigroup."""
     tag = FamilyTag.coerce(family)
     check_family_size(tag.value, n)
-    members = [
-        ChainMap(n, word)
-        for word in iter_product(range(1, n + 1), repeat=n)
-        if tag._word_member(word)
-    ]
+    members = [ChainMap(n, word) for word in family_words(tag, n)]
     return FiniteSemigroup(n, tag.value, members)
 
 

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import types
 
 import pytest
 
+import contracta
 import contracta.checks as checks
+import contracta.cli as cli
 from contracta.cli import main
 
 
@@ -50,6 +53,24 @@ class TestEnumerate:
         assert "46,656 elements" in err
         assert "2,176,782,336 entries" in err
         assert "8,707,129,344 bytes" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("enumerate", "--family", "t", "--n", "7"), "823,543 elements"),
+        (("relations", "--family", "t", "--n", "7", "--relation", "l"), "823,543 elements"),
+        (("relations", "--family", "t", "--n", "7", "--method", "char", "--relation", "l"),
+         "only available for family 'ct'"),
+    ], ids=["enumerate", "relations", "relations-char"])
+    def test_rejected_before_enumerating(self, capsys, monkeypatch, argv, message):
+        # |T_7| = 7^7 is known up front, so neither the table budget nor an
+        # unavailable characterized method waits for the 823,543 maps.
+        def unreachable(*args):
+            raise AssertionError("enumeration reached")
+
+        monkeypatch.setattr(cli, "enumerate_family", unreachable)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_guard_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--family", "ct", "--n", "9")
@@ -353,10 +374,16 @@ class TestCounterexample:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the same contracta as this process, also when
+        # pytest put src/ on sys.path without setting PYTHONPATH.
+        src = os.path.dirname(os.path.dirname(contracta.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "contracta.cli", "enumerate", "--family", "oct", "--n", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 3

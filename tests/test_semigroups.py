@@ -1,10 +1,12 @@
 """Family enumeration, closure, and the algebraic predicates."""
 
+import re
 from itertools import product
 
 import pytest
 
 from contracta import (
+    FamilyTag,
     FiniteSemigroup,
     compose,
     enumerate_family,
@@ -24,11 +26,31 @@ import contracta.semigroups as semigroups
 from contracta.semigroups import ClosureError, is_regular_in
 
 # Computed once by the brute-force filters below and pinned.
-CT_SIZES = {1: 1, 2: 4, 3: 17, 4: 68, 5: 259, 6: 950}
-OCT_SIZES = {1: 1, 2: 3, 3: 8, 4: 20, 5: 48, 6: 112}
-ORCT_SIZES = {1: 1, 2: 4, 3: 13, 4: 36, 5: 91, 6: 218}
+CT_SIZES = {1: 1, 2: 4, 3: 17, 4: 68, 5: 259, 6: 950, 7: 3387}
+OCT_SIZES = {1: 1, 2: 3, 3: 8, 4: 20, 5: 48, 6: 112, 7: 256}
+ORCT_SIZES = {1: 1, 2: 4, 3: 13, 4: 36, 5: 91, 6: 218, 7: 505}
 CT_IDEMPOTENT_COUNTS = {2: 3, 3: 8, 4: 21, 5: 56}
 CT_REGULAR_COUNTS = {2: 4, 3: 17, 4: 64, 5: 221}
+
+
+@pytest.fixture(scope="module")
+def all_pairs_members():
+    """Per family, the words of all n^n that FamilyTag's all-pairs test admits."""
+    _all_pairs = {}
+
+    def get(n):
+        if n not in _all_pairs:
+            found = {"ct": [], "oct": [], "orct": []}
+            for word in product(range(1, n + 1), repeat=n):
+                # oct and orct members are contractions, so only those are tested.
+                if FamilyTag.CT._word_member(word):
+                    for fam, words in found.items():
+                        if FamilyTag(fam)._word_member(word):
+                            words.append(word)
+            _all_pairs[n] = {fam: tuple(words) for fam, words in found.items()}
+        return _all_pairs[n]
+
+    return get
 
 
 class TestEnumerate:
@@ -56,6 +78,14 @@ class TestEnumerate:
         }
         assert {m.images for m in family("ct", 4)} == direct
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("fam", ["ct", "oct", "orct"])
+    def test_walks_match_all_pairs_filter(self, all_pairs_members, fam, n):
+        # The walk generator relies on the adjacent-step form of the
+        # contraction condition; the oracle filters all n^n words by the
+        # all-pairs test.
+        assert tuple(semigroups.family_words(fam, n)) == all_pairs_members(n)[fam]
+
     def test_element_order_is_lexicographic(self, family):
         words = [m.images for m in family("ct", 4)]
         assert words == sorted(words)
@@ -82,6 +112,11 @@ class TestEnumerate:
         assert enumerate_family("oct", 3).size == 8  # other families untouched
 
 
+def _compose_table(s):
+    """The product table of s, one compose call per entry."""
+    return [[s.index_of(compose(a, b)) for b in s.elements] for a in s.elements]
+
+
 class TestClosure:
     def test_non_closed_set_rejected(self):
         # A bare non-idempotent cannot be closed under composition.
@@ -93,6 +128,28 @@ class TestClosure:
         for i, a in enumerate(s.elements):
             for j, b in enumerate(s.elements):
                 assert s.elements[s.product(i, j)] == compose(a, b)
+
+    @pytest.mark.parametrize("fam,n", [("ct", 5), ("orct", 5), ("t", 3)])
+    def test_table_matches_compose(self, family, fam, n):
+        assert family(fam, n).table().tolist() == _compose_table(family(fam, n))
+
+    def test_table_matches_compose_on_regular_ct5(self, regular_base):
+        s = regular_base("ct", 5)
+        assert s.family == "custom"
+        assert s.table().tolist() == _compose_table(s)
+
+    @pytest.mark.parametrize("block_entries", [None, 1], ids=["default-blocks", "one-row-blocks"])
+    def test_closure_error_names_first_escape_by_column(self, monkeypatch, block_entries):
+        # Three products escape: [1,2,1]*[2,3,3], [2,3,3]*[1,2,1] and
+        # [2,3,3]*[2,3,3].  Row by row the first is (0, 1); the error names
+        # the first escape of the lowest column, (1, 0), also when the two
+        # rows are built in separate blocks.
+        if block_entries is not None:
+            monkeypatch.setattr(semigroups, "_TABLE_BLOCK_ENTRIES", block_entries)
+        with pytest.raises(
+            ClosureError, match=re.escape("product [2,3,3] * [1,2,1] = [2,1,1] escapes the element set")
+        ):
+            FiniteSemigroup(3, "custom", [make_map(3, [1, 2, 1]), make_map(3, [2, 3, 3])])
 
     def test_table_over_budget_raises(self, family, monkeypatch):
         s = family("ct", 3)
