@@ -138,7 +138,7 @@ def _scan_pairs(s, oracle_partition, rows) -> tuple[int, dict | None]:
     order, one numpy row comparison per i.  Returns the number of disagreeing
     pairs and the first one as a witness, or None.
     """
-    labels = np.array([oracle_partition.class_index_of(i) for i in range(s.size)], dtype=np.int32)
+    labels = oracle_partition.labels
     disagreements = 0
     witness = None
     for i in range(s.size):

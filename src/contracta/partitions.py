@@ -275,13 +275,6 @@ def _admissible_convex_transversal_exists(p: KernelPartition) -> bool:
     return False
 
 
-def _convex_transversal_exists(p: KernelPartition) -> bool:
-    return any(
-        _interval_transversal_reps(p, lo) is not None
-        for lo in range(1, p.n - p.block_count + 2)
-    )
-
-
 def _meet(parts: list[KernelPartition]) -> KernelPartition:
     """Common refinement: nonempty pairwise intersections of blocks."""
     current = [set(b) for b in parts[0].blocks]
@@ -330,7 +323,7 @@ def coarsest_merely_convex_refinement(k: KernelPartition) -> KernelPartition:
     """Same scan, but requiring only a convex transversal (no contraction
     condition on the collapse).  Exposed so the two readings can be compared
     by the verify suite."""
-    return _coarsest_with(k.without_images(), _convex_transversal_exists)
+    return _coarsest_with(k.without_images(), has_convex_transversal)
 
 
 def is_isometry_on(t: Transversal, a: ChainMap) -> bool:

@@ -46,83 +46,108 @@ __all__ = [
 GREEN_KINDS = ("l", "r", "h", "d", "j")
 STARRED_KINDS = ("lstar", "rstar", "hstar", "dstar")
 
-# Direct two-sided-ideal computation is quadratic in memory; bigger carriers
-# fall back to reachability components, which tests assert equivalent.
-_J_DIRECT_MAX = 1200
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationPartition:
-    """A partition of a carrier's element indices under one relation kind."""
+    """A partition of a carrier's element indices under one relation kind.
+
+    ``labels[i]`` is the class of element i.  Classes are numbered by least
+    member: element 0 is in class 0, and each further class gets the next
+    number at its least element.
+    """
 
     semigroup: object
     kind: str
-    classes: tuple[frozenset[int], ...]
+    labels: np.ndarray
     method: str
 
     def __post_init__(self):
-        size = self.semigroup.size
-        seen: set[int] = set()
-        for c in self.classes:
-            if seen.intersection(c):
-                raise ValueError("classes overlap")
-            seen.update(c)
-        if seen != set(range(size)):
-            raise ValueError("classes do not cover the carrier")
-        lookup = {}
-        for ci, c in enumerate(self.classes):
-            for i in c:
-                lookup[i] = ci
-        object.__setattr__(self, "_lookup", lookup)
+        labels = np.asarray(self.labels)
+        if labels.shape != (self.semigroup.size,) or labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be {self.semigroup.size} integers, one per element")
+        labels = _labels(labels)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return int(self.labels.max()) + 1
+
+    @property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        """The classes as sets of element indices, in class-number order."""
+        order = np.argsort(self.labels, kind="stable")
+        bounds = np.cumsum(np.bincount(self.labels))[:-1]
+        return tuple(frozenset(c.tolist()) for c in np.split(order, bounds))
 
     def class_index_of(self, i: int) -> int:
-        return self._lookup[i]
+        return int(self.labels[i])
 
     def same_class(self, i: int, j: int) -> bool:
-        return self._lookup[i] == self._lookup[j]
+        return bool(self.labels[i] == self.labels[j])
 
     def refines(self, other: "RelationPartition") -> bool:
-        return all(len({other._lookup[i] for i in c}) == 1 for c in self.classes)
+        least = _least_members(self.labels)
+        return bool((other.labels == other.labels[least[self.labels]]).all())
 
 
-def _grouped(size: int, keys) -> tuple[frozenset[int], ...]:
-    groups: dict = {}
-    for i in range(size):
-        groups.setdefault(keys[i], []).append(i)
-    classes = [frozenset(members) for members in groups.values()]
-    classes.sort(key=min)
-    return tuple(classes)
+def _canon(seq) -> tuple[int, ...]:
+    first: dict = {}
+    return tuple(first.setdefault(v, len(first)) for v in seq)
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
+def _labels(keys) -> np.ndarray:
+    """int32 class labels numbered by least member: equal keys, equal labels.
 
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    ``keys`` is an integer array, or any sequence of hashable keys.
+    """
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()
+    return np.array(_canon(keys), dtype=np.int32)
 
 
-def _join_classes(size: int, *partitions) -> tuple[frozenset[int], ...]:
-    uf = _UnionFind(size)
-    for classes in partitions:
-        for c in classes:
-            members = sorted(c)
-            for i in members[1:]:
-                uf.union(members[0], i)
-    return _grouped(size, [uf.find(i) for i in range(size)])
+def _least_members(labels: np.ndarray) -> np.ndarray:
+    """Least element of each class, in class order: where a new number first appears."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1) > 0)
+
+
+def _pair_labels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Labels of the intersection of two partitions."""
+    return _labels(left.astype(np.int64) * (int(right.max()) + 1) + right)
+
+
+def _components(size: int, elements: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Connected components of the graph joining element ``elements[k]`` to
+    key node ``nodes[k]``, each labelled by its least element.
+
+    Each round hooks every node onto the least label among its elements, hooks
+    each element and its label onto the least label among its nodes, and
+    halves the label chains.  A label only decreases and always names an
+    element of the same component, so the labels stop changing exactly when
+    each component is labelled by its least member.
+    """
+    label = np.arange(size, dtype=np.int32)
+    least = np.empty(int(np.max(nodes, initial=-1)) + 1, dtype=np.int32)
+    while True:
+        least.fill(size)
+        np.minimum.at(least, nodes, label[elements])
+        offer = least[nodes]
+        hooked = label.copy()
+        np.minimum.at(hooked, elements, offer)
+        np.minimum.at(hooked, label[elements], offer)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def _join(*labelings: np.ndarray) -> np.ndarray:
+    """Labels of the finest partition that each labelling refines: every
+    class of every labelling is one key node."""
+    size = len(labelings[0])
+    offsets = np.cumsum([0] + [int(labels.max()) + 1 for labels in labelings])
+    nodes = np.concatenate([labels + offset for labels, offset in zip(labelings, offsets)])
+    return _components(size, np.tile(np.arange(size), len(labelings)), nodes)
 
 
 def _per_carrier(fn):
@@ -166,61 +191,43 @@ def _ideal_keys(s, side: str) -> list[np.ndarray]:
 
 
 @_per_carrier
-def _ideal_labels(s, side: str) -> tuple[int, ...]:
+def _ideal_labels(s, side: str) -> np.ndarray:
     """Equal labels exactly when the principal ideals on ``side`` are equal."""
-    return _canon(k.tobytes() for k in _ideal_keys(s, side))
+    return _labels(k.tobytes() for k in _ideal_keys(s, side))
 
 
-def _assert_eggbox(classes_d, lkeys, rkeys) -> None:
+def _two_sided_labels(s) -> np.ndarray:
+    """J labels: equal exactly when the principal two-sided ideals are equal.
+
+    S^1 a S^1 is the union of the right ideals b S^1 over b in S^1 a.  A
+    right ideal is a union of R-classes and depends only on b's R-class, and
+    S^1 a depends only on a's L-class.  So the two-sided ideal of each
+    L-class, as a set of R-classes, is one boolean matrix product: the
+    R-classes that S^1 a meets, times the R-classes inside each b S^1.
+    """
+    llab, rlab = _ideal_labels(s, "l"), _ideal_labels(s, "r")
+
+    def meets(side, reps):
+        # [c, k]: the principal ideal on ``side`` of reps[c] meets R-class k
+        keys = _ideal_keys(s, side)
+        out = np.zeros((len(reps), int(rlab.max()) + 1), dtype=bool)
+        for c, a in enumerate(reps):
+            out[c, rlab[keys[a]]] = True
+        return out
+
+    ideals = meets("l", _least_members(llab)) @ meets("r", _least_members(rlab))
+    return _labels(row.tobytes() for row in ideals)[llab]
+
+
+def _assert_eggbox(d: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     # D is computed as the join of L and R; it must also equal their
     # composition, which shows up as every L x R cell of a D-class being
     # occupied.
-    for c in classes_d:
-        ls = {lkeys[i] for i in c}
-        rs = {rkeys[i] for i in c}
-        pairs = {(lkeys[i], rkeys[i]) for i in c}
-        if len(pairs) != len(ls) * len(rs):
-            raise RuntimeError("join of L and R is not their composition; product machinery is broken")
+    def per_class(labels):
+        return np.bincount(d[_least_members(labels)], minlength=int(d.max()) + 1)
 
-
-def _two_sided_classes(s) -> tuple[frozenset[int], ...]:
-    size = s.size
-    lkeys, rkeys = _ideal_keys(s, "l"), _ideal_keys(s, "r")
-    if size <= _J_DIRECT_MAX:
-        # Principal two-sided ideal: right ideals of everything in S^1 a.
-        membership = np.zeros((size, size), dtype=bool)
-        for b in range(size):
-            membership[b, rkeys[b]] = True
-        keys = []
-        for a in range(size):
-            keys.append(membership[lkeys[a]].any(axis=0).tobytes())
-        return _grouped(size, keys)
-    # Reachability route: J-classes are the mutually-reachable groups under
-    # one-step left/right multiplication; computed on the D-quotient, which is
-    # sound because D refines J.
-    classes_d = _join_classes(
-        size, _grouped(size, _ideal_labels(s, "l")), _grouped(size, _ideal_labels(s, "r"))
-    )
-    cls = np.empty(size, dtype=np.int32)
-    for ci, c in enumerate(classes_d):
-        cls[list(c)] = ci
-    adj: list[set[int]] = [set() for _ in classes_d]
-    for a in range(size):
-        adj[cls[a]].update(cls[lkeys[a]].tolist(), cls[rkeys[a]].tolist())
-    reach = []
-    for start in range(len(classes_d)):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        reach.append(seen)
-    keys = []
-    for ci in cls.tolist():
-        keys.append(frozenset(c for c in reach[ci] if ci in reach[c]))
-    return _grouped(size, keys)
+    if not np.array_equal(per_class(_pair_labels(left, right)), per_class(left) * per_class(right)):
+        raise RuntimeError("join of L and R is not their composition; product machinery is broken")
 
 
 def green_oracle(s, kind: str) -> RelationPartition:
@@ -234,18 +241,18 @@ def green_oracle(s, kind: str) -> RelationPartition:
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green's relation kind {kind!r}")
     if kind == "j":
-        return RelationPartition(s, "j", _two_sided_classes(s), "oracle")
-    lkeys = _ideal_labels(s, "l")
+        return RelationPartition(s, "j", _two_sided_labels(s), "oracle")
+    left = _ideal_labels(s, "l")
     if kind == "l":
-        return RelationPartition(s, "l", _grouped(s.size, lkeys), "oracle")
-    rkeys = _ideal_labels(s, "r")
+        return RelationPartition(s, "l", left, "oracle")
+    right = _ideal_labels(s, "r")
     if kind == "r":
-        return RelationPartition(s, "r", _grouped(s.size, rkeys), "oracle")
+        return RelationPartition(s, "r", right, "oracle")
     if kind == "h":
-        return RelationPartition(s, "h", _grouped(s.size, list(zip(lkeys, rkeys))), "oracle")
-    classes_d = _join_classes(s.size, _grouped(s.size, lkeys), _grouped(s.size, rkeys))
-    _assert_eggbox(classes_d, lkeys, rkeys)
-    return RelationPartition(s, "d", classes_d, "oracle")
+        return RelationPartition(s, "h", _pair_labels(left, right), "oracle")
+    d = _join(left, right)
+    _assert_eggbox(d, left, right)
+    return RelationPartition(s, "d", d, "oracle")
 
 
 # -- starred relations -------------------------------------------------------
@@ -277,13 +284,8 @@ def rstar_oracle(s, a: ChainMap, b: ChainMap) -> bool:
     return True
 
 
-def _canon(seq) -> tuple[int, ...]:
-    first: dict = {}
-    return tuple(first.setdefault(v, len(first)) for v in seq)
-
-
 @_per_carrier
-def _fingerprint_labels(s, side: str) -> tuple[int, ...]:
+def _fingerprint_labels(s, side: str) -> np.ndarray:
     # side "l": partition of S^1 induced by x -> a*x (grouped by fiber);
     # side "r": by x -> x*a.  Two elements are starred-related exactly when
     # these partitions coincide, so a canonical renumbering is a class key.
@@ -296,7 +298,7 @@ def _fingerprint_labels(s, side: str) -> tuple[int, ...]:
             row.append(a)  # formal identity column
             yield _canon(row)
 
-    return _canon(fingerprints())
+    return _labels(fingerprints())
 
 
 def starred_partition(s, kind: str) -> RelationPartition:
@@ -307,24 +309,24 @@ def starred_partition(s, kind: str) -> RelationPartition:
     kind = kind.lower()
     if kind not in STARRED_KINDS:
         raise ValueError(f"unknown starred relation kind {kind!r}")
-    lfp = _fingerprint_labels(s, "l")
+    left = _fingerprint_labels(s, "l")
     if kind == "lstar":
-        return RelationPartition(s, "lstar", _grouped(s.size, lfp), "oracle")
-    rfp = _fingerprint_labels(s, "r")
+        return RelationPartition(s, "lstar", left, "oracle")
+    right = _fingerprint_labels(s, "r")
     if kind == "rstar":
-        return RelationPartition(s, "rstar", _grouped(s.size, rfp), "oracle")
+        return RelationPartition(s, "rstar", right, "oracle")
     if kind == "hstar":
-        return RelationPartition(s, "hstar", _grouped(s.size, list(zip(lfp, rfp))), "oracle")
-    classes = _join_classes(s.size, _grouped(s.size, lfp), _grouped(s.size, rfp))
-    return RelationPartition(s, "dstar", classes, "oracle")
+        return RelationPartition(s, "hstar", _pair_labels(left, right), "oracle")
+    return RelationPartition(s, "dstar", _join(left, right), "oracle")
 
 
 # -- characterized relations as per-element keys -------------------------------
 #
 # Every characterization reads the kernel and image of each map alone, so it is
 # a per-element key.  For r and the starred kinds each map has one label; for
-# l and d it has a set of keys (collapse profiles, or kernel patterns with the
-# height), and a matches b when a key of b is a key of a or its reflection.
+# l, h and d it has a set of keys (collapse profiles, alone or with the kernel
+# word, or kernel patterns with the height), and a matches b when a key of b
+# is a key of a or its reflection.
 
 
 def _require_contraction(a: ChainMap) -> None:
@@ -375,15 +377,22 @@ def _kernel_word(a: ChainMap) -> tuple[int, ...]:
     return _canon(a.images)
 
 
+def _h_keys(a: ChainMap) -> frozenset:
+    word = _kernel_word(a)
+    return frozenset((word, t) for t in _collapse_profiles(a))
+
+
 def _d_keys(a: ChainMap) -> frozenset:
     h = height(a)
     return frozenset((h, q) for q in _kernel_patterns(a))
 
 
-# kind -> (keys of a map, reflection of one key or None)
+# kind -> (keys of a map, reflection of one key or None); every reflection is
+# an involution
 _CHAR_KEYS = {
     "l": (_collapse_profiles, lambda t: t[::-1]),
     "r": (_label(_kernel_word), None),
+    "h": (_h_keys, lambda wt: (wt[0], wt[1][::-1])),
     "d": (_d_keys, lambda hq: (hq[0], _canon(reversed(hq[1])))),
     "lstar": (_label(image), None),
     "rstar": (_label(_kernel_word), None),
@@ -449,69 +458,56 @@ def d_char(a: ChainMap, b: ChainMap) -> bool:
     return _char_related("d", a, b)
 
 
-def characterized_rows(s, kind: str):
-    """A characterized relation on a carrier, as a row function.
-
-    ``rows(i)`` is a boolean array over the carrier's indices marking every j
-    with ``char(element_i, element_j)``.  Keys are computed and validated once
-    per element; an inverted index from each key to the elements holding it
-    makes a row O(size) numpy work, so scanning every pair does no pairwise
-    Python work.  ``h`` is the conjunction of ``l`` and ``r``.
-    """
+def _probe_edges(s, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every (element, probe) pair of a carrier, after validating each element
+    once.  Probes are closed under reflection, an involution, so a and b are
+    related exactly when their probes meet."""
     kind = kind.lower()
-    if kind == "h":
-        l_rows, r_rows = characterized_rows(s, "l"), characterized_rows(s, "r")
-        return lambda i: l_rows(i) & r_rows(i)
     if kind not in _CHAR_KEYS:
         raise ValueError(f"no characterized procedure for relation kind {kind!r}")
-    if kind in ("l", "r", "d"):
+    if kind in ("l", "r", "h", "d"):
         for a in s.elements:
             _require_contraction(a)
         if kind != "r":
             check_refinement_scan(s.n)
-    keys_of = _CHAR_KEYS[kind][0]
-    buckets: dict = {}
-    for i, a in enumerate(s.elements):
-        for key in keys_of(a):
-            buckets.setdefault(key, []).append(i)
-    probes = [_probes(kind, a) for a in s.elements]
-    index = {key: np.array(members, dtype=np.int32) for key, members in buckets.items()}
-    size = s.size
+    ids: dict = {}
+    edges = np.array(
+        [(i, ids.setdefault(p, len(ids))) for i, a in enumerate(s.elements) for p in _probes(kind, a)],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1]
+
+
+def characterized_rows(s, kind: str):
+    """A characterized relation on a carrier, as a row function.
+
+    ``rows(i)`` is a boolean array over the carrier's indices marking every j
+    with ``char(element_i, element_j)``: the elements holding a probe of
+    element i.  Probes are computed once per element, so a row is O(size)
+    numpy work and scanning every pair does no pairwise Python work.
+    """
+    elements, probes = _probe_edges(s, kind)
+    by_probe = np.argsort(probes, kind="stable")
+    holders = np.split(elements[by_probe], np.cumsum(np.bincount(probes))[:-1])
+    # edges come element by element, so each element's probes are one slice
+    probes_of = np.split(probes, np.cumsum(np.bincount(elements, minlength=s.size))[:-1])
 
     def rows(i: int) -> np.ndarray:
-        row = np.zeros(size, dtype=bool)
-        for p in probes[i]:
-            if p in index:
-                row[index[p]] = True
+        row = np.zeros(s.size, dtype=bool)
+        for p in probes_of[i]:
+            row[holders[p]] = True
         return row
 
     return rows
 
 
 def char_partition(s, kind: str) -> RelationPartition:
-    """Classes of a characterized relation: connected components of its rows.
+    """Classes of a characterized relation: elements joined through shared probes.
 
-    Each sweep takes the rows of a class's members masked by the still
-    unassigned elements, so even a non-transitive characterization yields a
-    partition; the verify suites compare rows with the oracles pair by pair
-    rather than trusting transitivity.
+    Even a non-transitive characterization yields a partition; the verify
+    suites compare rows with the oracles pair by pair instead.
     """
-    rows = characterized_rows(s, kind)
-    unassigned = np.ones(s.size, dtype=bool)
-    classes = []
-    for start in range(s.size):
-        if not unassigned[start]:
-            continue
-        unassigned[start] = False
-        members = [start]
-        stack = [start]
-        while stack:
-            fresh = np.flatnonzero(rows(stack.pop()) & unassigned)
-            unassigned[fresh] = False
-            members.extend(fresh.tolist())
-            stack.extend(fresh.tolist())
-        classes.append(frozenset(members))
-    return RelationPartition(s, kind, tuple(classes), "char")
+    return RelationPartition(s, kind.lower(), _components(s.size, *_probe_edges(s, kind)), "char")
 
 
 # -- abundance and unipotence -------------------------------------------------
@@ -524,6 +520,14 @@ def _require_contraction_family(s: FiniteSemigroup) -> None:
         )
 
 
+def _first_class_by_idempotents(part: RelationPartition, bad):
+    """Sorted members of the first class whose idempotent count k has bad(k), or None."""
+    ids = idempotent_indices(part.semigroup)
+    counts = np.bincount(part.labels[ids], minlength=part.class_count)
+    hits = np.flatnonzero(bad(counts))
+    return None if hits.size == 0 else np.flatnonzero(part.labels == hits[0])
+
+
 def abundance_witness(s: FiniteSemigroup, side: str):
     """A starred class with no idempotent, as a tuple of maps, or None.
 
@@ -531,12 +535,8 @@ def abundance_witness(s: FiniteSemigroup, side: str):
     """
     _require_contraction_family(s)
     kind = {"left": "lstar", "right": "rstar"}[side]
-    part = starred_partition(s, kind)
-    ids = set(idempotent_indices(s))
-    for c in part.classes:
-        if not ids.intersection(c):
-            return tuple(s.elements[i] for i in sorted(c))
-    return None
+    c = _first_class_by_idempotents(starred_partition(s, kind), lambda k: k == 0)
+    return None if c is None else tuple(s.elements[i] for i in c)
 
 
 def is_left_abundant(s: FiniteSemigroup) -> bool:
@@ -550,13 +550,9 @@ def is_right_abundant(s: FiniteSemigroup) -> bool:
 
 
 def _non_unipotent_class(carrier, side: str):
-    """The first L- (side "l") or R-class (side "r") of a carrier whose
-    idempotent count is not 1, or None."""
-    ids = set(idempotent_indices(carrier))
-    for c in green_oracle(carrier, side).classes:
-        if len(ids.intersection(c)) != 1:
-            return c
-    return None
+    """Sorted members of the first L- (side "l") or R-class (side "r") of a
+    carrier whose idempotent count is not 1, or None."""
+    return _first_class_by_idempotents(green_oracle(carrier, side), lambda k: k != 1)
 
 
 def unipotence_witness(s: FiniteSemigroup, subset, side: str):
@@ -567,7 +563,7 @@ def unipotence_witness(s: FiniteSemigroup, subset, side: str):
     """
     sub = subsemigroup(s, subset)
     c = _non_unipotent_class(sub, side)
-    return None if c is None else tuple(sub.elements[i] for i in sorted(c))
+    return None if c is None else tuple(sub.elements[i] for i in c)
 
 
 def is_l_unipotent(s: FiniteSemigroup, subset) -> bool:

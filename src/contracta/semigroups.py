@@ -41,6 +41,10 @@ DEFAULT_TABLE_BUDGET = 64_000_000
 _BLOCK_ENTRIES = 1 << 17
 _TABLE_BLOCK_ENTRIES = 1 << 13
 
+# The table build codes image words in base n as int64, exact while
+# n^n < 2^63: 15^15 is about 4.4e17, 16^16 about 1.8e19.
+_MAX_CODED_N = 15
+
 
 class ClosureError(ValueError):
     """An element set claimed to be closed under composition is not."""
@@ -128,6 +132,10 @@ class FiniteSemigroup:
 
     def _build_table(self):
         m, n = self.size, self.n
+        if n > _MAX_CODED_N:
+            raise ValueError(
+                f"product tables are built for chains of size n <= {_MAX_CODED_N}, got n={n}"
+            )
         words = np.array([e.images for e in self.elements], dtype=np.int64) - 1
         weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         codes = words @ weights  # ascending, since elements are sorted

@@ -11,6 +11,7 @@ from contracta import (
     FiniteSemigroup,
     abundance_witness,
     d_char,
+    generated_subsemigroup,
     green_oracle,
     identity_map,
     idempotents,
@@ -35,7 +36,7 @@ from contracta import (
     subsemigroup,
     unipotence_witness,
 )
-from contracta.relations import characterized_rows
+from contracta.relations import RelationPartition, char_partition, characterized_rows
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -69,14 +70,27 @@ class TestGreenOracle:
         part = green_oracle(s, "l")
         assert part.same_class(s.index_of(ALPHA), s.index_of(BETA))
 
-    def test_j_direct_and_reachability_agree(self, family, monkeypatch):
-        for fam, n in (("ct", 4), ("t", 3), ("orct", 4)):
-            s = family(fam, n)
-            direct = green_oracle(s, "j").classes
-            monkeypatch.setattr(rel, "_J_DIRECT_MAX", 0)
-            via_reachability = green_oracle(s, "j").classes
-            monkeypatch.undo()
-            assert direct == via_reachability
+    @pytest.mark.parametrize("carrier", ["ct4", "t3", "orct4", "reg-ct5", "idgen-ct6"])
+    def test_j_matches_two_sided_ideals(self, family, regular_base, carrier):
+        s = {
+            "ct4": lambda: family("ct", 4),
+            "t3": lambda: family("t", 3),
+            "orct4": lambda: family("orct", 4),
+            "reg-ct5": lambda: regular_base("ct", 5),
+            "idgen-ct6": lambda: generated_subsemigroup(family("ct", 6), idempotents(family("ct", 6))),
+        }[carrier]()
+        assert s.size == {"reg-ct5": 221, "idgen-ct6": 523}.get(carrier, s.size)
+        # S^1 a S^1 straight from the table with an identity adjoined at index size.
+        m = s.size
+        table = np.empty((m + 1, m + 1), dtype=np.int64)
+        table[:m, :m] = s.table()
+        table[m, :] = table[:, m] = np.arange(m + 1)
+        ideals = []
+        for a in range(m):
+            member = np.zeros(m + 1, dtype=bool)
+            member[table[table[:, a], :]] = True
+            ideals.append(member.tobytes())
+        assert green_oracle(s, "j").labels.tolist() == list(rel._canon(ideals))
 
     @pytest.mark.parametrize("fam,n", [("ct", 5), ("t", 4)])
     @pytest.mark.parametrize("side", ["l", "r"])
@@ -103,6 +117,76 @@ class TestGreenOracle:
     def test_unknown_kind(self, family):
         with pytest.raises(ValueError, match="unknown"):
             green_oracle(family("ct", 2), "x")
+
+
+def _closure_reference(size, labelings):
+    """Classes of the join by breadth-first search over shared classes."""
+    members = {}
+    for t, labels in enumerate(labelings):
+        for i, c in enumerate(labels):
+            members.setdefault((t, c), []).append(i)
+    component = [None] * size
+    for start in range(size):
+        if component[start] is not None:
+            continue
+        component[start] = start
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for t, labels in enumerate(labelings):
+                for j in members[(t, labels[i])]:
+                    if component[j] is None:
+                        component[j] = start
+                        queue.append(j)
+    return component
+
+
+class TestLabels:
+    def test_partition_from_unordered_labels(self, family):
+        s = family("ct", 2)
+        part = RelationPartition(s, "x", [7, 3, 7, 5], "oracle")
+        assert part.labels.tolist() == [0, 1, 0, 2]
+        assert part.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+        assert part.class_count == 3
+        assert part.class_index_of(3) == 2
+        assert part.same_class(0, 2) is True
+        assert part.same_class(0, 1) is False
+        coarser = RelationPartition(s, "y", [1, 0, 1, 0], "oracle")
+        assert part.refines(coarser)
+        assert not coarser.refines(part)
+        assert part.refines(part)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, 2, 3, 4], [0.0, 1.0, 0.0, 1.0]])
+    def test_partition_rejects_bad_labels(self, family, labels):
+        with pytest.raises(ValueError, match="4 integers"):
+            RelationPartition(family("ct", 2), "x", labels, "oracle")
+
+    def test_join_of_path_pairs(self):
+        # {2k, 2k+1} and {2k-1, 2k} chain every element into one component
+        # whose diameter is the size.
+        size = 3387
+        i = np.arange(size)
+        pairs = ((i // 2).astype(np.int32), ((i + 1) // 2).astype(np.int32))
+        joined = rel._join(*pairs)
+        assert joined.tolist() == [0] * size
+        assert joined.tolist() == _closure_reference(size, [p.tolist() for p in pairs])
+
+    def test_join_of_shuffled_path(self):
+        size = 3387
+        perm = np.random.default_rng(7).permutation(size)
+        i = np.arange(size)
+        first, second = np.empty(size, np.int32), np.empty(size, np.int32)
+        first[perm], second[perm] = i // 2, (i + 1) // 2
+        assert rel._join(first, second).tolist() == [0] * size
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda size: st.lists(st.lists(st.integers(0, size), min_size=size, max_size=size), min_size=1, max_size=3)
+    ))
+    def test_join_matches_closure(self, labelings):
+        size = len(labelings[0])
+        arrays = [np.array(labels, dtype=np.int32) for labels in labelings]
+        assert rel._join(*arrays).tolist() == _closure_reference(size, labelings)
 
 
 class TestRChar:
@@ -363,6 +447,48 @@ def _walk_map(start, steps):
 CT7_MAPS = st.builds(
     _walk_map, st.integers(1, 7), st.lists(st.sampled_from((-1, 0, 1)), min_size=6, max_size=6)
 )
+
+
+def _row_sweep_classes(s, kind):
+    """Components of the characterized rows, grown one row at a time from
+    each still unassigned element; h rows are l rows and r rows."""
+    if kind == "h":
+        l_rows, r_rows = characterized_rows(s, "l"), characterized_rows(s, "r")
+
+        def rows(i):
+            return l_rows(i) & r_rows(i)
+    else:
+        rows = characterized_rows(s, kind)
+    unassigned = np.ones(s.size, dtype=bool)
+    classes = []
+    for start in range(s.size):
+        if not unassigned[start]:
+            continue
+        unassigned[start] = False
+        members, stack = [start], [start]
+        while stack:
+            fresh = np.flatnonzero(rows(stack.pop()) & unassigned)
+            unassigned[fresh] = False
+            members.extend(fresh.tolist())
+            stack.extend(fresh.tolist())
+        classes.append(frozenset(members))
+    return tuple(classes)
+
+
+class TestCharPartition:
+    @pytest.mark.parametrize("kind", ("l", "r", "h", "d") + rel.STARRED_KINDS)
+    def test_matches_row_sweep_on_ct5(self, family, kind):
+        s = family("ct", 5)
+        assert char_partition(s, kind).classes == _row_sweep_classes(s, kind)
+
+    @pytest.mark.parametrize("kind", rel.STARRED_KINDS)
+    def test_starred_match_row_sweep_on_orct5(self, family, kind):
+        s = family("orct", 5)
+        assert char_partition(s, kind).classes == _row_sweep_classes(s, kind)
+
+    def test_unknown_kind(self, family):
+        with pytest.raises(ValueError, match="no characterized"):
+            char_partition(family("ct", 2), "j")
 
 
 class TestCharacterizedRows:

@@ -151,6 +151,19 @@ class TestClosure:
         ):
             FiniteSemigroup(3, "custom", [make_map(3, [1, 2, 1]), make_map(3, [2, 3, 3])])
 
+    def test_chain_too_long_for_word_codes(self):
+        # Base-16 codes of 16-letter words overflow int64; the build stops
+        # before coding them instead of reporting a spurious escape.
+        constants = [make_map(16, [c] * 16) for c in range(1, 17)]
+        with pytest.raises(ValueError, match=r"n <= 15, got n=16") as exc:
+            FiniteSemigroup(16, "custom", constants)
+        assert not isinstance(exc.value, ClosureError)
+
+    def test_fifteen_constant_maps_build(self):
+        constants = [make_map(15, [c] * 15) for c in range(1, 16)]
+        s = FiniteSemigroup(15, "custom", constants)
+        assert s.table().tolist() == [list(range(15))] * 15
+
     def test_table_over_budget_raises(self, family, monkeypatch):
         s = family("ct", 3)
         monkeypatch.setattr(semigroups, "DEFAULT_TABLE_BUDGET", 100)
