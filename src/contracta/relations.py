@@ -288,15 +288,26 @@ def rstar_oracle(s, a: ChainMap, b: ChainMap) -> bool:
 def _fingerprint_labels(s, side: str) -> np.ndarray:
     # side "l": partition of S^1 induced by x -> a*x (grouped by fiber);
     # side "r": by x -> x*a.  Two elements are starred-related exactly when
-    # these partitions coincide, so a canonical renumbering is a class key.
-    # Only the labels of the distinct keys are kept.
-    table = s.table()
+    # these partitions coincide.  Replacing each entry of a's row by the
+    # position where its value first occurs gives a canonical key of that
+    # partition: it depends only on which positions share a value.  Keys are
+    # streamed, so only the distinct ones are kept.
+    size, table = s.size, s.table()
+    width = size + 1  # trailing slot: the formal identity, whose product with a is a
 
     def fingerprints():
-        for a in range(s.size):
-            row = (table[a, :] if side == "l" else table[:, a]).tolist()
-            row.append(a)  # formal identity column
-            yield _canon(row)
+        for block in row_blocks(np.arange(size), width):
+            rows = np.empty((len(block), width), dtype=np.int32)
+            rows[:, :size] = table[block, :] if side == "l" else table[:, block].T
+            rows[:, size] = block
+            # Offsetting by row keeps each row's values apart in one buffer.
+            # minimum.at is unbuffered and min is order-free, so every slot
+            # ends at its value's least position however repeats are applied.
+            rows += (np.arange(len(block), dtype=np.int32) * size)[:, None]
+            first = np.full(len(block) * size, width, dtype=np.int32)
+            positions = np.tile(np.arange(width, dtype=np.int32), len(block))
+            np.minimum.at(first, rows.ravel(), positions)
+            yield from (key.tobytes() for key in first[rows])
 
     return _labels(fingerprints())
 

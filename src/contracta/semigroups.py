@@ -313,10 +313,10 @@ def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
     """Closure of ``gens`` under composition, as a semigroup."""
     table = s.table()
     inside = np.zeros(s.size, dtype=bool)
-    frontier = np.unique([s.index_of(m) for m in gens]).astype(np.intp)
+    inside[[s.index_of(m) for m in gens]] = True
+    frontier = np.flatnonzero(inside)
     if not frontier.size:
         raise ValueError("at least one generator is required")
-    inside[frontier] = True
     while frontier.size:
         current = np.flatnonzero(inside)
         reached = np.zeros(s.size, dtype=bool)

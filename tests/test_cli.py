@@ -372,21 +372,37 @@ class TestCounterexample:
         assert "none" in out
 
 
+def _child_env():
+    # The child imports the same contracta as this process, also when pytest
+    # put src/ on sys.path without setting PYTHONPATH.
+    src = os.path.dirname(os.path.dirname(contracta.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # The child imports the same contracta as this process, also when
-        # pytest put src/ on sys.path without setting PYTHONPATH.
-        src = os.path.dirname(os.path.dirname(contracta.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "contracta.cli", "enumerate", "--family", "oct", "--n", "2"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 3
+
+    def test_idempotent_products_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma (about 1.7 MB of RSS) on first use.
+        code = (
+            "import contextlib, io, sys\n"
+            "from contracta.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['verify', '--check', 'idempotent-products', '--family', 'ct', '--n', '4'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_threads_flag_rejected(self, capsys):
         # The flag never changed execution and was removed.

@@ -1,5 +1,6 @@
 """Green's relation oracles, characterized predicates, abundance, unipotence."""
 
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -11,8 +12,10 @@ from contracta import (
     FiniteSemigroup,
     abundance_witness,
     d_char,
+    enumerate_family,
     generated_subsemigroup,
     green_oracle,
+    height_ideal,
     identity_map,
     idempotents,
     image,
@@ -285,6 +288,74 @@ class TestStarredOracles:
         assert parts["hstar"].refines(parts["rstar"])
         assert parts["lstar"].refines(parts["dstar"])
         assert parts["rstar"].refines(parts["dstar"])
+
+
+def _canon_fingerprint_labels(s, side):
+    """Reference starred labels: each row of S^1 products renumbered by _canon."""
+    table = s.table()
+    rows = []
+    for a in range(s.size):
+        row = (table[a, :] if side == "l" else table[:, a]).tolist()
+        rows.append(rel._canon(row + [a]))
+    return rel._labels(rows)
+
+
+class TestFingerprintKeys:
+    @pytest.mark.parametrize("carrier", ["ct5", "orct5", "t4", "height2-ct5"])
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_match_canon_reference(self, family, carrier, side):
+        # height2-ct5 has no identity, so the formal-identity column is not
+        # a copy of any table column.
+        s = {
+            "ct5": lambda: family("ct", 5),
+            "orct5": lambda: family("orct", 5),
+            "t4": lambda: family("t", 4),
+            "height2-ct5": lambda: subsemigroup(family("ct", 5), height_ideal(family("ct", 5), 2).elements),
+        }[carrier]()
+        got = rel._fingerprint_labels.__wrapped__(s, side)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _canon_fingerprint_labels(s, side))
+
+
+@pytest.fixture(scope="module")
+def ct7():
+    s = enumerate_family("ct", 7)
+    s.table()
+    return s
+
+
+class TestStarredCT7:
+    def test_class_counts(self, ct7):
+        counts = {k: starred_partition(ct7, k).class_count for k in ("lstar", "rstar", "hstar", "dstar")}
+        assert counts == {"lstar": 28, "rstar": 365, "hstar": 1697, "dstar": 7}
+
+    def test_abundance_witnesses(self, ct7):
+        assert abundance_witness(ct7, "left") is None
+        witness = abundance_witness(ct7, "right")
+        assert [m.images for m in witness] == [
+            (1, 1, 1, 1, 2, 2, 3),
+            (2, 2, 2, 2, 3, 3, 4),
+            (3, 3, 3, 3, 2, 2, 1),
+            (3, 3, 3, 3, 4, 4, 5),
+            (4, 4, 4, 4, 3, 3, 2),
+            (4, 4, 4, 4, 5, 5, 6),
+            (5, 5, 5, 5, 4, 4, 3),
+            (5, 5, 5, 5, 6, 6, 7),
+            (6, 6, 6, 6, 5, 5, 4),
+            (7, 7, 7, 7, 6, 6, 5),
+        ]
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_fingerprint_peak_memory(self, ct7, side):
+        # Every key held at once would be 3,387 x 13.5 KB, about 46 MB; only
+        # the distinct keys (28 and 365) and one row block should be live.
+        tracemalloc.start()
+        try:
+            rel._fingerprint_labels.__wrapped__(ct7, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestStarredChar:
