@@ -242,12 +242,9 @@ def green_oracle(s, kind: str) -> RelationPartition:
         raise ValueError(f"unknown Green's relation kind {kind!r}")
     if kind == "j":
         return RelationPartition(s, "j", _two_sided_labels(s), "oracle")
-    left = _ideal_labels(s, "l")
-    if kind == "l":
-        return RelationPartition(s, "l", left, "oracle")
-    right = _ideal_labels(s, "r")
-    if kind == "r":
-        return RelationPartition(s, "r", right, "oracle")
+    if kind in ("l", "r"):
+        return RelationPartition(s, kind, _ideal_labels(s, kind), "oracle")
+    left, right = _ideal_labels(s, "l"), _ideal_labels(s, "r")
     if kind == "h":
         return RelationPartition(s, "h", _pair_labels(left, right), "oracle")
     d = _join(left, right)

@@ -4,9 +4,12 @@ A map is a contraction exactly when adjacent images differ by -1, 0 or +1
 (see ``maps.is_contraction``), so the contraction families are generated as
 walks on 1..n: ``ct`` takes steps in {-1, 0, +1}, ``oct`` steps in {0, +1},
 and ``orct`` the ``oct`` walks together with those with steps in {-1, 0}.
-``t`` is all n^n image words.  Building the product table doubles as a
-closure oracle: it fails loudly if any product escapes the element set, and
-every carrier but the full ``t`` builds it on construction.
+``t`` is all n^n image words.  Product tables are filled along the left
+Cayley graph: only generator rows are coded and looked up, and any other
+row is a gather, row(h*k) = row(h)[row(k)].  Closure is still checked in
+full, since a gathered entry h*(k*b) is inside when the generator rows are;
+every carrier but the full ``t`` builds its table on construction, which
+fails loudly if a product escapes the element set.
 """
 
 from __future__ import annotations
@@ -145,24 +148,60 @@ class FiniteSemigroup:
         for k in range(n):
             spread[np.arange(m), words[:, k]] += weights[k]
         right = np.ascontiguousarray(words.T)
+        rank = np.count_nonzero(spread, axis=1)
         table = np.empty((m, m), dtype=np.int32)
-        escape = None  # the first escaping (j, i), column by column
-        for rows in row_blocks(np.arange(m), m, _TABLE_BLOCK_ENTRIES):
-            ccodes = spread[rows] @ right
-            idx = np.searchsorted(codes, ccodes)
-            bad = codes[np.minimum(idx, m - 1)] != ccodes
+        known = np.zeros(m, dtype=bool)
+        order = np.empty(m, dtype=np.intp)  # the known rows, in the order found
+        count = done = 0  # every generator has been multiplied onto order[:done]
+        gens = []
+        while count < m:
+            # Rank never rises along a product, so the widest unknown map is
+            # taken as the next generator; only its row is coded directly.
+            g = int(np.argmax(np.where(known, -1, rank)))
+            idx, bad = _direct_rows(spread, right, codes, [g])
+            if bad.any():
+                self._raise_first_escape(spread, right, codes)
+            table[g], known[g], order[count] = idx, True, g
+            count += 1
+            gens.append(g)
+            # Walk the left Cayley graph: the row of h*k is row(h)[row(k)].
+            left, ks = np.array([g]), order[:done]
+            while True:
+                for hs in row_blocks(left, len(ks)):
+                    targets = table[np.ix_(hs, ks)]
+                    hi, ki = np.nonzero(~known[targets])
+                    for t, h, k in zip(targets[hi, ki].tolist(), hs[hi].tolist(), ks[ki].tolist()):
+                        if not known[t]:
+                            table[h].take(table[k], out=table[t])
+                            known[t], order[count] = True, t
+                            count += 1
+                if done == count:
+                    break
+                left, ks, done = np.array(gens), order[done:count], count
+        return table
+
+    def _raise_first_escape(self, spread, right, codes):
+        """ClosureError naming the first escaping product of the lowest column."""
+        escape = None
+        for rows in row_blocks(np.arange(self.size), self.size, _TABLE_BLOCK_ENTRIES):
+            _, bad = _direct_rows(spread, right, codes, rows)
             if bad.any():
                 j = int(np.argmax(bad.any(axis=0)))
                 first = (j, int(rows[np.argmax(bad[:, j])]))
                 escape = first if escape is None else min(escape, first)
-            table[rows] = idx
-        if escape is not None:
-            j, i = escape
-            ab = compose(self.elements[i], self.elements[j])
-            raise ClosureError(
-                f"product {self.elements[i]} * {self.elements[j]} = {ab} escapes the element set"
-            )
-        return table
+        j, i = escape
+        ab = compose(self.elements[i], self.elements[j])
+        raise ClosureError(
+            f"product {self.elements[i]} * {self.elements[j]} = {ab} escapes the element set"
+        )
+
+
+def _direct_rows(spread, right, codes, rows):
+    """Indices of the products of ``rows`` by every element, and the mask of
+    those that escape: each product is coded and looked up in ``codes``."""
+    ccodes = spread[rows] @ right
+    idx = np.searchsorted(codes, ccodes)
+    return idx, codes[np.minimum(idx, len(codes) - 1)] != ccodes
 
 
 def _walks(n: int, steps: tuple[int, ...]) -> np.ndarray:

@@ -121,6 +121,12 @@ class TestGreenOracle:
         with pytest.raises(ValueError, match="unknown"):
             green_oracle(family("ct", 2), "x")
 
+    def test_r_builds_no_left_ideal_keys(self):
+        s = enumerate_family("ct", 5)
+        green_oracle(s, "r")
+        assert ("_ideal_keys", "r") in s._relation_memo
+        assert ("_ideal_keys", "l") not in s._relation_memo
+
 
 def _closure_reference(size, labelings):
     """Classes of the join by breadth-first search over shared classes."""

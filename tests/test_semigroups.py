@@ -4,6 +4,7 @@ import re
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contracta import (
     FamilyTag,
@@ -11,6 +12,7 @@ from contracta import (
     compose,
     enumerate_family,
     generated_subsemigroup,
+    height_ideal,
     idempotents,
     idempotents_commute,
     identity_map,
@@ -112,6 +114,45 @@ class TestEnumerate:
         assert enumerate_family("oct", 3).size == 8  # other families untouched
 
 
+# A few maps of ct4 or ct5, as generators of a subsemigroup.
+CT45_GENERATORS = st.sampled_from([4, 5]).flatmap(
+    lambda n: st.lists(st.sampled_from(semigroups.family_words("ct", n)), min_size=1, max_size=3).map(
+        lambda words: [make_map(n, w) for w in words]
+    )
+)
+
+# Non-closed sets whose widest map has an in-set row, so a later generator
+# row trips the closure check, with the ClosureError each raises.
+NOT_CLOSED = {
+    # The second generator, [1,2,1], trips on column [2,3,3]; the lowest
+    # escaping column is [1,2,1] itself, in row [2,3,3].
+    "identity-first": (
+        [[1, 2, 3], [1, 2, 1], [2, 3, 3]],
+        "product [2,3,3] * [1,2,1] = [2,1,1] escapes the element set",
+    ),
+    # The identity and the reversal have in-set rows; the third generator
+    # trips, on the only escaping column.
+    "third-generator": (
+        [[1, 2, 3], [3, 2, 1], [1, 2, 1]],
+        "product [1,2,1] * [3,2,1] = [3,2,3] escapes the element set",
+    ),
+}
+
+
+def _record_direct_rows(monkeypatch):
+    """Wrap the direct-product helper; returns the list of (rows, escaped) per call."""
+    calls = []
+    direct = semigroups._direct_rows
+
+    def recorded(spread, right, codes, rows):
+        idx, bad = direct(spread, right, codes, rows)
+        calls.append((len(rows), bool(bad.any())))
+        return idx, bad
+
+    monkeypatch.setattr(semigroups, "_direct_rows", recorded)
+    return calls
+
+
 def _compose_table(s):
     """The product table of s, one compose call per entry."""
     return [[s.index_of(compose(a, b)) for b in s.elements] for a in s.elements]
@@ -129,7 +170,7 @@ class TestClosure:
             for j, b in enumerate(s.elements):
                 assert s.elements[s.product(i, j)] == compose(a, b)
 
-    @pytest.mark.parametrize("fam,n", [("ct", 5), ("orct", 5), ("t", 3)])
+    @pytest.mark.parametrize("fam,n", [("ct", 5), ("orct", 5), ("t", 3), ("t", 4)])
     def test_table_matches_compose(self, family, fam, n):
         assert family(fam, n).table().tolist() == _compose_table(family(fam, n))
 
@@ -150,6 +191,51 @@ class TestClosure:
             ClosureError, match=re.escape("product [2,3,3] * [1,2,1] = [2,1,1] escapes the element set")
         ):
             FiniteSemigroup(3, "custom", [make_map(3, [1, 2, 1]), make_map(3, [2, 3, 3])])
+
+    @pytest.mark.parametrize("case", sorted(NOT_CLOSED))
+    def test_closure_error_from_later_generator_row(self, monkeypatch, case):
+        words, message = NOT_CLOSED[case]
+        calls = _record_direct_rows(monkeypatch)
+        with pytest.raises(ClosureError, match=re.escape(message)):
+            FiniteSemigroup(3, "custom", [make_map(3, w) for w in words])
+        assert not calls[0][1]  # the first generator row stays inside
+
+    def test_closure_error_after_cayley_fill(self, monkeypatch, regular_base):
+        # Reg(ct4) is closed; with one non-regular map added, the identity's
+        # row is inside and its Cayley fill runs before the reversal's row
+        # trips on the new map.
+        calls = _record_direct_rows(monkeypatch)
+        elements = [*regular_base("ct", 4).elements, make_map(4, [1, 2, 2, 3])]
+        with pytest.raises(
+            ClosureError, match=re.escape("product [4,3,2,1] * [1,2,2,3] = [3,2,2,1] escapes the element set")
+        ):
+            FiniteSemigroup(4, "custom", elements)
+        assert not calls[0][1]
+
+    @pytest.mark.parametrize("carrier", ["height2-ct5", "idgen-ct5"])
+    def test_cayley_fill_matches_compose(self, family, carrier):
+        # Carriers that need many generator rows (30 and 14 of 125 and 152);
+        # the height-2 ideal has no identity.
+        ct5 = family("ct", 5)
+        elements = {
+            "height2-ct5": lambda: height_ideal(ct5, 2).elements,
+            "idgen-ct5": lambda: generated_subsemigroup(ct5, idempotents(ct5)).elements,
+        }[carrier]()
+        s = FiniteSemigroup(5, "custom", elements)
+        assert s.table().tolist() == _compose_table(s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(CT45_GENERATORS)
+    def test_generated_table_matches_compose(self, family, gens):
+        n = gens[0].n
+        s = FiniteSemigroup(n, "custom", generated_subsemigroup(family("ct", n), gens).elements)
+        assert s.table().tolist() == _compose_table(s)
+
+    def test_ct7_codes_few_rows(self, monkeypatch):
+        # Only generator rows are coded and looked up; the rest are gathers.
+        calls = _record_direct_rows(monkeypatch)
+        s = enumerate_family("ct", 7)
+        assert sum(rows for rows, _ in calls) * s.size < 0.01 * s.size**2
 
     def test_chain_too_long_for_word_codes(self):
         # Base-16 codes of 16-letter words overflow int64; the build stops
