@@ -98,37 +98,28 @@ def _require_family(check: str, family: str, allowed: tuple[str, ...]) -> None:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_regularity_ct(family: str, n: int):
-    _require_family("regularity-ct", family, ("ct",))
-    s = enumerate_family("ct", n)
-    oracle = set(regular_elements(s))
-    for a in s.elements:
-        if (a in oracle) != regular_char_ct(a):
-            yield _report(
-                "regularity-ct", family, n, "fail",
-                {
-                    "map": map_to_text(a),
-                    "oracle": a in oracle,
-                    "characterized": regular_char_ct(a),
-                },
-            )
-            return
-    yield _report("regularity-ct", family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})
-
-
-def check_regularity_orct(family: str, n: int):
-    _require_family("regularity-orct", family, ("orct", "oct"))
+def _check_regularity(check_id: str, allowed: tuple[str, ...], char, family: str, n: int):
+    """Compare regular_elements with a characterization, map by map."""
+    _require_family(check_id, family, allowed)
     s = enumerate_family(family, n)
-    char = regular_char_orct if family == "orct" else regular_char_oct
     oracle = set(regular_elements(s))
     for a in s.elements:
         if (a in oracle) != char(a):
             yield _report(
-                "regularity-orct", family, n, "fail",
+                check_id, family, n, "fail",
                 {"map": map_to_text(a), "oracle": a in oracle, "characterized": char(a)},
             )
             return
-    yield _report("regularity-orct", family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})
+    yield _report(check_id, family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})
+
+
+def check_regularity_ct(family: str, n: int):
+    return _check_regularity("regularity-ct", ("ct",), regular_char_ct, family, n)
+
+
+def check_regularity_orct(family: str, n: int):
+    char = regular_char_orct if family == "orct" else regular_char_oct
+    return _check_regularity("regularity-orct", ("orct", "oct"), char, family, n)
 
 
 def _scan_pairs(s, oracle_partition, rows) -> tuple[int, dict | None]:

@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 
-from .checks import CHECK_IDS, run_check
+from .checks import CHECK_IDS, CHECKS, first_counterexample, run_check
 from .limits import check_family_size
 from .maps import (
     FamilyTag,
@@ -308,6 +308,8 @@ def cmd_relations(args) -> int:
 
 def cmd_verify(args) -> int:
     ids = [c.strip() for c in args.check.split(",") if c.strip()]
+    if not ids:
+        raise ValueError(f"no check id given; known: {', '.join(CHECK_IDS)}")
     reports = []
     for check_id in ids:
         batch = run_check(check_id, args.n, args.family)
@@ -376,17 +378,12 @@ def cmd_rees(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    reports = run_check(args.check, args.n, args.family)
-    witness = None
-    for r in reports:
-        if not r.passed and r.counterexample is not None:
-            witness = r.counterexample
-            break
+    witness = first_counterexample(args.check, args.n, args.family)
     payload = {
         "schema": SCHEMA,
         "command": "counterexample",
         "check": args.check,
-        "family": args.family or reports[0].family,
+        "family": args.family or CHECKS[args.check][1],
         "n": args.n,
         "witness": witness,
     }

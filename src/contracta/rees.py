@@ -7,7 +7,7 @@ single absorbing zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -175,17 +175,7 @@ class InverseVerification:
     consistent: bool
 
     def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "all_regular": self.all_regular,
-            "idempotents_commute": self.idempotents_commute,
-            "unique_inverses": self.unique_inverses,
-            "orthodox": self.orthodox,
-            "l_unipotent": self.l_unipotent,
-            "r_unipotent": self.r_unipotent,
-            "inverse": self.inverse,
-            "consistent": self.consistent,
-        }
+        return asdict(self)
 
 
 def verify_inverse(q: ReesQuotient) -> InverseVerification:

@@ -11,7 +11,7 @@ Relation kinds are the strings ``l r h d j lstar rstar hstar dstar``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,50 +150,41 @@ def _join(*labelings: np.ndarray) -> np.ndarray:
     return _components(size, np.tile(np.arange(size), len(labelings)), nodes)
 
 
-def _per_carrier(fn):
-    """Compute ``fn(s, *args)`` once per carrier.
-
-    Carriers are immutable, so keys and class labels derived from their
-    products are stored on the instance and shared by every relation kind
-    built on them.
-    """
-
-    @wraps(fn)
-    def cached(s, *args):
-        memo = vars(s).setdefault("_relation_memo", {})
-        key = (fn.__name__, *args)
-        if key not in memo:
-            memo[key] = fn(s, *args)
-        return memo[key]
-
-    return cached
+def _products(s, side: str, elements: np.ndarray):
+    """Row blocks of S^1 products: row k holds x*a (side "l") or a*x (side
+    "r") for every x in S, then a itself in the trailing formal-identity
+    slot, where a = elements[k].  Every oracle reads the table here."""
+    size, table = s.size, s.table()
+    for block in row_blocks(elements, size + 1):
+        rows = np.empty((len(block), size + 1), dtype=np.int32)
+        rows[:, :size] = table.take(block, axis=1).T if side == "l" else table[block, :]
+        rows[:, size] = block
+        yield rows
 
 
-@_per_carrier
-def _ideal_keys(s, side: str) -> list[np.ndarray]:
-    """Sorted principal ideal of each element a in S^1: {x*a : x in S} with a
-    itself for side "l", {a*x : x in S} with a for side "r".
-
-    Membership rows are filled one block of elements at a time, so no
-    size x size matrix is held.
-    """
-    size = s.size
-    table = s.table()
-    keys = []
-    for block in row_blocks(np.arange(size), size):
-        products = table[:, block].T if side == "l" else table[block, :]
-        member = np.zeros((len(block), size), dtype=bool)
-        rows = np.arange(len(block))[:, None]
-        member[rows, products] = True
-        member[rows[:, 0], block] = True
-        keys.extend(np.flatnonzero(row).astype(np.int32) for row in member)
-    return keys
+def _members(rows: np.ndarray, width: int) -> np.ndarray:
+    """[k, v] is set exactly when value v occurs in rows[k]."""
+    member = np.zeros((len(rows), width), dtype=bool)
+    member[np.arange(len(rows))[:, None], rows] = True
+    return member
 
 
-@_per_carrier
-def _ideal_labels(s, side: str) -> np.ndarray:
-    """Equal labels exactly when the principal ideals on ``side`` are equal."""
-    return _labels(k.tobytes() for k in _ideal_keys(s, side))
+def _image_keys(rows: np.ndarray, size: int) -> np.ndarray:
+    # Each row's set of values as packed bits: the principal ideal S^1 a or a S^1.
+    return np.packbits(_members(rows, size), axis=1)
+
+
+def _kernel_keys(rows: np.ndarray, size: int) -> np.ndarray:
+    # Which positions of each row share a value: every entry replaced by the
+    # position where its value first occurs.  Offsetting each row in place
+    # keeps the rows' values apart in one flat buffer; minimum.at is
+    # unbuffered and min is order-free, so every slot ends at its value's
+    # least position however repeats are applied.
+    width = size + 1
+    rows += (np.arange(len(rows), dtype=np.int32) * size)[:, None]
+    first = np.full(len(rows) * size, width, dtype=np.int32)
+    np.minimum.at(first, rows.ravel(), np.tile(np.arange(width, dtype=np.int32), len(rows)))
+    return first[rows]
 
 
 def _two_sided_labels(s) -> np.ndarray:
@@ -203,31 +194,85 @@ def _two_sided_labels(s) -> np.ndarray:
     right ideal is a union of R-classes and depends only on b's R-class, and
     S^1 a depends only on a's L-class.  So the two-sided ideal of each
     L-class, as a set of R-classes, is one boolean matrix product: the
-    R-classes that S^1 a meets, times the R-classes inside each b S^1.
+    R-classes that S^1 a meets, times the R-classes inside each b S^1, read
+    from the products of the class representatives alone.
     """
-    llab, rlab = _ideal_labels(s, "l"), _ideal_labels(s, "r")
+    llab, rlab = _oracle_labels(s, "l"), _oracle_labels(s, "r")
 
-    def meets(side, reps):
-        # [c, k]: the principal ideal on ``side`` of reps[c] meets R-class k
-        keys = _ideal_keys(s, side)
-        out = np.zeros((len(reps), int(rlab.max()) + 1), dtype=bool)
-        for c, a in enumerate(reps):
-            out[c, rlab[keys[a]]] = True
-        return out
+    def meets(side, labels):
+        # [c, k]: the products on ``side`` of class c's least member meet R-class k
+        blocks = _products(s, side, _least_members(labels))
+        return np.concatenate([_members(rlab[rows], int(rlab.max()) + 1) for rows in blocks])
 
-    ideals = meets("l", _least_members(llab)) @ meets("r", _least_members(rlab))
+    ideals = meets("l", llab) @ meets("r", rlab)
     return _labels(row.tobytes() for row in ideals)[llab]
 
 
-def _assert_eggbox(d: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+def _eggbox_join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     # D is computed as the join of L and R; it must also equal their
     # composition, which shows up as every L x R cell of a D-class being
     # occupied.
-    def per_class(labels):
-        return np.bincount(d[_least_members(labels)], minlength=int(d.max()) + 1)
-
-    if not np.array_equal(per_class(_pair_labels(left, right)), per_class(left) * per_class(right)):
+    d = _join(left, right)
+    cells, ls, rs = (
+        np.bincount(d[_least_members(x)], minlength=int(d.max()) + 1)
+        for x in (_pair_labels(left, right), left, right)
+    )
+    if not np.array_equal(cells, ls * rs):
         raise RuntimeError("join of L and R is not their composition; product machinery is broken")
+    return d
+
+
+# One-sided kinds: (side of the S^1 products, key of each row).  a L b when
+# S^1 a = S^1 b, the images of x -> x*a; a L* b when a*x = a*y exactly when
+# b*x = b*y, the kernels of x -> a*x; R and R* dually.
+_ONE_SIDED = {
+    "l": ("l", _image_keys),
+    "r": ("r", _image_keys),
+    "lstar": ("r", _kernel_keys),
+    "rstar": ("l", _kernel_keys),
+}
+# Other kinds but j: the meet or the join of two one-sided kinds.
+_TWO_SIDED = {
+    "h": (_pair_labels, "l", "r"),
+    "d": (_eggbox_join, "l", "r"),
+    "hstar": (_pair_labels, "lstar", "rstar"),
+    "dstar": (_join, "lstar", "rstar"),
+}
+
+
+def _oracle_labels(s, kind: str) -> np.ndarray:
+    """Class labels of one relation kind, computed once per carrier.
+
+    Carriers are immutable, so the labels are kept on the instance and
+    shared by every relation kind built on them.
+    """
+    memo = vars(s).setdefault("_relation_memo", {})
+    if kind not in memo:
+        memo[kind] = _product_labels(s, kind)
+    return memo[kind]
+
+
+def _product_labels(s, kind: str) -> np.ndarray:
+    """Class labels of one relation kind, from the S^1 products.
+
+    A one-sided kind labels each element by the key of its product row; the
+    keys are streamed, so only the distinct ones are held.
+    """
+    if kind in _ONE_SIDED:
+        side, key = _ONE_SIDED[kind]
+        blocks = _products(s, side, np.arange(s.size))
+        return _labels(k.tobytes() for rows in blocks for k in key(rows, s.size))
+    if kind == "j":
+        return _two_sided_labels(s)
+    combine, left, right = _TWO_SIDED[kind]
+    return combine(_oracle_labels(s, left), _oracle_labels(s, right))
+
+
+def _oracle(s, kind: str, kinds: tuple[str, ...], name: str) -> RelationPartition:
+    kind = kind.lower()
+    if kind not in kinds:
+        raise ValueError(f"unknown {name} relation kind {kind!r}")
+    return RelationPartition(s, kind, _oracle_labels(s, kind), "oracle")
 
 
 def green_oracle(s, kind: str) -> RelationPartition:
@@ -237,76 +282,7 @@ def green_oracle(s, kind: str) -> RelationPartition:
     adjoined); ``h`` is their intersection and ``d`` the join of l and r,
     asserted en route to equal their composition.
     """
-    kind = kind.lower()
-    if kind not in GREEN_KINDS:
-        raise ValueError(f"unknown Green's relation kind {kind!r}")
-    if kind == "j":
-        return RelationPartition(s, "j", _two_sided_labels(s), "oracle")
-    if kind in ("l", "r"):
-        return RelationPartition(s, kind, _ideal_labels(s, kind), "oracle")
-    left, right = _ideal_labels(s, "l"), _ideal_labels(s, "r")
-    if kind == "h":
-        return RelationPartition(s, "h", _pair_labels(left, right), "oracle")
-    d = _join(left, right)
-    _assert_eggbox(d, left, right)
-    return RelationPartition(s, "d", d, "oracle")
-
-
-# -- starred relations -------------------------------------------------------
-
-
-def lstar_oracle(s, a: ChainMap, b: ChainMap) -> bool:
-    """Definitional check: a*x = a*y iff b*x = b*y for all x, y in S^1."""
-    ia, ib = s.index_of(a), s.index_of(b)
-    size = s.size
-    ra = [s.product(ia, x) for x in range(size)] + [ia]  # trailing slot: identity
-    rb = [s.product(ib, x) for x in range(size)] + [ib]
-    for x in range(size + 1):
-        for y in range(x + 1, size + 1):
-            if (ra[x] == ra[y]) != (rb[x] == rb[y]):
-                return False
-    return True
-
-
-def rstar_oracle(s, a: ChainMap, b: ChainMap) -> bool:
-    """Definitional check: x*a = y*a iff x*b = y*b for all x, y in S^1."""
-    ia, ib = s.index_of(a), s.index_of(b)
-    size = s.size
-    ca = [s.product(x, ia) for x in range(size)] + [ia]
-    cb = [s.product(x, ib) for x in range(size)] + [ib]
-    for x in range(size + 1):
-        for y in range(x + 1, size + 1):
-            if (ca[x] == ca[y]) != (cb[x] == cb[y]):
-                return False
-    return True
-
-
-@_per_carrier
-def _fingerprint_labels(s, side: str) -> np.ndarray:
-    # side "l": partition of S^1 induced by x -> a*x (grouped by fiber);
-    # side "r": by x -> x*a.  Two elements are starred-related exactly when
-    # these partitions coincide.  Replacing each entry of a's row by the
-    # position where its value first occurs gives a canonical key of that
-    # partition: it depends only on which positions share a value.  Keys are
-    # streamed, so only the distinct ones are kept.
-    size, table = s.size, s.table()
-    width = size + 1  # trailing slot: the formal identity, whose product with a is a
-
-    def fingerprints():
-        for block in row_blocks(np.arange(size), width):
-            rows = np.empty((len(block), width), dtype=np.int32)
-            rows[:, :size] = table[block, :] if side == "l" else table[:, block].T
-            rows[:, size] = block
-            # Offsetting by row keeps each row's values apart in one buffer.
-            # minimum.at is unbuffered and min is order-free, so every slot
-            # ends at its value's least position however repeats are applied.
-            rows += (np.arange(len(block), dtype=np.int32) * size)[:, None]
-            first = np.full(len(block) * size, width, dtype=np.int32)
-            positions = np.tile(np.arange(width, dtype=np.int32), len(block))
-            np.minimum.at(first, rows.ravel(), positions)
-            yield from (key.tobytes() for key in first[rows])
-
-    return _labels(fingerprints())
+    return _oracle(s, kind, GREEN_KINDS, "Green's")
 
 
 def starred_partition(s, kind: str) -> RelationPartition:
@@ -314,18 +290,32 @@ def starred_partition(s, kind: str) -> RelationPartition:
 
     Tests assert these agree with the pairwise definitional oracles.
     """
-    kind = kind.lower()
-    if kind not in STARRED_KINDS:
-        raise ValueError(f"unknown starred relation kind {kind!r}")
-    left = _fingerprint_labels(s, "l")
-    if kind == "lstar":
-        return RelationPartition(s, "lstar", left, "oracle")
-    right = _fingerprint_labels(s, "r")
-    if kind == "rstar":
-        return RelationPartition(s, "rstar", right, "oracle")
-    if kind == "hstar":
-        return RelationPartition(s, "hstar", _pair_labels(left, right), "oracle")
-    return RelationPartition(s, "dstar", _join(left, right), "oracle")
+    return _oracle(s, kind, STARRED_KINDS, "starred")
+
+
+# -- starred relations -------------------------------------------------------
+
+
+def _same_cancellation(s, a: ChainMap, b: ChainMap, side: str) -> bool:
+    """Definitional check: for all x, y in S^1, c*x = c*y (side "r") or
+    x*c = y*c (side "l") holds for c = a exactly when it holds for c = b."""
+    def products(c):  # trailing slot: the identity
+        i = s.index_of(c)
+        return [s.product(i, x) if side == "r" else s.product(x, i) for x in range(s.size)] + [i]
+
+    pa, pb = products(a), products(b)
+    width = s.size + 1
+    return all((pa[x] == pa[y]) == (pb[x] == pb[y]) for x in range(width) for y in range(x + 1, width))
+
+
+def lstar_oracle(s, a: ChainMap, b: ChainMap) -> bool:
+    """Definitional check: a*x = a*y iff b*x = b*y for all x, y in S^1."""
+    return _same_cancellation(s, a, b, "r")
+
+
+def rstar_oracle(s, a: ChainMap, b: ChainMap) -> bool:
+    """Definitional check: x*a = y*a iff x*b = y*b for all x, y in S^1."""
+    return _same_cancellation(s, a, b, "l")
 
 
 # -- characterized relations as per-element keys -------------------------------

@@ -207,6 +207,14 @@ class TestVerify:
         assert code == 2
         assert "unknown check" in err
 
+    @pytest.mark.parametrize("spelling", [",", ""])
+    def test_empty_check_list(self, capsys, spelling):
+        # A verification of nothing must not read as success.
+        code, out, err = run_cli(capsys, "verify", "--check", spelling, "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "no check id given" in err
+
     def test_timing_is_per_report(self, capsys, monkeypatch):
         ticks = iter([0.0, 1.0, 3.0, 6.0, 10.0])
         monkeypatch.setattr(checks, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))

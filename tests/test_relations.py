@@ -98,15 +98,20 @@ class TestGreenOracle:
     @pytest.mark.parametrize("fam,n", [("ct", 5), ("t", 4)])
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_ideal_keys_match_unique_reference(self, family, fam, n, side):
+        # L and R label each element by the image of its row of S^1 products.
         s = family(fam, n)
         table = s.table()
-        keys = rel._ideal_keys(s, side)
+        blocks = rel._products(s, side, np.arange(s.size))
+        keys = np.concatenate([rel._image_keys(rows, s.size) for rows in blocks])
         assert len(keys) == s.size
+        ideals = []
         for a, key in enumerate(keys):
             products = table[:, a] if side == "l" else table[a, :]
-            want = np.unique(np.append(products, a)).astype(np.int32)
-            assert key.dtype == np.int32
-            assert np.array_equal(key, want)
+            ideals.append(np.unique(np.append(products, a)))
+            assert np.array_equal(np.flatnonzero(np.unpackbits(key)), ideals[-1])
+        got = rel._product_labels(s, side)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, rel._labels(ideal.tobytes() for ideal in ideals))
 
     def test_refinement_chain(self, family):
         s = family("ct", 4)
@@ -124,8 +129,18 @@ class TestGreenOracle:
     def test_r_builds_no_left_ideal_keys(self):
         s = enumerate_family("ct", 5)
         green_oracle(s, "r")
-        assert ("_ideal_keys", "r") in s._relation_memo
-        assert ("_ideal_keys", "l") not in s._relation_memo
+        assert set(s._relation_memo) == {"r"}
+
+    def test_memo_holds_only_label_arrays(self):
+        s = enumerate_family("ct", 5)
+        for kind in rel.GREEN_KINDS:
+            green_oracle(s, kind)
+        for kind in rel.STARRED_KINDS:
+            starred_partition(s, kind)
+        assert set(s._relation_memo) == set(rel.GREEN_KINDS + rel.STARRED_KINDS)
+        for labels in s._relation_memo.values():
+            assert isinstance(labels, np.ndarray)
+            assert labels.shape == (s.size,) and labels.dtype.kind in "iu"
 
 
 def _closure_reference(size, labelings):
@@ -306,6 +321,11 @@ def _canon_fingerprint_labels(s, side):
     return rel._labels(rows)
 
 
+# The starred kind whose fingerprints are the kernels of the rows a*x (side
+# "l" of the reference) or x*a (side "r").
+STARRED_OF_SIDE = {"l": "lstar", "r": "rstar"}
+
+
 class TestFingerprintKeys:
     @pytest.mark.parametrize("carrier", ["ct5", "orct5", "t4", "height2-ct5"])
     @pytest.mark.parametrize("side", ["l", "r"])
@@ -318,7 +338,7 @@ class TestFingerprintKeys:
             "t4": lambda: family("t", 4),
             "height2-ct5": lambda: subsemigroup(family("ct", 5), height_ideal(family("ct", 5), 2).elements),
         }[carrier]()
-        got = rel._fingerprint_labels.__wrapped__(s, side)
+        got = rel._product_labels(s, STARRED_OF_SIDE[side])
         assert got.dtype == np.int32
         assert np.array_equal(got, _canon_fingerprint_labels(s, side))
 
@@ -328,6 +348,22 @@ def ct7():
     s = enumerate_family("ct", 7)
     s.table()
     return s
+
+
+class TestGreenCT7:
+    @pytest.mark.parametrize("kind", ["l", "j"])
+    def test_oracle_peak_memory(self, ct7, kind):
+        # Holding every principal ideal as a sorted array peaked at 9.9 MB
+        # (l) and 11.8 MB (j); only label arrays, the distinct packed ideals
+        # and one row block of products should be live.
+        vars(ct7).pop("_relation_memo", None)
+        tracemalloc.start()
+        try:
+            green_oracle(ct7, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestStarredCT7:
@@ -357,7 +393,7 @@ class TestStarredCT7:
         # the distinct keys (28 and 365) and one row block should be live.
         tracemalloc.start()
         try:
-            rel._fingerprint_labels.__wrapped__(ct7, side)
+            rel._product_labels(ct7, STARRED_OF_SIDE[side])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
