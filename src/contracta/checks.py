@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import compose, is_idempotent, map_to_text
+from .limits import check_family_size
+from .maps import ChainMap, compose, is_idempotent, map_to_text
 from .partitions import (
     coarsest_merely_convex_refinement,
     kernel,
@@ -32,6 +33,7 @@ from .relations import (
 )
 from .semigroups import (
     enumerate_family,
+    family_words,
     generated_subsemigroup,
     idempotents,
     is_orthodox,
@@ -297,11 +299,12 @@ def check_refinement_readings(family: str, n: int):
     Reported, never asserted: this check always passes and carries counts.
     """
     _require_family("refinement-readings", family, ("ct",))
-    s = enumerate_family("ct", n)
+    # Only the maps are read, so no carrier or product table is built.
+    check_family_size("ct", n)
     seen = set()
     differing = 0
     example = None
-    for a in s.elements:
+    for a in (ChainMap(n, word) for word in family_words("ct", n)):
         k = kernel(a).without_images()
         if k in seen:
             continue

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_relations)
 
     p = commands.add_parser("verify", help="run named oracle-vs-characterization suites")
-    p.add_argument("--check", required=True, help="comma-separated check ids; see --list-checks")
+    p.add_argument("--check", required=True, help=f"comma-separated check ids: {', '.join(CHECK_IDS)}")
     p.add_argument("--family", choices=("t", "ct", "oct", "orct"))
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in the JSON output")
     _add_common(p)

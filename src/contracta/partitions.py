@@ -5,6 +5,15 @@ point per block; it is *convex* when the picked points form a contiguous
 interval, and *admissible* when collapsing every block onto its picked point
 yields a contraction.  Refinement scans drive the characterized Green's
 relation predicates.
+
+Refinement scans read one table per chain size n of all Bell(n) set
+partitions of {1, ..., n} (877 rows at n = 7), built on first use.  A row
+holds a partition's restricted growth string, its block count, its pairs
+x < y that share a block as a bitmask, and the starts of its convex windows
+and of its admissible ones, computed with the per-partition window scans
+below.  A partition refines another exactly when its pair bits are a subset
+of the other's, so the refinements of a kernel are the rows whose bits lie
+inside the kernel's, and each scan is a few numpy bit operations over them.
 """
 
 from __future__ import annotations
@@ -12,9 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
+
+import numpy as np
 
 from .limits import check_refinement_scan
-from .maps import ChainMap, _word_is_contraction, is_contraction
+from .maps import ChainMap, is_contraction
 
 __all__ = [
     "KernelPartition",
@@ -194,6 +206,31 @@ def is_admissible(t: Transversal) -> bool:
     return is_contraction(collapse_map(t.parent, t))
 
 
+def _labels(k: KernelPartition) -> list[int]:
+    """Entry x - 1 is the index of the block of x: a restricted growth string,
+    since blocks are ordered by least point."""
+    label = [0] * k.n
+    for i, b in enumerate(k.blocks):
+        for x in b:
+            label[x - 1] = i
+    return label
+
+
+def _convex_windows(k: KernelPartition):
+    """Starts ``lo`` of the intervals [lo, lo + block_count) that meet every
+    block of ``k``, in increasing order.
+
+    Such an interval meets each block exactly once, so these are exactly the
+    convex transversals: the windows of ``block_count`` points that lie in
+    pairwise distinct blocks.
+    """
+    label = _labels(k)
+    p = k.block_count
+    for lo in range(1, k.n - p + 2):
+        if len(set(label[lo - 1 : lo - 1 + p])) == p:
+            yield lo
+
+
 def has_convex_transversal(k: KernelPartition) -> bool:
     """True iff some transversal of ``k`` is a contiguous interval.
 
@@ -201,108 +238,98 @@ def has_convex_transversal(k: KernelPartition) -> bool:
     meets every block, so a window scan suffices; tests cross-check this
     against full transversal enumeration.
     """
+    return next(_convex_windows(k), None) is not None
+
+
+def _admissible_windows(k: KernelPartition) -> list[int]:
+    """The convex windows of ``k`` whose collapse is a contraction."""
     p = k.block_count
-    for lo in range(1, k.n - p + 2):
-        hi = lo + p
-        if all(any(lo <= x < hi for x in b) for b in k.blocks):
-            return True
-    return False
+    return [lo for lo in _convex_windows(k) if is_admissible(Transversal(tuple(range(lo, lo + p)), k))]
 
 
-def _set_partitions(items: tuple[int, ...]):
-    """All partitions of ``items``; deterministic order, canonical blocks."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            grown = tuple(
-                tuple(sorted(sub[j] + ((first,) if j == i else ()))) for j in range(len(sub))
-            )
-            yield tuple(sorted(grown, key=lambda b: b[0]))
-        yield tuple(sorted(sub + ((first,),), key=lambda b: b[0]))
+def _window_bits(starts) -> int:
+    return sum(1 << (lo - 1) for lo in starts)
+
+
+def _pair_bits(labels: np.ndarray) -> np.ndarray:
+    """Per row of labels, one bit for each pair x < y that shares a block."""
+    i, j = np.triu_indices(labels.shape[1], 1)
+    return ((labels[:, i] == labels[:, j]).astype(np.int64) << np.arange(i.size)).sum(axis=1)
+
+
+def _from_labels(labels: list[int]) -> KernelPartition:
+    """The partition of a restricted growth string (see ``_labels``)."""
+    blocks = [[] for _ in range(max(labels) + 1)]
+    for x, g in enumerate(labels, start=1):
+        blocks[g].append(x)
+    return KernelPartition(len(labels), blocks)
+
+
+class _PartitionTable(NamedTuple):
+    """Every set partition of {1, ..., n}, one row each, in the lexicographic
+    order of their restricted growth strings."""
+
+    labels: np.ndarray  # (rows, n) restricted growth strings
+    blocks: np.ndarray  # block count
+    pairs: np.ndarray  # _pair_bits of the labels
+    convex: np.ndarray  # bit lo - 1 set for each convex window start lo
+    admissible: np.ndarray  # the convex window bits whose collapse is a contraction
+
+    def partition(self, row: int) -> KernelPartition:
+        return _from_labels(self.labels[row].tolist())
+
+
+@lru_cache(maxsize=None)
+def _partition_table(n: int) -> _PartitionTable:
+    check_refinement_scan(n)
+    words = [()]
+    for _ in range(n):
+        words = [w + (g,) for w in words for g in range(max(w, default=-1) + 2)]
+    convex, admissible = [], []
+    for w in words:
+        p = _from_labels(w)
+        convex.append(_window_bits(_convex_windows(p)))
+        admissible.append(_window_bits(_admissible_windows(p)))
+    labels = np.array(words, dtype=np.int8)
+    return _PartitionTable(
+        labels, labels.max(axis=1) + 1, _pair_bits(labels), np.array(convex), np.array(admissible)
+    )
+
+
+def _refinement_rows(k: KernelPartition) -> tuple[_PartitionTable, np.ndarray]:
+    """The table for ``k.n`` and its rows that refine ``k``: a partition
+    refines another exactly when its pairs are a subset of the other's."""
+    t = _partition_table(k.n)
+    mask = _pair_bits(np.array([_labels(k)]))[0]
+    return t, np.flatnonzero((t.pairs & ~mask) == 0)
 
 
 def refinements(k: KernelPartition) -> list[KernelPartition]:
     """Every partition whose blocks sit inside blocks of ``k``.
 
-    Includes ``k`` itself and the all-singleton partition.  The count is the
-    product of Bell numbers of the block sizes, so this is only usable at
-    desk scale (see limits).
+    Includes ``k`` itself and the all-singleton partition, in the
+    lexicographic order of their restricted growth strings.  The count is the
+    product of Bell numbers of the block sizes; the table behind it is only
+    built at desk scale (see limits).
     """
-    check_refinement_scan(k.n)
-    per_block = [list(_set_partitions(b)) for b in k.blocks]
-    out = []
-    for combo in product(*per_block):
-        merged: list[tuple[int, ...]] = []
-        for part in combo:
-            merged.extend(part)
-        merged.sort(key=lambda b: b[0])
-        out.append(KernelPartition(k.n, tuple(merged)))
-    return out
+    t, rows = _refinement_rows(k)
+    return [t.partition(r) for r in rows]
 
 
-def _refines(p: KernelPartition, q: KernelPartition) -> bool:
-    """True iff every block of ``p`` is contained in some block of ``q``."""
-    owner = {x: i for i, b in enumerate(q.blocks) for x in b}
-    return all(len({owner[x] for x in b}) == 1 for b in p.blocks)
-
-
-def _interval_transversal_reps(p: KernelPartition, lo: int):
-    """Representatives block -> point for the window [lo, lo+p), or None."""
-    hi = lo + p.block_count
-    reps = []
-    for b in p.blocks:
-        hits = [x for x in b if lo <= x < hi]
-        if len(hits) != 1:
-            return None
-        reps.append(hits[0])
-    return reps
-
-
-def _admissible_convex_transversal_exists(p: KernelPartition) -> bool:
-    for lo in range(1, p.n - p.block_count + 2):
-        reps = _interval_transversal_reps(p, lo)
-        if reps is None:
-            continue
-        word = [0] * p.n
-        for b, rep in zip(p.blocks, reps):
-            for x in b:
-                word[x - 1] = rep
-        if _word_is_contraction(tuple(word)):
-            return True
-    return False
-
-
-def _meet(parts: list[KernelPartition]) -> KernelPartition:
-    """Common refinement: nonempty pairwise intersections of blocks."""
-    current = [set(b) for b in parts[0].blocks]
-    for q in parts[1:]:
-        nxt = []
-        for b in current:
-            for c in q.blocks:
-                inter = b.intersection(c)
-                if inter:
-                    nxt.append(inter)
-        current = nxt
-    blocks = tuple(sorted((tuple(sorted(b)) for b in current), key=lambda b: b[0]))
-    return KernelPartition(parts[0].n, blocks)
-
-
-def _coarsest_with(k: KernelPartition, good) -> KernelPartition:
-    goods = [p for p in refinements(k.without_images()) if good(p)]
-    # The all-singleton partition always qualifies, so goods is nonempty.
-    for m in goods:
-        if all(_refines(p, m) for p in goods):
-            return m
-    maxima = [q for q in goods if not any(q2 != q and _refines(q, q2) for q2 in goods)]
-    return _meet(maxima)
-
-
-@lru_cache(maxsize=None)
-def _max_convex_refinement_of(k: KernelPartition) -> KernelPartition:
-    return _coarsest_with(k, _admissible_convex_transversal_exists)
+def _coarsest(k: KernelPartition, admissible: bool) -> KernelPartition:
+    """The coarsest refinement of ``k`` with an admissible (or merely convex)
+    window, else the meet of the maximal ones."""
+    t, rows = _refinement_rows(k)
+    windows = t.admissible if admissible else t.convex
+    # The all-singleton partition always qualifies, so good is nonempty.
+    good = t.pairs[rows[windows[rows] != 0]]
+    top = np.bitwise_or.reduce(good)
+    if not (good == top).any():
+        # good[i] refines good[j] when its pairs are a subset; rows are
+        # distinct, so a maximal row refines only itself.
+        below = (good[:, None] & good[None, :]) == good[:, None]
+        top = np.bitwise_and.reduce(good[below.sum(axis=1) == 1])
+    return t.partition(np.flatnonzero(t.pairs == top)[0])
 
 
 def max_convex_refinement(a: ChainMap) -> KernelPartition:
@@ -316,14 +343,14 @@ def max_convex_refinement(a: ChainMap) -> KernelPartition:
     """
     if not is_contraction(a):
         raise ValueError(f"{a} is not a contraction")
-    return _max_convex_refinement_of(kernel(a).without_images())
+    return _coarsest(kernel(a), admissible=True)
 
 
 def coarsest_merely_convex_refinement(k: KernelPartition) -> KernelPartition:
     """Same scan, but requiring only a convex transversal (no contraction
     condition on the collapse).  Exposed so the two readings can be compared
     by the verify suite."""
-    return _coarsest_with(k.without_images(), has_convex_transversal)
+    return _coarsest(k, admissible=False)
 
 
 def is_isometry_on(t: Transversal, a: ChainMap) -> bool:
@@ -340,52 +367,22 @@ def is_isometry_on(t: Transversal, a: ChainMap) -> bool:
 @lru_cache(maxsize=None)
 def convex_refinement_transversals(k: KernelPartition) -> tuple[tuple[int, ...], ...]:
     """Intervals that occur as an admissible convex transversal of some
-    refinement of ``k``.
+    refinement of ``k``, ordered by size and then by least point.
 
-    An interval T qualifies exactly when there is an assignment f of every
-    chain point to a point of T inside its own block, fixing T pointwise,
-    such that f is a contraction: the fibers of f are then a refinement of
-    ``k`` with transversal T and contraction collapse f.
+    These are the admissible windows of all refinements of ``k``.  An
+    interval T is one exactly when some assignment f of every chain point to
+    a point of T inside its own ``k``-block, fixing T pointwise, is a
+    contraction: the fibers of f are the refinement.
     """
-    check_refinement_scan(k.n)
-    n = k.n
-    block_of = {x: i for i, b in enumerate(k.blocks) for x in b}
-    p = k.block_count
-    found = []
-    for size in range(p, n + 1):
-        for lo in range(1, n - size + 2):
-            T = tuple(range(lo, lo + size))
-            if len({block_of[t] for t in T}) != p:
-                continue
-            if _contraction_assignment_exists(block_of, n, T):
-                found.append(T)
-    return tuple(found)
-
-
-def _contraction_assignment_exists(block_of, n, T) -> bool:
-    t_set = set(T)
-    pending = [x for x in range(1, n + 1) if x not in t_set]
-    candidates = []
-    for x in pending:
-        cand = [t for t in T if block_of[t] == block_of[x]]
-        if not cand:
-            return False
-        candidates.append(cand)
-    assigned = {t: t for t in T}
-
-    def backtrack(i: int) -> bool:
-        if i == len(pending):
-            return True
-        x = pending[i]
-        for v in candidates[i]:
-            if all(abs(v - w) <= abs(x - y) for y, w in assigned.items()):
-                assigned[x] = v
-                if backtrack(i + 1):
-                    return True
-                del assigned[x]
-        return False
-
-    return backtrack(0)
+    t, rows = _refinement_rows(k)
+    by_size = np.zeros(k.n + 1, dtype=np.int64)
+    np.bitwise_or.at(by_size, t.blocks[rows], t.admissible[rows])
+    return tuple(
+        tuple(range(lo, lo + p))
+        for p in range(1, k.n + 1)
+        for lo in range(1, k.n - p + 2)
+        if by_size[p] >> (lo - 1) & 1
+    )
 
 
 # -- text and JSON encodings -------------------------------------------------

@@ -215,6 +215,16 @@ class TestVerify:
         assert out == ""
         assert "no check id given" in err
 
+    def test_help_lists_check_ids(self, capsys, monkeypatch):
+        # A wide terminal keeps argparse from wrapping an id at its hyphen.
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(check_id in out for check_id in checks.CHECK_IDS)
+        assert "--list-checks" not in out
+
     def test_timing_is_per_report(self, capsys, monkeypatch):
         ticks = iter([0.0, 1.0, 3.0, 6.0, 10.0])
         monkeypatch.setattr(checks, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))

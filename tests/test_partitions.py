@@ -10,6 +10,7 @@ from contracta import (
     Transversal,
     collapse_map,
     convex_refinement_transversals,
+    enumerate_family,
     has_convex_transversal,
     is_admissible,
     is_contraction,
@@ -25,8 +26,12 @@ from contracta import (
     partition_to_json,
     partition_to_text,
     refinements,
+    regular_char_ct,
+    run_check,
     transversals,
 )
+from contracta.partitions import _partition_table, coarsest_merely_convex_refinement
+from contracta.semigroups import family_words
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -302,6 +307,97 @@ class TestRefinementTransversals:
                     found = True
                     break
             assert found, points
+
+
+def _refines(p, q):
+    owner = {x: i for i, b in enumerate(q) for x in b}
+    return all(len({owner[x] for x in b}) == 1 for b in p)
+
+
+def _brute_coarsest(goods):
+    """The good partition every good one refines, else the common refinement
+    of the maximal good ones, found by pairwise block intersections."""
+    for m in goods:
+        if all(_refines(p, m) for p in goods):
+            return m
+    maxima = [q for q in goods if not any(q2 != q and _refines(q, q2) for q2 in goods)]
+    blocks = [set(b) for b in maxima[0]]
+    for q in maxima[1:]:
+        blocks = [b & set(c) for b in blocks for c in q if b & set(c)]
+    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+
+
+class TestRefinementScansByBruteForce:
+    """Every refinement scan against transversal enumeration over every set
+    partition of [n], n <= 6, with refinements found by subset tests."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_partition(self, n):
+        parts = independent_set_partitions(range(1, n + 1))
+        convex, admissible = {}, {}
+        for p in parts:
+            ts = [t for t in transversals(make_partition(n, p)) if is_convex(t)]
+            convex[p] = bool(ts)
+            admissible[p] = [t.points for t in ts if is_admissible(t)]
+        coarsest_admissible = {}
+        for blocks in parts:
+            k = make_partition(n, blocks)
+            below = [p for p in parts if _refines(p, blocks)]
+            assert sorted(p.blocks for p in refinements(k)) == sorted(below)
+            got = coarsest_merely_convex_refinement(k).blocks
+            assert got == _brute_coarsest([p for p in below if convex[p]]), blocks
+            intervals = {t for p in below for t in admissible[p]}
+            expected = tuple(sorted(intervals, key=lambda t: (len(t), t[0])))
+            assert convex_refinement_transversals(k) == expected, blocks
+            coarsest_admissible[blocks] = _brute_coarsest([p for p in below if admissible[p]])
+        for word in family_words("ct", n):
+            a = ChainMap(n, word)
+            assert max_convex_refinement(a).blocks == coarsest_admissible[kernel(a).blocks], a
+
+    def test_ct7_readings(self):
+        (report,) = run_check("refinement-readings", 7)
+        assert report.detail == {
+            "kernels_scanned": 365,
+            "readings_differ_on": 62,
+            "example": {
+                "map": "[1,1,1,2,2,3,2]",
+                "admissible_reading": "{1,2,3}|{4}|{5,7}|{6}",
+                "convex_only_reading": "{1,2,3}|{4}|{5}|{6}|{7}",
+            },
+        }
+
+
+class TestPartitionTable:
+    def test_row_counts_are_bell_numbers(self):
+        assert [len(_partition_table(n).labels) for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
+
+    def test_refinement_count_is_product_of_bell_numbers(self):
+        bell = [len(independent_set_partitions(range(m))) for m in range(6)]
+        for a in enumerate_family("ct", 5).elements:
+            k = kernel(a)
+            expected = 1
+            for b in k.blocks:
+                expected *= bell[len(b)]
+            assert len(refinements(k)) == expected, a
+
+    def test_scans_guarded_beyond_seven(self):
+        k = make_partition(8, [(1, 2), (3,), (4, 5, 6), (7, 8)])
+        a = make_map(8, [1, 1, 2, 3, 3, 3, 4, 4])
+        for scan, arg in [
+            (refinements, k),
+            (max_convex_refinement, a),
+            (coarsest_merely_convex_refinement, k),
+            (convex_refinement_transversals, k),
+        ]:
+            with pytest.raises(ValueError, match="refinement scans are limited"):
+                scan(arg)
+
+    def test_regularity_unguarded_at_eight(self):
+        for word, regular in [([1, 1, 2, 3, 4, 4, 4, 4], True), ([1, 2, 2, 3, 4, 3, 3, 3], False)]:
+            a = make_map(8, word)
+            by_enumeration = any(is_convex(t) for t in transversals(kernel(a)))
+            assert has_convex_transversal(kernel(a)) == by_enumeration == regular
+            assert regular_char_ct(a) == regular
 
 
 class TestCodecs:
