@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .limits import check_family_size
-from .maps import ChainMap, compose, is_idempotent, map_to_text
+from .maps import ChainMap, is_idempotent, map_to_text
 from .partitions import (
     coarsest_merely_convex_refinement,
     kernel,
@@ -22,6 +23,8 @@ from .partitions import (
 )
 from .relations import (
     STARRED_KINDS,
+    _labels,
+    _least_members,
     abundance_witness,
     characterized_rows,
     green_oracle,
@@ -32,9 +35,11 @@ from .relations import (
     unipotence_witness,
 )
 from .semigroups import (
+    _regular_mask,
     enumerate_family,
     family_words,
     generated_subsemigroup,
+    idempotent_indices,
     idempotents,
     is_orthodox,
     regular_elements,
@@ -150,25 +155,14 @@ def _scan_pairs(s, oracle_partition, rows) -> tuple[int, dict | None]:
     return disagreements, witness
 
 
-def _check_green(kind: str, check_id: str, family: str, n: int):
+def _check_green(kind: str, family: str, n: int):
+    check_id = f"green-{kind}"
     _require_family(check_id, family, ("ct",))
     s = enumerate_family("ct", n)
     part = green_oracle(s, kind)
     disagreements, witness = _scan_pairs(s, part, characterized_rows(s, kind))
     detail = {"elements": s.size, "classes": part.class_count, "pairs_disagreeing": disagreements}
     yield _report(check_id, family, n, "pass" if witness is None else "fail", witness, detail)
-
-
-def check_green_l(family: str, n: int):
-    return _check_green("l", "green-l", family, n)
-
-
-def check_green_r(family: str, n: int):
-    return _check_green("r", "green-r", family, n)
-
-
-def check_green_d(family: str, n: int):
-    return _check_green("d", "green-d", family, n)
 
 
 def check_starred(family: str, n: int):
@@ -223,15 +217,17 @@ def check_unipotence(family: str, n: int):
             )
 
 
-def _first_idempotent_pair(ids, fails) -> dict | None:
-    """Witness payload for the first (e, f) in ``ids`` x ``ids``, row by row,
-    whose product e*f fails, or None."""
-    for e in ids:
-        for f in ids:
-            ef = compose(e, f)
-            if fails(ef):
-                return {"maps": [map_to_text(e), map_to_text(f)], "product": map_to_text(ef)}
-    return None
+def _first_idempotent_pair(s, bad: np.ndarray) -> dict | None:
+    """Witness payload for the first pair (e, f) of idempotents, row by row,
+    whose product is flagged in ``bad`` (one flag per element), or None."""
+    ids = np.array(idempotent_indices(s), dtype=np.intp)
+    ef = s.table()[np.ix_(ids, ids)]
+    hits = np.flatnonzero(bad[ef])
+    if not hits.size:
+        return None
+    e, f = divmod(int(hits[0]), len(ids))
+    e, f, product = (map_to_text(s.elements[i]) for i in (ids[e], ids[f], ef[e, f]))
+    return {"maps": [e, f], "product": product}
 
 
 def check_orthodox(family: str, n: int):
@@ -246,7 +242,7 @@ def check_orthodox(family: str, n: int):
     if verdict:
         yield _report("orthodox", family, n, "pass", detail={"regular_elements": len(reg)})
         return
-    witness = _first_idempotent_pair(idempotents(s), lambda ef: not is_idempotent(ef))
+    witness = _first_idempotent_pair(s, s.table().diagonal() != np.arange(s.size))
     if witness is not None:
         witness["reason"] = "product of idempotents is not idempotent"
     else:
@@ -264,8 +260,7 @@ def check_idempotent_products(family: str, n: int):
     s = enumerate_family(family, n)
     ids = idempotents(s)
     if family == "ct":
-        reg = set(regular_elements(s))
-        witness = _first_idempotent_pair(ids, lambda ef: ef not in reg)
+        witness = _first_idempotent_pair(s, ~_regular_mask(s.table(), np.arange(s.size)))
         yield _report(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,
@@ -283,7 +278,7 @@ def check_idempotent_products(family: str, n: int):
             {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size},
         )
     else:
-        witness = _first_idempotent_pair(ids, lambda ef: not is_idempotent(ef))
+        witness = _first_idempotent_pair(s, s.table().diagonal() != np.arange(s.size))
         yield _report(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,
@@ -301,14 +296,16 @@ def check_refinement_readings(family: str, n: int):
     _require_family("refinement-readings", family, ("ct",))
     # Only the maps are read, so no carrier or product table is built.
     check_family_size("ct", n)
-    seen = set()
+    words = family_words("ct", n)
+    # Words share a kernel exactly when they share the first-occurrence key:
+    # each position replaced by the least position with the same image.
+    keys = (words[:, :, None] == words[:, None, :]).argmax(axis=2)
+    firsts = _least_members(_labels(key.tobytes() for key in keys))
     differing = 0
     example = None
-    for a in (ChainMap(n, word) for word in family_words("ct", n)):
+    for i in firsts:
+        a = ChainMap(n, words[i].tolist())
         k = kernel(a).without_images()
-        if k in seen:
-            continue
-        seen.add(k)
         primary = max_convex_refinement(a)
         alternative = coarsest_merely_convex_refinement(k)
         if primary != alternative:
@@ -319,7 +316,7 @@ def check_refinement_readings(family: str, n: int):
                     "admissible_reading": partition_to_text(primary),
                     "convex_only_reading": partition_to_text(alternative),
                 }
-    detail = {"kernels_scanned": len(seen), "readings_differ_on": differing}
+    detail = {"kernels_scanned": len(firsts), "readings_differ_on": differing}
     if example is not None:
         detail["example"] = example
     yield _report("refinement-readings", family, n, "pass", detail=detail)
@@ -328,9 +325,9 @@ def check_refinement_readings(family: str, n: int):
 CHECKS = {
     "regularity-ct": (check_regularity_ct, "ct"),
     "regularity-orct": (check_regularity_orct, "orct"),
-    "green-l": (check_green_l, "ct"),
-    "green-r": (check_green_r, "ct"),
-    "green-d": (check_green_d, "ct"),
+    "green-l": (partial(_check_green, "l"), "ct"),
+    "green-r": (partial(_check_green, "r"), "ct"),
+    "green-d": (partial(_check_green, "d"), "ct"),
     "starred": (check_starred, "ct"),
     "abundance": (check_abundance, "ct"),
     "unipotence": (check_unipotence, "orct"),

@@ -52,6 +52,7 @@ from .rees import rees_quotient, verify_inverse
 from .semigroups import (
     check_table_budget,
     enumerate_family,
+    family_words,
     idempotent_indices,
     idempotents,
     is_regular_in,
@@ -203,8 +204,8 @@ def cmd_analyze(args) -> int:
         for t in transversals(k)
     ]
     contraction = is_contraction(m)
-    s = enumerate_family(fam, args.n)
-    regular_oracle = is_regular_in(s, m)
+    check_family_size(fam, args.n)
+    regular_oracle = is_regular_in(family_words(fam, args.n), m)
     payload = {
         "schema": SCHEMA,
         "command": "analyze",

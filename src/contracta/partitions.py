@@ -103,13 +103,6 @@ class KernelPartition:
             return self
         return KernelPartition(self.n, self.blocks)
 
-    def block_of(self, x: int) -> int:
-        """Index of the block containing x."""
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i
-        raise ValueError(f"point {x} outside 1..{self.n}")
-
     def __str__(self):
         return partition_to_text(self)
 

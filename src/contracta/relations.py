@@ -323,8 +323,8 @@ def rstar_oracle(s, a: ChainMap, b: ChainMap) -> bool:
 # Every characterization reads the kernel and image of each map alone, so it is
 # a per-element key.  For r and the starred kinds each map has one label; for
 # l, h and d it has a set of keys (collapse profiles, alone or with the kernel
-# word, or kernel patterns with the height), and a matches b when a key of b
-# is a key of a or its reflection.
+# word, or renumbered with the height), and a matches b when a key of b is a
+# key of a or its reflection.
 
 
 def _require_contraction(a: ChainMap) -> None:
@@ -349,22 +349,6 @@ def _collapse_profiles(a: ChainMap) -> frozenset[tuple[int, ...]]:
     )
 
 
-@lru_cache(maxsize=None)
-def _kernel_patterns(a: ChainMap) -> frozenset[tuple[int, ...]]:
-    """Canonical fiber-grouping patterns of the good transversals.
-
-    Each admissible convex refinement transversal T of the kernel yields the
-    sequence "which kernel block contains t_i", renumbered by first
-    occurrence.
-    """
-    k = kernel(a)
-    block_of = {x: i for i, blk in enumerate(k.blocks) for x in blk}
-    bare = k.without_images()
-    return frozenset(
-        _canon(tuple(block_of[t] for t in T)) for T in convex_refinement_transversals(bare)
-    )
-
-
 def _label(fn):
     return lambda a: frozenset((fn(a),))
 
@@ -381,8 +365,11 @@ def _h_keys(a: ChainMap) -> frozenset:
 
 
 def _d_keys(a: ChainMap) -> frozenset:
+    # The fiber-grouping pattern of a transversal, "which kernel block holds
+    # t_i" renumbered by first occurrence, is its collapse profile renumbered
+    # the same way: blocks and their images are in bijection.
     h = height(a)
-    return frozenset((h, q) for q in _kernel_patterns(a))
+    return frozenset((h, _canon(t)) for t in _collapse_profiles(a))
 
 
 # kind -> (keys of a map, reflection of one key or None); every reflection is

@@ -4,17 +4,17 @@ A map is a contraction exactly when adjacent images differ by -1, 0 or +1
 (see ``maps.is_contraction``), so the contraction families are generated as
 walks on 1..n: ``ct`` takes steps in {-1, 0, +1}, ``oct`` steps in {0, +1},
 and ``orct`` the ``oct`` walks together with those with steps in {-1, 0}.
-``t`` is all n^n image words.  Product tables are filled along the left
-Cayley graph: only generator rows are coded and looked up, and any other
-row is a gather, row(h*k) = row(h)[row(k)].  Closure is still checked in
-full, since a gathered entry h*(k*b) is inside when the generator rows are;
-every carrier but the full ``t`` builds its table on construction, which
-fails loudly if a product escapes the element set.
+``t`` is all n^n image words.  Every family's words are one lexicographic
+(count, n) int8 array, which ``is_regular_in`` scans without a carrier.
+Product tables are filled along the left Cayley graph: only generator rows
+are coded and looked up, and any other row is a gather, row(h*k) =
+row(h)[row(k)].  Closure is still checked in full, since a gathered entry
+h*(k*b) is inside when the generator rows are; every carrier builds its
+table on construction, which fails loudly if a product escapes the element
+set.
 """
 
 from __future__ import annotations
-
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -91,9 +91,8 @@ class FiniteSemigroup:
                 raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
         self._index = {m: i for i, m in enumerate(self.elements)}
         self._table = None
-        # The full family is closed by completeness; any other carrier is
-        # checked by building its table, which raises ClosureError on an escape.
-        if check_closed and not (family == "t" and self.size == n ** n):
+        # Building the table raises ClosureError on an escaping product.
+        if check_closed:
             self.table()
 
     # -- basic container behaviour -------------------------------------
@@ -207,23 +206,30 @@ def _direct_rows(spread, right, codes, rows):
 def _walks(n: int, steps: tuple[int, ...]) -> np.ndarray:
     """All words on 1..n whose adjacent steps lie in ``steps`` (ascending),
     in lexicographic order."""
-    words = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    words = np.arange(1, n + 1, dtype=np.int8)[:, None]
     for _ in range(n - 1):
-        nxt = words[:, -1:] + np.array(steps)
+        nxt = words[:, -1:] + np.array(steps, dtype=np.int8)
         keep = ((nxt >= 1) & (nxt <= n)).ravel()
         words = np.column_stack([np.repeat(words, len(steps), axis=0), nxt.ravel()])[keep]
     return words
 
 
-def family_words(family, n: int):
-    """The image words of a family on the chain of size n, in lexicographic order.
+def family_words(family, n: int) -> np.ndarray:
+    """The image words of a family on the chain of size n: one C-contiguous
+    (count, n) int8 array, rows in lexicographic order.
 
-    ``t`` is an iterator over all n^n words; the contraction families are
-    lists of walks, generated directly rather than filtered.
+    ``t`` is all n^n words; the contraction families are walks, generated
+    directly rather than filtered.
     """
     tag = FamilyTag.coerce(family)
     if tag is FamilyTag.T:
-        return iter_product(range(1, n + 1), repeat=n)
+        # Word i spells i in base n: column k is the index along axis k of an
+        # n^n grid view, filled by broadcasting without temporaries.
+        words = np.empty((n ** n, n), dtype=np.int8)
+        digits = np.arange(1, n + 1, dtype=np.int8)
+        for k in range(n):
+            words.reshape((n,) * n + (n,))[..., k] = digits.reshape((n,) + (1,) * (n - 1 - k))
+        return words
     if tag is FamilyTag.CT:
         words = _walks(n, (-1, 0, 1))
     else:
@@ -233,15 +239,16 @@ def family_words(family, n: int):
             # Constant maps are both; keep the non-increasing ones that move.
             words = np.concatenate([words, down[down[:, 0] != down[:, -1]]])
             words = words[np.lexsort(words.T[::-1])]
-    return [tuple(w) for w in words.tolist()]
+    return words
 
 
 def enumerate_family(family, n: int) -> FiniteSemigroup:
     """All members of a family on the chain of size n, as a closed semigroup."""
     tag = FamilyTag.coerce(family)
     check_family_size(tag.value, n)
-    members = [ChainMap(n, word) for word in family_words(tag, n)]
-    return FiniteSemigroup(n, tag.value, members)
+    words = family_words(tag, n)
+    check_table_budget(len(words))  # before building a ChainMap per word
+    return FiniteSemigroup(n, tag.value, [ChainMap(n, word) for word in words.tolist()])
 
 
 def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
@@ -317,15 +324,22 @@ def idempotents(s: FiniteSemigroup) -> tuple[ChainMap, ...]:
     return tuple(s.elements[i] for i in idempotent_indices(s))
 
 
-def is_regular_in(s: FiniteSemigroup, m: ChainMap) -> bool:
-    """True iff m = m*b*m for some witness b in s.
-
-    Scans the image words of s directly, so it needs no product table.
-    """
-    s.index_of(m)  # m must be an element of s
-    a = np.array(m.images, dtype=np.int8) - 1
-    words = np.array([e.images for e in s.elements], dtype=np.int8) - 1
-    return bool((a[words[:, a]] == a).all(axis=1).any())
+def is_regular_in(words: np.ndarray, m: ChainMap) -> bool:
+    """True iff m = m*b*m for a witness b among the rows of ``words``, which
+    must hold m itself, as from ``family_words``.  Scans row blocks of the
+    words, so no carrier or product table is built."""
+    after = np.array((0, *m.images), dtype=np.int8)  # after[v] = m(v) for v in 1..n
+    a = after[1:]
+    member = regular = False
+    for block in row_blocks(words, m.n):
+        member = member or bool((block == a).all(axis=1).any())
+        # row b holds m(b(m(x))) for every x
+        regular = regular or bool((after[block[:, a - 1]] == a).all(axis=1).any())
+        if member and regular:
+            return True
+    if not member:
+        raise ValueError(f"{m} is not one of the words")
+    return False
 
 
 def regular_elements(s: FiniteSemigroup, subset=None) -> tuple[ChainMap, ...]:

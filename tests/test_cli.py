@@ -13,6 +13,7 @@ import contracta
 import contracta.checks as checks
 import contracta.cli as cli
 from contracta.cli import main
+from contracta.semigroups import FiniteSemigroup
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,33 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--n", "3", "--map", "1;2;3")
         assert code == 2
         assert "malformed" in err
+
+    @pytest.mark.parametrize("n,word,regular", [(7, "[3,1,1,1,1,1,1]", True), (6, "[1,2,2,3,4,3]", False)])
+    def test_builds_no_carrier(self, capsys, monkeypatch, n, word, regular):
+        # The regularity oracle scans the family's words; no carrier or
+        # product table is built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("carrier built")
+
+        monkeypatch.setattr(FiniteSemigroup, "__init__", unreachable)
+        code, out, _ = run_cli(capsys, "analyze", "--n", str(n), "--map", word)
+        assert code == 0
+        assert json.loads(out)["regular"]["oracle"] is regular
+
+    def test_t8(self, capsys):
+        # The t guard allows n = 8: 16,777,216 words, scanned in row blocks.
+        code, out, _ = run_cli(capsys, "analyze", "--n", "8", "--map", "[3,1,1,1,1,1,1,1]")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["family"] == "t"
+        assert payload["regular"]["oracle"] is True
+
+    def test_env_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONTRACTA_MAX_N", "6")
+        code, out, err = run_cli(capsys, "analyze", "--n", "7", "--map", "[3,1,1,1,1,1,1]")
+        assert code == 2
+        assert out == ""
+        assert "guard" in err
 
 
 class TestRelations:
@@ -312,6 +340,15 @@ GOLDEN_STDOUT = [
         0,
         "81eff5eed7f8440ff0d7be60010c22fa76c247182a2c84723e5fbe267bc025ae",
     ),
+] + [
+    # Recorded while analyze still built its family as a carrier.
+    (("analyze", "--n", "7", "--map", word), 0, digest)
+    for word, digest in [
+        ("[3,1,1,1,1,1,1]", "5f38384d580c3412cce4fb0fdad8e6a40c31b21144f65129af55b9c1e04276c5"),
+        ("[1,2,2,3,4,3,4]", "d171ec5b190dce778837558108645c3b5c81e66d31490c22ffab2e99605b3456"),
+        ("[2,1,1,1,1,1,1]", "5c068d4e0dca4884abde976fde50ba103c74b85aafc5ca1cb0ac1b3358905501"),
+    ]
+] + [
     (
         ("enumerate", "--family", "t", "--n", "4"),
         0,

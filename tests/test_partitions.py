@@ -350,7 +350,7 @@ class TestRefinementScansByBruteForce:
             expected = tuple(sorted(intervals, key=lambda t: (len(t), t[0])))
             assert convex_refinement_transversals(k) == expected, blocks
             coarsest_admissible[blocks] = _brute_coarsest([p for p in below if admissible[p]])
-        for word in family_words("ct", n):
+        for word in family_words("ct", n).tolist():
             a = ChainMap(n, word)
             assert max_convex_refinement(a).blocks == coarsest_admissible[kernel(a).blocks], a
 

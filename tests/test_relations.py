@@ -11,10 +11,12 @@ import contracta.relations as rel
 from contracta import (
     FiniteSemigroup,
     abundance_witness,
+    convex_refinement_transversals,
     d_char,
     enumerate_family,
     generated_subsemigroup,
     green_oracle,
+    height,
     height_ideal,
     identity_map,
     idempotents,
@@ -24,6 +26,7 @@ from contracta import (
     is_left_abundant,
     is_r_unipotent,
     is_right_abundant,
+    kernel,
     l_char,
     lstar_oracle,
     make_map,
@@ -274,6 +277,28 @@ class TestDChar:
         part = green_oracle(s, "d")
         for i, j in combinations_with_replacement(range(s.size), 2):
             assert part.same_class(i, j) == d_char(s.elements[i], s.elements[j])
+
+
+def _reference_kernel_patterns(a):
+    """The d patterns by their definition: for each admissible convex
+    refinement transversal T of the kernel, "which kernel block holds t_i",
+    renumbered by first occurrence."""
+    k = kernel(a)
+    block_of = {x: i for i, blk in enumerate(k.blocks) for x in blk}
+    bare = k.without_images()
+    return frozenset(
+        rel._canon(tuple(block_of[t] for t in T)) for T in convex_refinement_transversals(bare)
+    )
+
+
+class TestDKeys:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_match_kernel_pattern_reference(self, family, n):
+        # _d_keys renumbers the collapse profiles instead of the kernel blocks
+        # of each transversal; blocks and their images are in bijection.
+        for a in family("ct", n).elements:
+            want = frozenset((height(a), q) for q in _reference_kernel_patterns(a))
+            assert rel._d_keys(a) == want, a
 
 
 class TestStarredOracles:

@@ -3,6 +3,7 @@
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,7 +87,24 @@ class TestEnumerate:
         # The walk generator relies on the adjacent-step form of the
         # contraction condition; the oracle filters all n^n words by the
         # all-pairs test.
-        assert tuple(semigroups.family_words(fam, n)) == all_pairs_members(n)[fam]
+        assert tuple(map(tuple, semigroups.family_words(fam, n).tolist())) == all_pairs_members(n)[fam]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_t_words_match_product(self, n):
+        words = semigroups.family_words("t", n)
+        assert list(map(tuple, words.tolist())) == list(product(range(1, n + 1), repeat=n))
+
+    @pytest.mark.parametrize("fam", ["t", "ct", "oct", "orct"])
+    def test_words_are_one_int8_array(self, fam):
+        for n in range(1, 6):
+            words = semigroups.family_words(fam, n)
+            assert words.dtype == np.int8 and words.flags.c_contiguous
+            assert words.shape[1] == n
+
+    def test_t_budget_before_building_maps(self):
+        # enumerate_family builds every carrier's table, and T_6's is over budget.
+        with pytest.raises(ValueError, match="46,656 elements"):
+            enumerate_family("t", 6)
 
     def test_element_order_is_lexicographic(self, family):
         words = [m.images for m in family("ct", 4)]
@@ -116,7 +134,7 @@ class TestEnumerate:
 
 # A few maps of ct4 or ct5, as generators of a subsemigroup.
 CT45_GENERATORS = st.sampled_from([4, 5]).flatmap(
-    lambda n: st.lists(st.sampled_from(semigroups.family_words("ct", n)), min_size=1, max_size=3).map(
+    lambda n: st.lists(st.sampled_from(semigroups.family_words("ct", n).tolist()), min_size=1, max_size=3).map(
         lambda words: [make_map(n, w) for w in words]
     )
 )
@@ -307,9 +325,13 @@ class TestRegularElements:
     def test_single_element_scan_agrees(self, family, fam, n):
         # is_regular_in scans image words without a table; regular_elements
         # reads the product table.
-        s = family(fam, n)
+        s, words = family(fam, n), semigroups.family_words(fam, n)
         reg = set(regular_elements(s))
-        assert [is_regular_in(s, m) for m in s.elements] == [m in reg for m in s.elements]
+        assert [is_regular_in(words, m) for m in s.elements] == [m in reg for m in s.elements]
+
+    def test_single_element_scan_rejects_non_member(self):
+        with pytest.raises(ValueError, match="not one of the words"):
+            is_regular_in(semigroups.family_words("ct", 3), make_map(3, [3, 1, 3]))
 
     def test_regular_within_subset(self, family):
         s = family("ct", 4)
