@@ -50,7 +50,6 @@ from .relations import (
 )
 from .rees import rees_quotient, verify_inverse
 from .semigroups import (
-    check_table_budget,
     enumerate_family,
     family_words,
     idempotent_indices,
@@ -139,20 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies ---------------------------------------------------------
 
 
-def _enumerate_with_table(family: str, n: int):
-    """enumerate_family for a command that reads the product table.
-
-    The size of ``t`` is n^n, known before enumerating, so its table budget
-    is checked first instead of after building every map.
-    """
-    if family == "t":
-        check_family_size(family, n)
-        check_table_budget(n ** n)
-    return enumerate_family(family, n)
-
-
 def cmd_enumerate(args) -> int:
-    s = _enumerate_with_table(args.family, args.n)
+    s = enumerate_family(args.family, args.n)
     ids = idempotents(s)
     reg = regular_elements(s)
     if args.output == "json":
@@ -272,7 +259,7 @@ def _check_char_method(family: str, relation: str) -> None:
 def cmd_relations(args) -> int:
     if args.method == "char":
         _check_char_method(args.family, args.relation)
-    s = _enumerate_with_table(args.family, args.n)
+    s = enumerate_family(args.family, args.n)
     if args.method == "oracle":
         part = (
             green_oracle(s, args.relation)

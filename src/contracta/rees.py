@@ -110,6 +110,10 @@ class ReesQuotient:
         """The int32 product table; row and column 0 are the zero."""
         return self._table
 
+    def generators(self) -> np.ndarray:
+        """Every index: the quotients are small, so the whole table is their Cayley graph."""
+        return np.arange(self.size)
+
     def _build_table(self):
         # pos[x] is base element x's carrier index if it is a height-p map and
         # 0 otherwise.  Below height p the products fall into the lower ideal,

@@ -3,7 +3,10 @@
 Every characterized predicate here ships next to a brute-force oracle, and
 the verify suite treats any disagreement between the two as a hard failure.
 Oracles work purely from products; characterized predicates work from kernel
-and image data of the two maps alone.
+and image data of the two maps alone.  L, R and J are the strongly connected
+components of the left, right and two-sided Cayley graphs over the
+generators the table build found (``generators()`` on either carrier type);
+the starred kinds key the kernel of each element's row of S^1 products.
 
 Relation kinds are the strings ``l r h d j lstar rstar hstar dstar``.
 """
@@ -45,6 +48,10 @@ __all__ = [
 
 GREEN_KINDS = ("l", "r", "h", "d", "j")
 STARRED_KINDS = ("lstar", "rstar", "hstar", "dstar")
+
+# Side "l" product rows are table columns, read through tiles of this many
+# contiguous table rows.
+_TILE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,28 +157,75 @@ def _join(*labelings: np.ndarray) -> np.ndarray:
     return _components(size, np.tile(np.arange(size), len(labelings)), nodes)
 
 
-def _products(s, side: str, elements: np.ndarray):
+def _strong_components(successors) -> np.ndarray:
+    """Labels of the strongly connected components of the graph with edges
+    v -> w for w in successors[v], numbered by least member.
+
+    Iterative Tarjan: chains of the Cayley graphs are thousands of nodes long.
+    A visited node without a component is still on the stack.
+    """
+    size = len(successors)
+    order, low, comp, stack = [-1] * size, [0] * size, [-1] * size, []
+    found = count = 0
+    for root in range(size):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return _labels(comp)
+
+
+def _cayley_labels(s, sides: str) -> np.ndarray:
+    """Components of the Cayley graph over the carrier's generators g, with
+    edges a -> g*a for side "l" and a -> a*g for side "r".  From a, the left
+    graph reaches exactly S^1 a, so its components are the L-classes; the
+    right graph's are the R-classes, and both sides together give J."""
+    table, gens = s.table(), s.generators()
+    edges = [table[gens, :].T if side == "l" else table[:, gens] for side in sides]
+    return _strong_components(np.hstack(edges).tolist())
+
+
+def _products(s, side: str):
     """Row blocks of S^1 products: row k holds x*a (side "l") or a*x (side
     "r") for every x in S, then a itself in the trailing formal-identity
-    slot, where a = elements[k].  Every oracle reads the table here."""
+    slot, where a = k.  Side "l" reads table columns, so each block is
+    filled from contiguous tiles of table rows."""
     size, table = s.size, s.table()
-    for block in row_blocks(elements, size + 1):
+    for block in row_blocks(np.arange(size), size + 1):
+        lo, hi = int(block[0]), int(block[-1]) + 1
         rows = np.empty((len(block), size + 1), dtype=np.int32)
-        rows[:, :size] = table.take(block, axis=1).T if side == "l" else table[block, :]
+        products = rows[:, :size]
+        if side == "l":
+            for top in range(0, size, _TILE_ROWS):
+                products[:, top:top + _TILE_ROWS] = table[top:top + _TILE_ROWS, lo:hi].T
+        else:
+            products[:] = table[lo:hi]
         rows[:, size] = block
         yield rows
-
-
-def _members(rows: np.ndarray, width: int) -> np.ndarray:
-    """[k, v] is set exactly when value v occurs in rows[k]."""
-    member = np.zeros((len(rows), width), dtype=bool)
-    member[np.arange(len(rows))[:, None], rows] = True
-    return member
-
-
-def _image_keys(rows: np.ndarray, size: int) -> np.ndarray:
-    # Each row's set of values as packed bits: the principal ideal S^1 a or a S^1.
-    return np.packbits(_members(rows, size), axis=1)
 
 
 def _kernel_keys(rows: np.ndarray, size: int) -> np.ndarray:
@@ -185,27 +239,6 @@ def _kernel_keys(rows: np.ndarray, size: int) -> np.ndarray:
     first = np.full(len(rows) * size, width, dtype=np.int32)
     np.minimum.at(first, rows.ravel(), np.tile(np.arange(width, dtype=np.int32), len(rows)))
     return first[rows]
-
-
-def _two_sided_labels(s) -> np.ndarray:
-    """J labels: equal exactly when the principal two-sided ideals are equal.
-
-    S^1 a S^1 is the union of the right ideals b S^1 over b in S^1 a.  A
-    right ideal is a union of R-classes and depends only on b's R-class, and
-    S^1 a depends only on a's L-class.  So the two-sided ideal of each
-    L-class, as a set of R-classes, is one boolean matrix product: the
-    R-classes that S^1 a meets, times the R-classes inside each b S^1, read
-    from the products of the class representatives alone.
-    """
-    llab, rlab = _oracle_labels(s, "l"), _oracle_labels(s, "r")
-
-    def meets(side, labels):
-        # [c, k]: the products on ``side`` of class c's least member meet R-class k
-        blocks = _products(s, side, _least_members(labels))
-        return np.concatenate([_members(rlab[rows], int(rlab.max()) + 1) for rows in blocks])
-
-    ideals = meets("l", llab) @ meets("r", rlab)
-    return _labels(row.tobytes() for row in ideals)[llab]
 
 
 def _eggbox_join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -222,16 +255,13 @@ def _eggbox_join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return d
 
 
-# One-sided kinds: (side of the S^1 products, key of each row).  a L b when
-# S^1 a = S^1 b, the images of x -> x*a; a L* b when a*x = a*y exactly when
-# b*x = b*y, the kernels of x -> a*x; R and R* dually.
-_ONE_SIDED = {
-    "l": ("l", _image_keys),
-    "r": ("r", _image_keys),
-    "lstar": ("r", _kernel_keys),
-    "rstar": ("l", _kernel_keys),
-}
-# Other kinds but j: the meet or the join of two one-sided kinds.
+# Green's one-sided kinds and J: the sides of the Cayley graph.
+_CAYLEY_SIDES = {"l": "l", "r": "r", "j": "lr"}
+# Starred one-sided kinds: the side of the S^1 products whose rows' kernels
+# are keyed.  a L* b when a*x = a*y exactly when b*x = b*y, the kernels of
+# x -> a*x; R* dually.
+_KERNEL_SIDE = {"lstar": "r", "rstar": "l"}
+# Other kinds: the meet or the join of two one-sided kinds.
 _TWO_SIDED = {
     "h": (_pair_labels, "l", "r"),
     "d": (_eggbox_join, "l", "r"),
@@ -253,17 +283,17 @@ def _oracle_labels(s, kind: str) -> np.ndarray:
 
 
 def _product_labels(s, kind: str) -> np.ndarray:
-    """Class labels of one relation kind, from the S^1 products.
+    """Class labels of one relation kind, from the product table.
 
-    A one-sided kind labels each element by the key of its product row; the
-    keys are streamed, so only the distinct ones are held.
+    A starred one-sided kind labels each element by the kernel key of its
+    row of S^1 products; the keys are streamed, so only the distinct ones
+    are held.
     """
-    if kind in _ONE_SIDED:
-        side, key = _ONE_SIDED[kind]
-        blocks = _products(s, side, np.arange(s.size))
-        return _labels(k.tobytes() for rows in blocks for k in key(rows, s.size))
-    if kind == "j":
-        return _two_sided_labels(s)
+    if kind in _CAYLEY_SIDES:
+        return _cayley_labels(s, _CAYLEY_SIDES[kind])
+    if kind in _KERNEL_SIDE:
+        blocks = _products(s, _KERNEL_SIDE[kind])
+        return _labels(k.tobytes() for rows in blocks for k in _kernel_keys(rows, s.size))
     combine, left, right = _TWO_SIDED[kind]
     return combine(_oracle_labels(s, left), _oracle_labels(s, right))
 
@@ -276,11 +306,14 @@ def _oracle(s, kind: str, kinds: tuple[str, ...], name: str) -> RelationPartitio
 
 
 def green_oracle(s, kind: str) -> RelationPartition:
-    """Brute-force Green's relation on a carrier, from principal ideals.
+    """Brute-force Green's relation on a carrier, from its product table.
 
-    ``l``/``r``/``j`` come from ideal equality (with an identity formally
-    adjoined); ``h`` is their intersection and ``d`` the join of l and r,
-    asserted en route to equal their composition.
+    ``l``/``r``/``j`` are the strongly connected components of the left,
+    right and two-sided Cayley graphs over ``s.generators()``: b is
+    reachable from a exactly when b lies in S^1 a, a S^1 or S^1 a S^1, so
+    mutual reachability is equality of the principal ideals.  ``h`` is the
+    intersection of l and r and ``d`` their join, asserted en route to equal
+    their composition.
     """
     return _oracle(s, kind, GREEN_KINDS, "Green's")
 

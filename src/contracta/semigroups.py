@@ -129,8 +129,13 @@ class FiniteSemigroup:
         """The full int32 product table; ValueError when it exceeds the entry budget."""
         if self._table is None:
             check_table_budget(self.size)
-            self._table = self._build_table()
+            self._table, self._generators = self._build_table()
         return self._table
+
+    def generators(self) -> np.ndarray:
+        """Indices of a generating set: the rows the table build coded directly."""
+        self.table()
+        return self._generators
 
     def _build_table(self):
         m, n = self.size, self.n
@@ -177,7 +182,7 @@ class FiniteSemigroup:
                 if done == count:
                     break
                 left, ks, done = np.array(gens), order[done:count], count
-        return table
+        return table, np.array(gens, dtype=np.intp)
 
     def _raise_first_escape(self, spread, right, codes):
         """ClosureError naming the first escaping product of the lowest column."""

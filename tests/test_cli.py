@@ -11,7 +11,7 @@ import pytest
 
 import contracta
 import contracta.checks as checks
-import contracta.cli as cli
+import contracta.semigroups as semigroups
 from contracta.cli import main
 from contracta.semigroups import FiniteSemigroup
 
@@ -62,12 +62,12 @@ class TestEnumerate:
          "only available for family 'ct'"),
     ], ids=["enumerate", "relations", "relations-char"])
     def test_rejected_before_enumerating(self, capsys, monkeypatch, argv, message):
-        # |T_7| = 7^7 is known up front, so neither the table budget nor an
-        # unavailable characterized method waits for the 823,543 maps.
+        # Neither the table budget nor an unavailable characterized method
+        # waits for the 823,543 maps: no ChainMap is built.
         def unreachable(*args):
-            raise AssertionError("enumeration reached")
+            raise AssertionError("a map was built")
 
-        monkeypatch.setattr(cli, "enumerate_family", unreachable)
+        monkeypatch.setattr(semigroups, "ChainMap", unreachable)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -371,6 +371,17 @@ GOLDEN_STDOUT = [
         ("rstar", "1463ba727146d2a1ed33247c1461b4772cb040e3715e2b3319f537c4936e6ce4"),
         ("hstar", "185a89b47ee6a0a7d245bc4ffd848fd0ea252c019631d5315b18792a620b6ed0"),
         ("dstar", "fe512471f45c8805dea4ae589e74999a755364d63904954a0e87a041d2e04e7e"),
+    ]
+] + [
+    # l, r and j as the benchmark pins them; h and d recorded while l, r and
+    # j still came from principal-ideal keys.
+    (("relations", "--method", "oracle", "--family", "ct", "--n", "7", "--relation", relation), 0, digest)
+    for relation, digest in [
+        ("l", "60e203d08a1d895f59873e6d6a6c216f6cf08c099ccfda8fee9b12b5bebc243d"),
+        ("r", "d950abf8292e718e9fc23dcc17c4e825ef5d7a853a20cdf2776e9c713753cbcc"),
+        ("j", "0553a69e6e08934368b69e6b1d21b43d71efa7782e588038c7a2b30f243645f9"),
+        ("h", "87ba2c55e14b03a9f07ebe9c20f3c16a432b9956fbb9092568ff2ac9d9ef9e32"),
+        ("d", "844d0fbc8275225bc3a00d7ae5ec7745f1d0d2bd16dc37c06956115a887d622c"),
     ]
 ]
 

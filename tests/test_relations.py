@@ -31,6 +31,7 @@ from contracta import (
     lstar_oracle,
     make_map,
     r_char,
+    rees_quotient,
     regular_char_ct,
     regular_char_oct,
     regular_char_orct,
@@ -43,6 +44,7 @@ from contracta import (
     unipotence_witness,
 )
 from contracta.relations import RelationPartition, char_partition, characterized_rows
+from contracta.semigroups import row_blocks
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -57,6 +59,68 @@ KERNEL_CLASS_N4 = [
 
 # Pinned from the ideal-equality oracle on CT_4.
 CT4_CLASS_COUNTS = {"l": 12, "r": 14, "h": 36, "d": 5, "j": 5}
+
+
+# -- the principal-ideal route, as the reference for the Cayley-graph oracles --
+
+
+def _product_rows(s, side, elements):
+    """Row blocks of S^1 products: row k holds x*a (side "l") or a*x (side
+    "r") for every x in S, then a itself, where a = elements[k]."""
+    size, table = s.size, s.table()
+    for block in row_blocks(elements, size + 1):
+        rows = np.empty((len(block), size + 1), dtype=np.int32)
+        rows[:, :size] = table.take(block, axis=1).T if side == "l" else table[block, :]
+        rows[:, size] = block
+        yield rows
+
+
+def _members(rows, width):
+    """[k, v] is set exactly when value v occurs in rows[k]."""
+    member = np.zeros((len(rows), width), dtype=bool)
+    member[np.arange(len(rows))[:, None], rows] = True
+    return member
+
+
+def _image_keys(s, side):
+    """Each element's principal ideal S^1 a (side "l") or a S^1 as packed bits."""
+    blocks = _product_rows(s, side, np.arange(s.size))
+    return np.concatenate([np.packbits(_members(rows, s.size), axis=1) for rows in blocks])
+
+
+def _ideal_labels(s, side):
+    """L (side "l") or R labels: equal exactly when the principal ideals are."""
+    return rel._labels(key.tobytes() for key in _image_keys(s, side))
+
+
+def _matrix_product_j(s):
+    """J labels from one boolean matrix product.
+
+    S^1 a S^1 is the union of the right ideals b S^1 over b in S^1 a.  A
+    right ideal is a union of R-classes and depends only on b's R-class, and
+    S^1 a depends only on a's L-class.  So the two-sided ideal of each
+    L-class, as a set of R-classes, is the R-classes that S^1 a meets times
+    the R-classes inside each b S^1, read from the class representatives.
+    """
+    llab, rlab = _ideal_labels(s, "l"), _ideal_labels(s, "r")
+
+    def meets(side, labels):
+        # [c, k]: the products on ``side`` of class c's least member meet R-class k
+        blocks = _product_rows(s, side, rel._least_members(labels))
+        return np.concatenate([_members(rlab[rows], int(rlab.max()) + 1) for rows in blocks])
+
+    ideals = meets("l", llab) @ meets("r", rlab)
+    return rel._labels(row.tobytes() for row in ideals)[llab]
+
+
+# ct, oct and orct at n = 1..7, t at n = 1..5, the regular bases of orct4..7
+# and every one of their Rees quotients.
+CAYLEY_CARRIERS = (
+    [(fam, n, None) for fam in ("ct", "oct", "orct") for n in range(1, 8)]
+    + [("t", n, None) for n in range(1, 6)]
+    + [("reg-orct", n, None) for n in range(4, 8)]
+    + [("reg-orct", n, p) for n in range(4, 8) for p in range(2, n + 1)]
+)
 
 
 class TestGreenOracle:
@@ -97,6 +161,7 @@ class TestGreenOracle:
             member[table[table[:, a], :]] = True
             ideals.append(member.tobytes())
         assert green_oracle(s, "j").labels.tolist() == list(rel._canon(ideals))
+        assert _matrix_product_j(s).tolist() == list(rel._canon(ideals))
 
     @pytest.mark.parametrize("fam,n", [("ct", 5), ("t", 4)])
     @pytest.mark.parametrize("side", ["l", "r"])
@@ -104,8 +169,7 @@ class TestGreenOracle:
         # L and R label each element by the image of its row of S^1 products.
         s = family(fam, n)
         table = s.table()
-        blocks = rel._products(s, side, np.arange(s.size))
-        keys = np.concatenate([rel._image_keys(rows, s.size) for rows in blocks])
+        keys = _image_keys(s, side)
         assert len(keys) == s.size
         ideals = []
         for a, key in enumerate(keys):
@@ -115,6 +179,19 @@ class TestGreenOracle:
         got = rel._product_labels(s, side)
         assert got.dtype == np.int32
         assert np.array_equal(got, rel._labels(ideal.tobytes() for ideal in ideals))
+
+    @pytest.mark.parametrize(
+        "fam,n,p", CAYLEY_CARRIERS,
+        ids=[f"{fam}{n}" + (f"-p{p}" if p else "") for fam, n, p in CAYLEY_CARRIERS],
+    )
+    def test_cayley_components_match_ideal_route(self, family, regular_base, fam, n, p):
+        if fam == "reg-orct":
+            s = regular_base("orct", n) if p is None else rees_quotient(regular_base("orct", n), p)
+        else:
+            s = family(fam, n)
+        for side in ("l", "r"):
+            assert np.array_equal(green_oracle(s, side).labels, _ideal_labels(s, side)), side
+        assert np.array_equal(green_oracle(s, "j").labels, _matrix_product_j(s))
 
     def test_refinement_chain(self, family):
         s = family("ct", 4)
@@ -379,8 +456,9 @@ class TestGreenCT7:
     @pytest.mark.parametrize("kind", ["l", "j"])
     def test_oracle_peak_memory(self, ct7, kind):
         # Holding every principal ideal as a sorted array peaked at 9.9 MB
-        # (l) and 11.8 MB (j); only label arrays, the distinct packed ideals
-        # and one row block of products should be live.
+        # (l) and 11.8 MB (j); only label arrays and the Cayley graph's
+        # successor lists, |generators| or twice that per element, should be
+        # live.
         vars(ct7).pop("_relation_memo", None)
         tracemalloc.start()
         try:
@@ -548,8 +626,6 @@ class TestRegularityCharacterizations:
 
 class TestSubsetRelations:
     def test_zero_forms_own_class_inside_quotient(self, family):
-        from contracta import rees_quotient
-
         base = subsemigroup(family("orct", 4), regular_elements(family("orct", 4)))
         q = rees_quotient(base, 2)
         part = green_oracle(q, "d")

@@ -171,6 +171,26 @@ def _record_direct_rows(monkeypatch):
     return calls
 
 
+def _left_closure(s, gens):
+    """Mask of every index reached from the generators by multiplying on the
+    left by generators, through the product table."""
+    table = s.table()
+    reached = np.zeros(s.size, dtype=bool)
+    reached[gens] = True
+    frontier = gens
+    while frontier.size:
+        step = np.zeros(s.size, dtype=bool)
+        step[table[np.ix_(gens, frontier)]] = True
+        frontier = np.flatnonzero(step & ~reached)
+        reached |= step
+    return reached
+
+
+GENERATOR_FAMILIES = [(fam, n) for fam in ("ct", "oct", "orct") for n in range(1, 7)] + [
+    ("t", n) for n in range(1, 6)
+]
+
+
 def _compose_table(s):
     """The product table of s, one compose call per entry."""
     return [[s.index_of(compose(a, b)) for b in s.elements] for a in s.elements]
@@ -254,6 +274,19 @@ class TestClosure:
         calls = _record_direct_rows(monkeypatch)
         s = enumerate_family("ct", 7)
         assert sum(rows for rows, _ in calls) * s.size < 0.01 * s.size**2
+
+    @pytest.mark.parametrize("fam,n", GENERATOR_FAMILIES)
+    def test_generators_generate(self, family, fam, n):
+        s = family(fam, n)
+        assert _left_closure(s, s.generators()).all()
+
+    def test_generators_of_unchecked_subsemigroup(self, family):
+        # The height-2 ideal of ct5 needs 30 generator rows; an unchecked
+        # carrier builds its table on the first call.
+        s = FiniteSemigroup(5, "custom", height_ideal(family("ct", 5), 2).elements, check_closed=False)
+        gens = s.generators()
+        assert len(gens) == 30
+        assert _left_closure(s, gens).all()
 
     def test_chain_too_long_for_word_codes(self):
         # Base-16 codes of 16-letter words overflow int64; the build stops
