@@ -13,6 +13,7 @@ import numpy as np
 
 from .maps import ChainMap, height, map_to_text
 from .semigroups import (
+    TABLE_DTYPE,
     FiniteSemigroup,
     _regular_mask,
     _unique_inverse_counts,
@@ -107,21 +108,21 @@ class ReesQuotient:
         return int(self._table[i, j])
 
     def table(self) -> np.ndarray:
-        """The int32 product table; row and column 0 are the zero."""
+        """The int16 product table, built on construction; row and column 0 are the zero."""
         return self._table
 
-    def generators(self) -> np.ndarray:
-        """Every index: the quotients are small, so the whole table is their Cayley graph."""
-        return np.arange(self.size)
+    def cayley(self, side: str) -> np.ndarray:
+        """The Cayley graphs over every index: quotients are small, so the table is both."""
+        return self._table.T if side == "l" else self._table
 
     def _build_table(self):
         # pos[x] is base element x's carrier index if it is a height-p map and
         # 0 otherwise.  Below height p the products fall into the lower ideal,
         # so reading composites through pos is exactly the collapsing product.
         layer = np.array([self.base.index_of(m) for m in self.maps], dtype=np.intp)
-        pos = np.zeros(self.base.size, dtype=np.int32)
+        pos = np.zeros(self.base.size, dtype=TABLE_DTYPE)
         pos[layer] = np.arange(1, len(layer) + 1)
-        table = np.zeros((self.size, self.size), dtype=np.int32)
+        table = np.zeros((self.size, self.size), dtype=TABLE_DTYPE)
         table[1:, 1:] = pos[self.base.table()[np.ix_(layer, layer)]]
         return table
 

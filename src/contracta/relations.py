@@ -4,9 +4,9 @@ Every characterized predicate here ships next to a brute-force oracle, and
 the verify suite treats any disagreement between the two as a hard failure.
 Oracles work purely from products; characterized predicates work from kernel
 and image data of the two maps alone.  L, R and J are the strongly connected
-components of the left, right and two-sided Cayley graphs over the
-generators the table build found (``generators()`` on either carrier type);
-the starred kinds key the kernel of each element's row of S^1 products.
+components of the left, right and two-sided Cayley graphs, read as successor
+arrays from ``cayley(side)`` on either carrier type, so they build no product
+table; the starred kinds key the kernel of each element's row of S^1 products.
 
 Relation kinds are the strings ``l r h d j lstar rstar hstar dstar``.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .limits import check_refinement_scan
 from .maps import ChainMap, FamilyTag, height, image, is_contraction
 from .partitions import convex_refinement_transversals, has_convex_transversal, kernel
-from .semigroups import FiniteSemigroup, idempotent_indices, row_blocks, subsemigroup
+from .semigroups import TABLE_DTYPE, FiniteSemigroup, idempotent_indices, row_blocks, subsemigroup
 
 __all__ = [
     "RelationPartition",
@@ -201,12 +201,10 @@ def _strong_components(successors) -> np.ndarray:
 
 def _cayley_labels(s, sides: str) -> np.ndarray:
     """Components of the Cayley graph over the carrier's generators g, with
-    edges a -> g*a for side "l" and a -> a*g for side "r".  From a, the left
-    graph reaches exactly S^1 a, so its components are the L-classes; the
-    right graph's are the R-classes, and both sides together give J."""
-    table, gens = s.table(), s.generators()
-    edges = [table[gens, :].T if side == "l" else table[:, gens] for side in sides]
-    return _strong_components(np.hstack(edges).tolist())
+    edges a -> g*a for side "l" and a -> a*g for side "r" (``s.cayley``).
+    From a, the left graph reaches exactly S^1 a, so its components are the
+    L-classes; the right graph's are the R-classes, and both give J."""
+    return _strong_components(np.hstack([s.cayley(side) for side in sides]).tolist())
 
 
 def _products(s, side: str):
@@ -233,11 +231,11 @@ def _kernel_keys(rows: np.ndarray, size: int) -> np.ndarray:
     # position where its value first occurs.  Offsetting each row in place
     # keeps the rows' values apart in one flat buffer; minimum.at is
     # unbuffered and min is order-free, so every slot ends at its value's
-    # least position however repeats are applied.
+    # least position however repeats are applied.  Positions fit the table's int16.
     width = size + 1
     rows += (np.arange(len(rows), dtype=np.int32) * size)[:, None]
-    first = np.full(len(rows) * size, width, dtype=np.int32)
-    np.minimum.at(first, rows.ravel(), np.tile(np.arange(width, dtype=np.int32), len(rows)))
+    first = np.full(len(rows) * size, width, dtype=TABLE_DTYPE)
+    np.minimum.at(first, rows.ravel(), np.tile(np.arange(width, dtype=TABLE_DTYPE), len(rows)))
     return first[rows]
 
 
@@ -283,7 +281,7 @@ def _oracle_labels(s, kind: str) -> np.ndarray:
 
 
 def _product_labels(s, kind: str) -> np.ndarray:
-    """Class labels of one relation kind, from the product table.
+    """Class labels of one relation kind, from products of the carrier.
 
     A starred one-sided kind labels each element by the kernel key of its
     row of S^1 products; the keys are streamed, so only the distinct ones
@@ -306,10 +304,10 @@ def _oracle(s, kind: str, kinds: tuple[str, ...], name: str) -> RelationPartitio
 
 
 def green_oracle(s, kind: str) -> RelationPartition:
-    """Brute-force Green's relation on a carrier, from its product table.
+    """Brute-force Green's relation on a carrier, from its Cayley graphs.
 
     ``l``/``r``/``j`` are the strongly connected components of the left,
-    right and two-sided Cayley graphs over ``s.generators()``: b is
+    right and two-sided Cayley graphs, the successor arrays ``s.cayley``: b is
     reachable from a exactly when b lies in S^1 a, a S^1 or S^1 a S^1, so
     mutual reachability is equality of the principal ideals.  ``h`` is the
     intersection of l and r and ``d`` their join, asserted en route to equal

@@ -1,4 +1,4 @@
-"""Enumerated finite semigroups of chain maps, with cached product tables.
+"""Enumerated finite semigroups of chain maps, with lazily built product tables.
 
 A map is a contraction exactly when adjacent images differ by -1, 0 or +1
 (see ``maps.is_contraction``), so the contraction families are generated as
@@ -6,12 +6,12 @@ walks on 1..n: ``ct`` takes steps in {-1, 0, +1}, ``oct`` steps in {0, +1},
 and ``orct`` the ``oct`` walks together with those with steps in {-1, 0}.
 ``t`` is all n^n image words.  Every family's words are one lexicographic
 (count, n) int8 array, which ``is_regular_in`` scans without a carrier.
-Product tables are filled along the left Cayley graph: only generator rows
-are coded and looked up, and any other row is a gather, row(h*k) =
-row(h)[row(k)].  Closure is still checked in full, since a gathered entry
-h*(k*b) is inside when the generator rows are; every carrier builds its
-table on construction, which fails loudly if a product escapes the element
-set.
+Construction walks the left Cayley graph: only generator rows are coded and
+looked up, and every other element t is found as g*k for a generator g and
+an element k found before it.  Closure is checked in full, since t*b =
+g*(k*b) is inside when the generator rows are; the walk fails loudly if a
+product escapes the element set.  The int16 product table is built when it
+is first read, by replaying the walk: row(g*k) = row(g)[row(k)].
 """
 
 from __future__ import annotations
@@ -38,13 +38,15 @@ __all__ = [
 # Product tables are built only while size^2 fits this entry budget; bigger
 # carriers fail fast instead of computing products one at a time.
 DEFAULT_TABLE_BUDGET = 64_000_000
+# Table entries are indices, and the budget caps a table at 8,000 elements.
+TABLE_DTYPE = np.int16
 
 # Row-blocked scans keep each temporary array near this many entries; the
-# table build, which holds several int64 temporaries per block, uses fewer.
+# escape search, which holds several int64 temporaries per block, uses fewer.
 _BLOCK_ENTRIES = 1 << 17
 _TABLE_BLOCK_ENTRIES = 1 << 13
 
-# The table build codes image words in base n as int64, exact while
+# The generator walk codes image words in base n as int64, exact while
 # n^n < 2^63: 15^15 is about 4.4e17, 16^16 about 1.8e19.
 _MAX_CODED_N = 15
 
@@ -59,8 +61,8 @@ def check_table_budget(size: int) -> None:
     if entries > DEFAULT_TABLE_BUDGET:
         raise ValueError(
             f"a product table for {size:,} elements needs {entries:,} entries "
-            f"({4 * entries:,} bytes), over the budget of {DEFAULT_TABLE_BUDGET:,} entries; "
-            "lower n"
+            f"({entries * np.dtype(TABLE_DTYPE).itemsize:,} bytes), "
+            f"over the budget of {DEFAULT_TABLE_BUDGET:,} entries; lower n"
         )
 
 
@@ -90,10 +92,10 @@ class FiniteSemigroup:
             if m.n != n:
                 raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
         self._index = {m: i for i, m in enumerate(self.elements)}
-        self._table = None
-        # Building the table raises ClosureError on an escaping product.
+        self._table = self._walk = None
+        # The generator walk raises ClosureError on an escaping product.
         if check_closed:
-            self.table()
+            self.generators()
 
     # -- basic container behaviour -------------------------------------
 
@@ -126,19 +128,31 @@ class FiniteSemigroup:
         return int(self.table()[i, j])
 
     def table(self) -> np.ndarray:
-        """The full int32 product table; ValueError when it exceeds the entry budget."""
+        """The full int16 product table, replayed from the generator walk on
+        first read; ValueError when it exceeds the entry budget."""
         if self._table is None:
             check_table_budget(self.size)
-            self._table, self._generators = self._build_table()
+            self._table = self._build_table()
         return self._table
 
     def generators(self) -> np.ndarray:
-        """Indices of a generating set: the rows the table build coded directly."""
-        self.table()
-        return self._generators
+        """Indices of a generating set: the rows the generator walk coded directly."""
+        if self._walk is None:
+            self._walk = self._generator_walk()
+        return self._walk[0]
 
-    def _build_table(self):
-        m, n = self.size, self.n
+    def cayley(self, side: str) -> np.ndarray:
+        """Successors of the left (side "l", a -> g*a: the walk's) or right
+        (a -> a*g, coded per call) Cayley graph over the generators g."""
+        gens = self.generators()
+        if side == "l":
+            return self._walk[1]
+        spread, right, codes = self._coding()
+        return _direct_rows(spread, right[:, gens], codes, np.arange(self.size))[0]
+
+    def _coding(self):
+        """Each element's base-n code and the arrays that code its products."""
+        n = self.n
         if n > _MAX_CODED_N:
             raise ValueError(
                 f"product tables are built for chains of size n <= {_MAX_CODED_N}, got n={n}"
@@ -148,41 +162,53 @@ class FiniteSemigroup:
         codes = words @ weights  # ascending, since elements are sorted
         # The code of a*b is sum_x b(x) * spread_a[x], where spread_a[x] sums
         # the weights of the positions k with a(k) = x.
-        spread = np.zeros((m, n), dtype=np.int64)
+        spread = np.zeros((self.size, n), dtype=np.int64)
         for k in range(n):
-            spread[np.arange(m), words[:, k]] += weights[k]
-        right = np.ascontiguousarray(words.T)
+            spread[np.arange(self.size), words[:, k]] += weights[k]
+        return spread, np.ascontiguousarray(words.T), codes
+
+    def _generator_walk(self):
+        """Generators, the left successor array g*a, and one step (t, g, k)
+        with t = g*k for every other element, in the order found."""
+        spread, right, codes = self._coding()
         rank = np.count_nonzero(spread, axis=1)
-        table = np.empty((m, m), dtype=np.int32)
-        known = np.zeros(m, dtype=bool)
-        order = np.empty(m, dtype=np.intp)  # the known rows, in the order found
-        count = done = 0  # every generator has been multiplied onto order[:done]
-        gens = []
-        while count < m:
+        known = np.zeros(self.size, dtype=bool)
+        found, done = [], 0  # every generator has been multiplied onto found[:done]
+        gens, rows, steps = [], [], []
+        while len(found) < self.size:
             # Rank never rises along a product, so the widest unknown map is
             # taken as the next generator; only its row is coded directly.
             g = int(np.argmax(np.where(known, -1, rank)))
             idx, bad = _direct_rows(spread, right, codes, [g])
             if bad.any():
                 self._raise_first_escape(spread, right, codes)
-            table[g], known[g], order[count] = idx, True, g
-            count += 1
+            known[g] = True
+            found.append(g)
             gens.append(g)
-            # Walk the left Cayley graph: the row of h*k is row(h)[row(k)].
-            left, ks = np.array([g]), order[:done]
+            rows.append(idx[0])
+            # Walk the left Cayley graph: k is found, so g*k is too.
+            succ, hs = np.array(rows), np.array([len(gens) - 1])
+            ks = np.array(found[:done], dtype=np.intp)
             while True:
-                for hs in row_blocks(left, len(ks)):
-                    targets = table[np.ix_(hs, ks)]
-                    hi, ki = np.nonzero(~known[targets])
-                    for t, h, k in zip(targets[hi, ki].tolist(), hs[hi].tolist(), ks[ki].tolist()):
-                        if not known[t]:
-                            table[h].take(table[k], out=table[t])
-                            known[t], order[count] = True, t
-                            count += 1
-                if done == count:
+                targets = succ[np.ix_(hs, ks)]
+                hi, ki = np.nonzero(~known[targets])
+                for t, h, k in zip(targets[hi, ki].tolist(), hs[hi].tolist(), ks[ki].tolist()):
+                    if not known[t]:
+                        known[t] = True
+                        found.append(t)
+                        steps.append((t, gens[h], k))
+                if done == len(found):
                     break
-                left, ks, done = np.array(gens), order[done:count], count
-        return table, np.array(gens, dtype=np.intp)
+                hs, ks, done = np.arange(len(gens)), np.array(found[done:]), len(found)
+        return np.array(gens, dtype=np.intp), np.array(rows, dtype=np.int32).T, np.array(steps)
+
+    def _build_table(self):
+        """Replay the generator walk: the row of t = g*k is row(g)[row(k)]."""
+        table = np.empty((self.size, self.size), dtype=TABLE_DTYPE)
+        table[self.generators()] = self._walk[1].T
+        for t, g, k in self._walk[2].tolist():
+            table[g].take(table[k], out=table[t])
+        return table
 
     def _raise_first_escape(self, spread, right, codes):
         """ClosureError naming the first escaping product of the lowest column."""

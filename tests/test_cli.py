@@ -53,7 +53,7 @@ class TestEnumerate:
         assert out == ""
         assert "46,656 elements" in err
         assert "2,176,782,336 entries" in err
-        assert "8,707,129,344 bytes" in err
+        assert "4,353,564,672 bytes" in err
 
     @pytest.mark.parametrize("argv,message", [
         (("enumerate", "--family", "t", "--n", "7"), "823,543 elements"),
@@ -394,6 +394,17 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, *argv)
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_ct7_l_builds_no_table(self, capsys, monkeypatch):
+        # L reads the generator walk's successor array, never the table.
+        def unreachable(s):
+            raise AssertionError("a product table was built")
+
+        monkeypatch.setattr(FiniteSemigroup, "_build_table", unreachable)
+        argv = ("relations", "--method", "oracle", "--family", "ct", "--n", "7", "--relation", "l")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == {a: d for a, _, d in GOLDEN_STDOUT}[argv]
 
 
 class TestRees:

@@ -189,6 +189,10 @@ class TestGreenOracle:
             s = regular_base("orct", n) if p is None else rees_quotient(regular_base("orct", n), p)
         else:
             s = family(fam, n)
+        # A quotient's Cayley graphs run over every index.
+        gens, table = np.arange(s.size) if p else s.generators(), s.table()
+        assert np.array_equal(s.cayley("l"), table[gens].T)
+        assert np.array_equal(s.cayley("r"), table[:, gens])
         for side in ("l", "r"):
             assert np.array_equal(green_oracle(s, side).labels, _ideal_labels(s, side)), side
         assert np.array_equal(green_oracle(s, "j").labels, _matrix_product_j(s))
@@ -467,6 +471,21 @@ class TestGreenCT7:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_green_kinds_build_no_table(self):
+        # The Cayley successor arrays are size x |generators|; the int32 table
+        # alone was 45.9 MB and the int16 one is half that.
+        tracemalloc.start()
+        try:
+            s = enumerate_family("ct", 7)
+            green_oracle(s, "l")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        for kind in ("r", "j", "h", "d"):
+            green_oracle(s, kind)
+        assert s._table is None
 
 
 class TestStarredCT7:

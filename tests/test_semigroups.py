@@ -2,6 +2,7 @@
 
 import re
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ class TestClosure:
 
     def test_generators_of_unchecked_subsemigroup(self, family):
         # The height-2 ideal of ct5 needs 30 generator rows; an unchecked
-        # carrier builds its table on the first call.
+        # carrier walks its generators on the first call.
         s = FiniteSemigroup(5, "custom", height_ideal(family("ct", 5), 2).elements, check_closed=False)
         gens = s.generators()
         assert len(gens) == 30
@@ -302,13 +303,24 @@ class TestClosure:
         assert s.table().tolist() == [list(range(15))] * 15
 
     def test_table_over_budget_raises(self, family, monkeypatch):
+        # Construction checks closure by the generator walk alone; the budget
+        # applies when the table is first read.
         s = family("ct", 3)
         monkeypatch.setattr(semigroups, "DEFAULT_TABLE_BUDGET", 100)
-        with pytest.raises(ValueError, match=r"17 elements needs 289 entries \(1,156 bytes\)"):
-            FiniteSemigroup(3, "ct", s.elements)
+        checked = FiniteSemigroup(3, "ct", s.elements)
+        with pytest.raises(ValueError, match=r"17 elements needs 289 entries \(578 bytes\)"):
+            checked.table()
         fresh = FiniteSemigroup(3, "ct", s.elements, check_closed=False)
         with pytest.raises(ValueError, match="over the budget of 100 entries"):
             fresh.table()
+
+    def test_ct7_table_is_int16(self, family):
+        table = family("ct", 7).table()
+        assert table.dtype == np.int16 and table.nbytes == 2 * 3387**2
+
+    def test_budget_fits_int16(self):
+        # Every table the budget admits indexes its elements in int16.
+        assert isqrt(semigroups.DEFAULT_TABLE_BUDGET) <= np.iinfo(np.int16).max
 
     def test_subsemigroup_rejects_non_closed(self, family):
         s = family("ct", 3)
