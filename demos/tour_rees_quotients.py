@@ -11,17 +11,9 @@ ways.
 Run:  python demos/tour_rees_quotients.py
 """
 
-from contracta import (
-    enumerate_family,
-    height_ideal,
-    rees_quotient,
-    regular_elements,
-    subsemigroup,
-    verify_inverse,
-)
+from contracta import height_ideal, rees_quotient, regular_subsemigroup, verify_inverse
 
-family = enumerate_family("orct", 5)
-base = subsemigroup(family, regular_elements(family))
+base = regular_subsemigroup("orct", 5)
 print(f"Base: the {base.size} regular order-compatible contractions of the 5-chain.")
 print()
 

@@ -51,7 +51,6 @@ from .semigroups import (
     generated_subsemigroup,
     idempotents,
     idempotents_commute,
-    is_inverse,
     is_orthodox,
     is_subsemigroup,
     regular_elements,
@@ -83,6 +82,7 @@ from .rees import (
     InverseVerification,
     ReesQuotient,
     height_ideal,
+    is_inverse,
     rees_quotient,
     verify_inverse,
 )

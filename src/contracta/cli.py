@@ -56,7 +56,7 @@ from .semigroups import (
     idempotents,
     is_regular_in,
     regular_elements,
-    subsemigroup,
+    regular_subsemigroup,
 )
 
 SCHEMA = 1
@@ -180,6 +180,8 @@ def _smallest_family(m) -> str:
 def cmd_analyze(args) -> int:
     m = map_from_text(args.map_text, args.n)
     fam = _smallest_family(m)
+    # Before the transversals, whose count grows exponentially with n.
+    check_family_size(fam, args.n)
     k = kernel(m)
     ts = [
         {
@@ -191,7 +193,6 @@ def cmd_analyze(args) -> int:
         for t in transversals(k)
     ]
     contraction = is_contraction(m)
-    check_family_size(fam, args.n)
     regular_oracle = is_regular_in(family_words(fam, args.n), m)
     payload = {
         "schema": SCHEMA,
@@ -330,10 +331,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rees(args) -> int:
-    base_family = enumerate_family(args.family, args.n)
-    reg = regular_elements(base_family)
-    base = subsemigroup(base_family, reg)
-    q = rees_quotient(base, args.p)
+    q = rees_quotient(regular_subsemigroup(args.family, args.n), args.p)
     verification = verify_inverse(q)
     ids = idempotent_indices(q)
     payload = {

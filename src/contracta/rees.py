@@ -19,7 +19,6 @@ from .semigroups import (
     _unique_inverse_counts,
     idempotents_commute,
     is_orthodox,
-    regular_elements,
 )
 
 __all__ = [
@@ -28,6 +27,7 @@ __all__ = [
     "height_ideal",
     "rees_quotient",
     "verify_inverse",
+    "is_inverse",
     "InverseVerification",
 ]
 
@@ -141,18 +141,15 @@ class ReesQuotient:
         return f"ReesQuotient(n={self.n}, p={self.p}, size={self.size})"
 
 
-def rees_quotient(base: FiniteSemigroup, p: int, *, allow_irregular_base=False) -> ReesQuotient:
+def rees_quotient(base: FiniteSemigroup, p: int) -> ReesQuotient:
     """Rees factor of the height-(<= p) ideal by the height-(<= p-1) ideal.
 
-    The base must consist of regular elements (use ``allow_irregular_base``
-    for experimental carriers; the collapsing rule is applied unchanged).
+    The base must consist of regular elements.
     """
     if not 2 <= p <= base.n:
         raise ValueError(f"quotient height p={p} out of range 2..{base.n}")
-    if not allow_irregular_base and len(regular_elements(base)) != base.size:
-        raise ValueError(
-            "base contains non-regular elements; pass allow_irregular_base=True to proceed"
-        )
+    if not _regular_mask(base.table()).all():
+        raise ValueError("base contains non-regular elements")
     upper = height_ideal(base, p)
     layer = tuple(m for m in upper.elements if height(m) == p)
     if not layer:
@@ -162,11 +159,11 @@ def rees_quotient(base: FiniteSemigroup, p: int, *, allow_irregular_base=False) 
 
 @dataclass(frozen=True)
 class InverseVerification:
-    """Independently computed inverse-semigroup criteria for one quotient.
+    """Independently computed inverse-semigroup criteria for one carrier.
 
-    ``inverse`` is the agreed verdict; ``consistent`` records that the three
-    routes (regular + commuting idempotents, unique inverses, orthodox +
-    L-unipotent + R-unipotent) all said the same thing.
+    ``inverse`` is the verdict of the first route; ``consistent`` records that
+    the three routes (regular + commuting idempotents, unique inverses,
+    orthodox + L-unipotent + R-unipotent) all said the same thing.
     """
 
     size: int
@@ -183,28 +180,25 @@ class InverseVerification:
         return asdict(self)
 
 
-def verify_inverse(q: ReesQuotient) -> InverseVerification:
-    """Check the inverse-semigroup property three independent ways.
+def verify_inverse(c) -> InverseVerification:
+    """Check the inverse-semigroup property of a carrier three independent ways.
 
     (i) every element regular and idempotents commute, (ii) every element has
     exactly one inverse, (iii) orthodox plus unique idempotents per L-class
-    and per R-class.  All three must agree.
+    and per R-class.  ``consistent`` says whether all three agree.
     """
-    from .relations import _non_unipotent_class  # local import to avoid a cycle
+    from .relations import is_l_unipotent, is_r_unipotent  # local import to avoid a cycle
 
-    table, whole = q.table(), np.arange(q.size)
-    all_regular = bool(_regular_mask(table, whole).all())
-    commute = idempotents_commute(q)
-    unique = bool((_unique_inverse_counts(table, whole) == 1).all())
-    orthodox = is_orthodox(q)
-    l_uni = _non_unipotent_class(q, "l") is None
-    r_uni = _non_unipotent_class(q, "r") is None
+    table = c.table()
+    all_regular = bool(_regular_mask(table).all())
+    commute = idempotents_commute(c)
+    unique = bool((_unique_inverse_counts(table) == 1).all())
+    orthodox = is_orthodox(c)
+    l_uni, r_uni = is_l_unipotent(c), is_r_unipotent(c)
     by_structure = all_regular and commute
-    by_uniqueness = unique
-    by_unipotence = orthodox and l_uni and r_uni
-    consistent = by_structure == by_uniqueness == by_unipotence
+    consistent = by_structure == unique == (orthodox and l_uni and r_uni)
     return InverseVerification(
-        size=q.size,
+        size=c.size,
         all_regular=all_regular,
         idempotents_commute=commute,
         unique_inverses=unique,
@@ -214,3 +208,15 @@ def verify_inverse(q: ReesQuotient) -> InverseVerification:
         inverse=by_structure,
         consistent=consistent,
     )
+
+
+def is_inverse(c) -> bool:
+    """True iff the carrier is an inverse semigroup; RuntimeError unless the
+    three criteria of ``verify_inverse`` agree."""
+    report = verify_inverse(c)
+    if not report.consistent:
+        raise RuntimeError(
+            "inverse-semigroup criteria disagree (commuting idempotents, unique inverses, "
+            "orthodox and unipotent); this indicates a bug in the product machinery"
+        )
+    return report.inverse

@@ -21,7 +21,7 @@ import numpy as np
 from .limits import check_refinement_scan
 from .maps import ChainMap, FamilyTag, height, image, is_contraction
 from .partitions import convex_refinement_transversals, has_convex_transversal, kernel
-from .semigroups import TABLE_DTYPE, FiniteSemigroup, idempotent_indices, row_blocks, subsemigroup
+from .semigroups import TABLE_DTYPE, FiniteSemigroup, idempotent_indices, row_blocks
 
 __all__ = [
     "RelationPartition",
@@ -571,25 +571,24 @@ def _non_unipotent_class(carrier, side: str):
     return _first_class_by_idempotents(green_oracle(carrier, side), lambda k: k != 1)
 
 
-def unipotence_witness(s: FiniteSemigroup, subset, side: str):
-    """A Green's class of the subset with idempotent count != 1, or None.
+def unipotence_witness(s: FiniteSemigroup, side: str):
+    """A Green's class with idempotent count != 1, as a tuple of maps, or None.
 
-    ``side`` "l" scans L-classes, "r" scans R-classes, of the subset viewed
-    as a semigroup in its own right.
+    ``side`` "l" scans L-classes, "r" scans R-classes.  The regular part of
+    a family is asked about as ``regular_subsemigroup(family, n)``.
     """
-    sub = subsemigroup(s, subset)
-    c = _non_unipotent_class(sub, side)
-    return None if c is None else tuple(sub.elements[i] for i in c)
+    c = _non_unipotent_class(s, side)
+    return None if c is None else tuple(s.elements[i] for i in c)
 
 
-def is_l_unipotent(s: FiniteSemigroup, subset) -> bool:
-    """True iff each L-class of the subset holds exactly one idempotent."""
-    return unipotence_witness(s, subset, "l") is None
+def is_l_unipotent(c) -> bool:
+    """True iff each L-class of the carrier holds exactly one idempotent."""
+    return _non_unipotent_class(c, "l") is None
 
 
-def is_r_unipotent(s: FiniteSemigroup, subset) -> bool:
-    """True iff each R-class of the subset holds exactly one idempotent."""
-    return unipotence_witness(s, subset, "r") is None
+def is_r_unipotent(c) -> bool:
+    """True iff each R-class of the carrier holds exactly one idempotent."""
+    return _non_unipotent_class(c, "r") is None
 
 
 # -- characterized regularity --------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "is_subsemigroup",
     "idempotents_commute",
     "is_orthodox",
-    "is_inverse",
 ]
 
 # Product tables are built only while size^2 fits this entry budget; bigger
@@ -82,7 +81,7 @@ class FiniteSemigroup:
     construction; the lazily built product table is write-once.
     """
 
-    def __init__(self, n, family, elements, *, check_closed=True):
+    def __init__(self, n, family, elements):
         self.n = n
         self.family = family
         self.elements = tuple(sorted(set(elements)))
@@ -92,10 +91,9 @@ class FiniteSemigroup:
             if m.n != n:
                 raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
         self._index = {m: i for i, m in enumerate(self.elements)}
-        self._table = self._walk = None
+        self._table = None
         # The generator walk raises ClosureError on an escaping product.
-        if check_closed:
-            self.generators()
+        self._gens, self._left, self._steps = self._generator_walk()
 
     # -- basic container behaviour -------------------------------------
 
@@ -137,18 +135,15 @@ class FiniteSemigroup:
 
     def generators(self) -> np.ndarray:
         """Indices of a generating set: the rows the generator walk coded directly."""
-        if self._walk is None:
-            self._walk = self._generator_walk()
-        return self._walk[0]
+        return self._gens
 
     def cayley(self, side: str) -> np.ndarray:
         """Successors of the left (side "l", a -> g*a: the walk's) or right
         (a -> a*g, coded per call) Cayley graph over the generators g."""
-        gens = self.generators()
         if side == "l":
-            return self._walk[1]
+            return self._left
         spread, right, codes = self._coding()
-        return _direct_rows(spread, right[:, gens], codes, np.arange(self.size))[0]
+        return _direct_rows(spread, right[:, self._gens], codes, np.arange(self.size))[0]
 
     def _coding(self):
         """Each element's base-n code and the arrays that code its products."""
@@ -205,8 +200,8 @@ class FiniteSemigroup:
     def _build_table(self):
         """Replay the generator walk: the row of t = g*k is row(g)[row(k)]."""
         table = np.empty((self.size, self.size), dtype=TABLE_DTYPE)
-        table[self.generators()] = self._walk[1].T
-        for t, g, k in self._walk[2].tolist():
+        table[self._gens] = self._left.T
+        for t, g, k in self._steps.tolist():
             table[g].take(table[k], out=table[t])
         return table
 
@@ -293,60 +288,51 @@ def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
         raise ValueError(f"subset is not closed under composition: {exc}") from None
 
 
-# -- criteria over an index pool -------------------------------------------
+# -- criteria over one closed carrier -----------------------------------------
 #
-# Every criterion reads a carrier's product table (a FiniteSemigroup or a
-# ReesQuotient) restricted to a pool of its indices: a subset, or the whole
-# carrier when ``subset`` is None.
-
-
-def _pool(s, subset) -> np.ndarray:
-    if subset is None:
-        return np.arange(s.size)
-    idx = [s.index_of(m) for m in subset]
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    return np.array(idx, dtype=np.intp)
-
-
-def _idempotents_of(table, pool) -> np.ndarray:
-    """The pool elements e with e*e = e, read off the table's diagonal."""
-    return pool[table[pool, pool] == pool]
+# Every criterion reads the whole product table of one carrier (a
+# FiniteSemigroup or a ReesQuotient), closed by construction.  A subset is
+# asked about as ``subsemigroup(s, subset)``.
 
 
 def idempotent_indices(s) -> list[int]:
-    """Indices i of the carrier with i*i = i."""
-    return _idempotents_of(s.table(), np.arange(s.size)).tolist()
+    """Indices i of the carrier with i*i = i, read off the table's diagonal."""
+    return np.flatnonzero(s.table().diagonal() == np.arange(s.size)).tolist()
 
 
-def _regular_mask(table, pool) -> np.ndarray:
-    """Per pool element a, whether a*b*a = a for some b in the pool."""
+def _regular_mask(table) -> np.ndarray:
+    """Per element a, whether a*b*a = a for some b."""
     mask = []
-    for rows in row_blocks(pool, len(pool)):
-        a = rows[:, None]
-        mask.append((table[table[a, pool], a] == a).any(axis=1))
+    for rows in row_blocks(np.arange(len(table)), len(table)):
+        mask.append((table[table[rows], rows[:, None]] == rows[:, None]).any(axis=1))
     return np.concatenate(mask)
 
 
-def _unique_inverse_counts(table, pool) -> np.ndarray:
-    """Per pool element a, the number of b in the pool with aba = a and bab = b."""
+def _unique_inverse_counts(table) -> np.ndarray:
+    """Per element a, the number of b with aba = a and bab = b."""
+    whole = np.arange(len(table))
     counts = []
-    for rows in row_blocks(pool, len(pool)):
-        a, b = rows[:, None], pool[None, :]
+    for rows in row_blocks(whole, len(whole)):
+        a, b = rows[:, None], whole[None, :]
         inverse = (table[table[a, b], a] == a) & (table[table[b, a], b] == b)
         counts.append(inverse.sum(axis=1))
     return np.concatenate(counts)
 
 
-def _escaping_pair(table, pool):
-    """The first (a, b) of pool x pool, row by row, whose product leaves the pool."""
-    inside = np.zeros(len(table), dtype=bool)
+def _escaping_pair(s: FiniteSemigroup, subset):
+    """The first (a, b) of subset x subset, row by row, whose product leaves
+    the subset, as maps; None when the subset is closed."""
+    pool = np.array([s.index_of(m) for m in subset], dtype=np.intp)
+    if not pool.size:
+        raise ValueError("subset must be nonempty")
+    table = s.table()
+    inside = np.zeros(s.size, dtype=bool)
     inside[pool] = True
     for rows in row_blocks(pool, len(pool)):
         out = ~inside[table[rows[:, None], pool]]
         if out.any():
             r, c = divmod(int(np.argmax(out)), len(pool))
-            return int(rows[r]), int(pool[c])
+            return s.elements[rows[r]], s.elements[pool[c]]
     return None
 
 
@@ -373,14 +359,9 @@ def is_regular_in(words: np.ndarray, m: ChainMap) -> bool:
     return False
 
 
-def regular_elements(s: FiniteSemigroup, subset=None) -> tuple[ChainMap, ...]:
-    """Elements a with a*b*a = a for some witness b.
-
-    With ``subset`` given, both a and the witness b range over the subset
-    ("regular within"); otherwise over the whole semigroup.
-    """
-    pool = _pool(s, subset)
-    return tuple(s.elements[a] for a in pool[_regular_mask(s.table(), pool)])
+def regular_elements(s: FiniteSemigroup) -> tuple[ChainMap, ...]:
+    """Elements a with a*b*a = a for some witness b in the semigroup."""
+    return tuple(s.elements[a] for a in np.flatnonzero(_regular_mask(s.table())))
 
 
 def regular_subsemigroup(family, n: int) -> FiniteSemigroup:
@@ -394,19 +375,21 @@ def regular_subsemigroup(family, n: int) -> FiniteSemigroup:
 
 
 def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
-    """Closure of ``gens`` under composition, as a semigroup."""
+    """Closure of ``gens`` under composition, as a semigroup.
+
+    Every product g1*...*gk is reached from g1 by right multiplication, so
+    each round multiplies only the newly reached elements by the generators.
+    """
     table = s.table()
     inside = np.zeros(s.size, dtype=bool)
     inside[[s.index_of(m) for m in gens]] = True
-    frontier = np.flatnonzero(inside)
-    if not frontier.size:
+    generators = frontier = np.flatnonzero(inside)
+    if not generators.size:
         raise ValueError("at least one generator is required")
     while frontier.size:
-        current = np.flatnonzero(inside)
         reached = np.zeros(s.size, dtype=bool)
-        for rows in row_blocks(frontier, len(current)):
-            reached[table[rows[:, None], current]] = True
-            reached[table[current[:, None], rows]] = True
+        for rows in row_blocks(frontier, len(generators)):
+            reached[table[np.ix_(rows, generators)]] = True
         frontier = np.flatnonzero(reached & ~inside)
         inside[frontier] = True
     return FiniteSemigroup(s.n, "custom", [s.elements[i] for i in np.flatnonzero(inside)])
@@ -414,43 +397,22 @@ def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
 
 def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
     """True iff the subset is closed under the ambient product."""
-    return _escaping_pair(s.table(), _pool(s, subset)) is None
+    return _escaping_pair(s, subset) is None
 
 
-def idempotents_commute(s, subset=None) -> bool:
-    """True iff e*f = f*e for all idempotents e, f of the subset."""
-    table = s.table()
-    ids = _idempotents_of(table, _pool(s, subset))
-    ef = table[np.ix_(ids, ids)]
+def idempotents_commute(s) -> bool:
+    """True iff e*f = f*e for all idempotents e, f of the carrier."""
+    ids = idempotent_indices(s)
+    ef = s.table()[np.ix_(ids, ids)]
     return bool((ef == ef.T).all())
 
 
-def is_orthodox(s, subset=None) -> bool:
-    """True iff every subset element is regular within the subset and the
-    subset's idempotents are closed under product."""
-    table, pool = s.table(), _pool(s, subset)
-    escape = _escaping_pair(table, pool)
-    if escape is not None:
-        a, b = escape
-        raise ValueError(f"subset is not closed: {s.elements[a]} * {s.elements[b]} escapes")
-    if not _regular_mask(table, pool).all():
+def is_orthodox(s) -> bool:
+    """True iff every element of the carrier is regular and its idempotents
+    are closed under product."""
+    table = s.table()
+    if not _regular_mask(table).all():
         return False
-    ids = _idempotents_of(table, pool)
+    ids = idempotent_indices(s)
     ef = table[np.ix_(ids, ids)]
     return bool((table[ef, ef] == ef).all())
-
-
-def is_inverse(s: FiniteSemigroup, subset) -> bool:
-    """True iff the subset is orthodox with commuting idempotents.
-
-    The equivalent unique-inverse criterion is computed independently and the
-    two verdicts are required to agree.
-    """
-    by_structure = is_orthodox(s, subset) and idempotents_commute(s, subset)
-    by_uniqueness = bool((_unique_inverse_counts(s.table(), _pool(s, subset)) == 1).all())
-    if by_structure != by_uniqueness:
-        raise RuntimeError(
-            "inverse-semigroup criteria disagree (orthodox+commuting vs unique inverses); "
-            "this indicates a bug in the product machinery"
-        )
-    return by_structure

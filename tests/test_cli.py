@@ -11,6 +11,7 @@ import pytest
 
 import contracta
 import contracta.checks as checks
+import contracta.cli as cli
 import contracta.semigroups as semigroups
 from contracta.cli import main
 from contracta.semigroups import FiniteSemigroup
@@ -86,6 +87,18 @@ class TestEnumerate:
 
 
 class TestAnalyze:
+    def test_guard_before_transversals(self, capsys, monkeypatch):
+        # The kernel has 3^11 transversals; the guard rejects n=33 first.
+        def unreachable(*args):
+            raise AssertionError("transversals were built")
+
+        monkeypatch.setattr(cli, "transversals", unreachable)
+        word = "[" + ",".join(str(v) for v in range(1, 12) for _ in range(3)) + "]"
+        code, out, err = run_cli(capsys, "analyze", "--n", "33", "--map", word)
+        assert code == 2
+        assert out == ""
+        assert "n=33 exceeds the guard for family 'oct'" in err
+
     def test_example_map(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--n", "6", "--map", "[1,2,2,3,4,3]")
         assert code == 0
@@ -334,6 +347,13 @@ GOLDEN_STDOUT = [
         ("verify", "--check", "orthodox", "--family", "ct", "--n", "6"),
         1,
         "3a92ca8c2942ce02f9d578420aa8cdc2b81c9cc3b40ca6b7f31de58244036a7c",
+    ),
+    (
+        # Row by row the first escape is this pair; the first escape of the
+        # lowest column, which a carrier's ClosureError names, is another.
+        ("verify", "--check", "orthodox", "--family", "ct", "--n", "7"),
+        1,
+        "0df146510bcf3fa4f6ddccf3c92245d49936fd008ccafb110843ff205e3d435e",
     ),
     (
         ("analyze", "--n", "6", "--map", "[2,1,1,1,1,1]"),

@@ -1,7 +1,9 @@
 """Height ideals, the collapsing quotient, and its inverse-semigroup report."""
 
+import numpy as np
 import pytest
 
+import contracta.rees as rees
 from contracta import (
     ReesQuotient,
     compose,
@@ -9,6 +11,7 @@ from contracta import (
     height_ideal,
     identity_map,
     is_idempotent,
+    is_inverse,
     kernel,
     make_map,
     rees_quotient,
@@ -96,8 +99,6 @@ class TestQuotientConstruction:
         whole = subsemigroup(s, s.elements)  # CT_4 has non-regular elements
         with pytest.raises(ValueError, match="non-regular"):
             rees_quotient(whole, 2)
-        q = rees_quotient(whole, 2, allow_irregular_base=True)
-        assert q.size > 1
 
     def test_corrupted_table_fails_associativity(self, regular_base, monkeypatch):
         base = regular_base("orct", 4)
@@ -150,6 +151,31 @@ class TestInverseVerification:
         assert report.orthodox
         assert report.l_unipotent and report.r_unipotent
         assert report.as_dict()["inverse"] is True
+
+
+    def test_trivial_group_is_inverse(self, family):
+        s = subsemigroup(family("ct", 3), [identity_map(3)])
+        report = verify_inverse(s)
+        assert report.inverse and report.consistent
+        assert is_inverse(s)
+
+    def test_reg_orct4_is_not_inverse(self, regular_base):
+        # Constant maps are idempotents that do not commute.
+        s = regular_base("orct", 4)
+        report = verify_inverse(s)
+        assert not report.idempotents_commute and not report.r_unipotent
+        assert not report.inverse and report.consistent
+        assert not is_inverse(s)
+
+    def test_disagreeing_criteria_raise(self, regular_base, monkeypatch):
+        # Two inverses apiece: the unique-inverse route turns against the others.
+        monkeypatch.setattr(rees, "_unique_inverse_counts", lambda table: np.full(len(table), 2))
+        q = rees_quotient(regular_base("orct", 4), 2)
+        report = verify_inverse(q)
+        assert report.inverse and not report.unique_inverses
+        assert not report.consistent
+        with pytest.raises(RuntimeError, match="criteria disagree"):
+            is_inverse(q)
 
 
 class TestQuotientIdempotents:

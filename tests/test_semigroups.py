@@ -187,6 +187,25 @@ def _left_closure(s, gens):
     return reached
 
 
+# A few maps of ct4, ct5 or orct5, with their chain size.
+FAMILY_GENERATORS = st.sampled_from([("ct", 4), ("ct", 5), ("orct", 5)]).flatmap(
+    lambda fam_n: st.lists(st.sampled_from(semigroups.family_words(*fam_n).tolist()), min_size=1, max_size=4).map(
+        lambda words: (fam_n, [make_map(fam_n[1], w) for w in words])
+    )
+)
+
+
+def _compose_closure(gens):
+    """Every product of the maps, grown by compose until nothing new appears."""
+    closed, fresh = set(gens), set(gens)
+    while fresh:
+        products = {compose(a, b) for a in closed for b in fresh}
+        products |= {compose(b, a) for a in closed for b in fresh}
+        fresh = products - closed
+        closed |= fresh
+    return closed
+
+
 GENERATOR_FAMILIES = [(fam, n) for fam in ("ct", "oct", "orct") for n in range(1, 7)] + [
     ("t", n) for n in range(1, 6)
 ]
@@ -282,9 +301,8 @@ class TestClosure:
         assert _left_closure(s, s.generators()).all()
 
     def test_generators_of_unchecked_subsemigroup(self, family):
-        # The height-2 ideal of ct5 needs 30 generator rows; an unchecked
-        # carrier walks its generators on the first call.
-        s = FiniteSemigroup(5, "custom", height_ideal(family("ct", 5), 2).elements, check_closed=False)
+        # The height-2 ideal of ct5 needs 30 generator rows.
+        s = FiniteSemigroup(5, "custom", height_ideal(family("ct", 5), 2).elements)
         gens = s.generators()
         assert len(gens) == 30
         assert _left_closure(s, gens).all()
@@ -310,9 +328,6 @@ class TestClosure:
         checked = FiniteSemigroup(3, "ct", s.elements)
         with pytest.raises(ValueError, match=r"17 elements needs 289 entries \(578 bytes\)"):
             checked.table()
-        fresh = FiniteSemigroup(3, "ct", s.elements, check_closed=False)
-        with pytest.raises(ValueError, match="over the budget of 100 entries"):
-            fresh.table()
 
     def test_ct7_table_is_int16(self, family):
         table = family("ct", 7).table()
@@ -384,7 +399,7 @@ class TestRegularElements:
         # is regular; the reversal squares to the identity.
         rev = make_map(4, [4, 3, 2, 1])
         sub = [identity_map(4), rev]
-        assert set(regular_elements(s, subset=sub)) == set(sub)
+        assert set(regular_elements(subsemigroup(s, sub))) == set(sub)
 
 
 class TestGenerated:
@@ -401,6 +416,22 @@ class TestGenerated:
         gen = generated_subsemigroup(s, [identity_map(3)])
         assert gen.elements == (identity_map(3),)
 
+    @pytest.mark.parametrize("fam,n", [("ct", 4), ("ct", 5), ("orct", 5)])
+    def test_idempotent_closure_matches_compose(self, family, fam, n):
+        s = family(fam, n)
+        ids = idempotents(s)
+        assert set(generated_subsemigroup(s, ids).elements) == _compose_closure(ids)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FAMILY_GENERATORS)
+    def test_closure_matches_compose(self, family, drawn):
+        (fam, n), gens = drawn
+        assert set(generated_subsemigroup(family(fam, n), gens).elements) == _compose_closure(gens)
+
+    def test_no_generators_rejected(self, family):
+        with pytest.raises(ValueError, match="at least one generator"):
+            generated_subsemigroup(family("ct", 3), [])
+
     def test_orct_idempotents_already_closed(self, family):
         s = family("orct", 4)
         e = idempotents(s)
@@ -412,34 +443,36 @@ class TestPredicates:
     def test_reg_orct4_orthodox(self, family, regular_base):
         s = family("orct", 4)
         reg = regular_elements(s)
-        assert is_orthodox(s, reg)
+        assert is_orthodox(subsemigroup(s, reg))
 
     def test_reg_ct4_regular_subsemigroup(self, family):
         s = family("ct", 4)
         reg = regular_elements(s)
         assert is_subsemigroup(s, reg)
-        assert set(regular_elements(s, subset=reg)) == set(reg)
+        assert set(regular_elements(subsemigroup(s, reg))) == set(reg)
 
     def test_reg_ct4_not_orthodox(self, family):
         # [1,2,2,2] * [3,2,3,2] = [3,2,2,2] is not idempotent.
         s = family("ct", 4)
-        assert not is_orthodox(s, regular_elements(s))
+        assert not is_orthodox(subsemigroup(s, regular_elements(s)))
 
     def test_trivial_group_inverse(self, family):
         s = family("ct", 3)
-        assert is_inverse(s, [identity_map(3)])
+        assert is_inverse(subsemigroup(s, [identity_map(3)]))
 
     def test_reg_orct4_not_inverse(self, family):
         # Constant maps are idempotents that do not commute.
         s = family("orct", 4)
         reg = regular_elements(s)
-        assert not idempotents_commute(s, reg)
-        assert not is_inverse(s, reg)
+        assert not idempotents_commute(subsemigroup(s, reg))
+        assert not is_inverse(subsemigroup(s, reg))
 
     def test_closure_required(self, family):
-        s = family("ct", 3)
+        # [2,3,3] squares to [3,3,3]: the escaping pair is the map with itself.
+        s, a = family("ct", 3), make_map(3, [2, 3, 3])
+        assert semigroups._escaping_pair(s, [a]) == (a, a)
         with pytest.raises(ValueError, match="not closed"):
-            is_orthodox(s, [make_map(3, [2, 3, 3])])
+            is_orthodox(subsemigroup(s, [a]))
 
     def test_empty_subset_rejected(self, family):
         with pytest.raises(ValueError, match="nonempty"):
@@ -462,7 +495,7 @@ class TestHallEquivalence:
         reg = set(regular_elements(s))
         cond_products = all(compose(e, f) in reg for e in ids for f in ids)
         cond_reg_subsemigroup = is_subsemigroup(s, reg) and set(
-            regular_elements(s, subset=reg)
+            regular_elements(subsemigroup(s, reg))
         ) == reg
         gen = generated_subsemigroup(s, ids)
         cond_generated = len(regular_elements(gen)) == gen.size
