@@ -153,20 +153,6 @@ class TestInverseVerification:
         assert report.as_dict()["inverse"] is True
 
 
-    def test_trivial_group_is_inverse(self, family):
-        s = subsemigroup(family("ct", 3), [identity_map(3)])
-        report = verify_inverse(s)
-        assert report.inverse and report.consistent
-        assert is_inverse(s)
-
-    def test_reg_orct4_is_not_inverse(self, regular_base):
-        # Constant maps are idempotents that do not commute.
-        s = regular_base("orct", 4)
-        report = verify_inverse(s)
-        assert not report.idempotents_commute and not report.r_unipotent
-        assert not report.inverse and report.consistent
-        assert not is_inverse(s)
-
     def test_disagreeing_criteria_raise(self, regular_base, monkeypatch):
         # Two inverses apiece: the unique-inverse route turns against the others.
         monkeypatch.setattr(rees, "_unique_inverse_counts", lambda table: np.full(len(table), 2))

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import contracta.relations as rel
 from contracta import (
-    FiniteSemigroup,
     abundance_witness,
     convex_refinement_transversals,
     d_char,

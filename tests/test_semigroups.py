@@ -25,6 +25,7 @@ from contracta import (
     make_map,
     regular_elements,
     subsemigroup,
+    verify_inverse,
 )
 import contracta.semigroups as semigroups
 from contracta.semigroups import ClosureError, is_regular_in
@@ -457,15 +458,20 @@ class TestPredicates:
         assert not is_orthodox(subsemigroup(s, regular_elements(s)))
 
     def test_trivial_group_inverse(self, family):
-        s = family("ct", 3)
-        assert is_inverse(subsemigroup(s, [identity_map(3)]))
+        s = subsemigroup(family("ct", 3), [identity_map(3)])
+        assert is_inverse(s)
+        report = verify_inverse(s)
+        assert report.inverse and report.consistent
 
     def test_reg_orct4_not_inverse(self, family):
         # Constant maps are idempotents that do not commute.
         s = family("orct", 4)
-        reg = regular_elements(s)
-        assert not idempotents_commute(subsemigroup(s, reg))
-        assert not is_inverse(subsemigroup(s, reg))
+        reg = subsemigroup(s, regular_elements(s))
+        assert not idempotents_commute(reg)
+        assert not is_inverse(reg)
+        report = verify_inverse(reg)
+        assert not report.r_unipotent
+        assert not report.inverse and report.consistent
 
     def test_closure_required(self, family):
         # [2,3,3] squares to [3,3,3]: the escaping pair is the map with itself.
