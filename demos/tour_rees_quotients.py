@@ -25,7 +25,7 @@ print()
 q = rees_quotient(base, 3)
 print(f"The height-3 quotient has {q.size} elements (zero plus the height-3 layer).")
 print("A few products, showing the collapse rule:")
-i = q.index_of(next(m for m in q.maps))
+i = q.index_of(q.elements[1])  # q.elements[0] is the zero, None
 shown = 0
 for j in range(1, q.size):
     result = q.product(i, j)

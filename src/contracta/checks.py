@@ -35,7 +35,7 @@ from .relations import (
     unipotence_witness,
 )
 from .semigroups import (
-    _escaping_pair,
+    ClosureError,
     _regular_mask,
     enumerate_family,
     family_words,
@@ -45,7 +45,6 @@ from .semigroups import (
     is_orthodox,
     regular_elements,
     regular_subsemigroup,
-    subsemigroup,
 )
 
 __all__ = ["VerifyReport", "CHECK_IDS", "run_check", "first_counterexample"]
@@ -59,7 +58,6 @@ class VerifyReport:
     family: str | None
     n: int | None
     verdict: str  # "pass" or "fail"
-    p: int | None = None
     counterexample: dict | None = None
     detail: dict = field(default_factory=dict)
     # Time from the previous report of the same check (or from the check's
@@ -77,8 +75,6 @@ class VerifyReport:
             "n": self.n,
             "verdict": self.verdict,
         }
-        if self.p is not None:
-            obj["p"] = self.p
         if self.counterexample is not None:
             obj["counterexample"] = self.counterexample
         if self.detail:
@@ -88,48 +84,23 @@ class VerifyReport:
         return obj
 
 
-def _report(check, family, n, verdict, counterexample=None, detail=None, p=None) -> VerifyReport:
-    return VerifyReport(
-        check=check,
-        family=family,
-        n=n,
-        verdict=verdict,
-        p=p,
-        counterexample=counterexample,
-        detail=detail or {},
-    )
-
-
-def _require_family(check: str, family: str, allowed: tuple[str, ...]) -> None:
-    if family not in allowed:
-        raise ValueError(f"check {check!r} supports families {', '.join(allowed)}; got {family!r}")
-
-
 # -- individual checks ---------------------------------------------------------
 
 
-def _check_regularity(check_id: str, allowed: tuple[str, ...], char, family: str, n: int):
-    """Compare regular_elements with a characterization, map by map."""
-    _require_family(check_id, family, allowed)
+_REGULAR_CHARS = {"ct": regular_char_ct, "orct": regular_char_orct, "oct": regular_char_oct}
+
+
+def _check_regularity(check_id: str, family: str, n: int):
+    """Compare regular_elements with the family's characterization, map by map."""
+    char = _REGULAR_CHARS[family]
     s = enumerate_family(family, n)
     oracle = set(regular_elements(s))
     for a in s.elements:
         if (a in oracle) != char(a):
-            yield _report(
-                check_id, family, n, "fail",
-                {"map": map_to_text(a), "oracle": a in oracle, "characterized": char(a)},
-            )
+            witness = {"map": map_to_text(a), "oracle": a in oracle, "characterized": char(a)}
+            yield VerifyReport(check_id, family, n, "fail", witness)
             return
-    yield _report(check_id, family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})
-
-
-def check_regularity_ct(family: str, n: int):
-    return _check_regularity("regularity-ct", ("ct",), regular_char_ct, family, n)
-
-
-def check_regularity_orct(family: str, n: int):
-    char = regular_char_orct if family == "orct" else regular_char_oct
-    return _check_regularity("regularity-orct", ("orct", "oct"), char, family, n)
+    yield VerifyReport(check_id, family, n, "pass", detail={"elements": s.size, "regular": len(oracle)})
 
 
 def _scan_pairs(s, oracle_partition, rows) -> tuple[int, dict | None]:
@@ -160,16 +131,14 @@ def _scan_pairs(s, oracle_partition, rows) -> tuple[int, dict | None]:
 
 def _check_green(kind: str, family: str, n: int):
     check_id = f"green-{kind}"
-    _require_family(check_id, family, ("ct",))
-    s = enumerate_family("ct", n)
+    s = enumerate_family(family, n)
     part = green_oracle(s, kind)
     disagreements, witness = _scan_pairs(s, part, characterized_rows(s, kind))
     detail = {"elements": s.size, "classes": part.class_count, "pairs_disagreeing": disagreements}
-    yield _report(check_id, family, n, "pass" if witness is None else "fail", witness, detail)
+    yield VerifyReport(check_id, family, n, "pass" if witness is None else "fail", witness, detail)
 
 
 def check_starred(family: str, n: int):
-    _require_family("starred", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
     empirical = family == "orct"  # characterizations are only claimed for ct and oct
     for kind in STARRED_KINDS:
@@ -180,18 +149,17 @@ def check_starred(family: str, n: int):
         detail = {"kind": kind, "elements": s.size, "pairs_disagreeing": disagreements}
         if empirical:
             detail["note"] = "empirical comparison; no claim backs this family"
-        yield _report("starred", family, n, "pass" if witness is None else "fail", witness, detail)
+        yield VerifyReport("starred", family, n, "pass" if witness is None else "fail", witness, detail)
 
 
 def check_abundance(family: str, n: int):
-    _require_family("abundance", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
     for side, check_id in (("left", "abundance-left"), ("right", "abundance-right")):
         witness = abundance_witness(s, side)
         if witness is None:
-            yield _report(check_id, family, n, "pass", detail={"elements": s.size})
+            yield VerifyReport(check_id, family, n, "pass", detail={"elements": s.size})
         else:
-            yield _report(
+            yield VerifyReport(
                 check_id, family, n, "fail",
                 {
                     "maps": [map_to_text(m) for m in witness],
@@ -201,15 +169,14 @@ def check_abundance(family: str, n: int):
 
 
 def check_unipotence(family: str, n: int):
-    _require_family("unipotence", family, ("orct", "oct"))
     reg = regular_subsemigroup(family, n)
     for side, check_id in (("l", "unipotence-l"), ("r", "unipotence-r")):
         witness = unipotence_witness(reg, side)
         if witness is None:
-            yield _report(check_id, family, n, "pass", detail={"regular_elements": reg.size})
+            yield VerifyReport(check_id, family, n, "pass", detail={"regular_elements": reg.size})
         else:
             ids = [map_to_text(m) for m in witness if is_idempotent(m)]
-            yield _report(
+            yield VerifyReport(
                 check_id, family, n, "fail",
                 {
                     "maps": [map_to_text(m) for m in witness],
@@ -233,17 +200,15 @@ def _first_idempotent_pair(s, bad: np.ndarray) -> dict | None:
 
 
 def check_orthodox(family: str, n: int):
-    _require_family("orthodox", family, ("ct", "oct", "orct"))
-    s = enumerate_family(family, n)
-    regular = regular_elements(s)
-    escape = _escaping_pair(s, regular)
-    if escape is not None:
-        a, b = escape
-        yield _report("orthodox", family, n, "fail", {"reason": f"subset is not closed: {a} * {b} escapes"})
+    try:
+        reg = regular_subsemigroup(family, n)
+    except ClosureError as exc:
+        a, b = exc.pair
+        witness = {"reason": f"subset is not closed: {a} * {b} escapes"}
+        yield VerifyReport("orthodox", family, n, "fail", witness)
         return
-    reg = subsemigroup(s, regular)
     if is_orthodox(reg):
-        yield _report("orthodox", family, n, "pass", detail={"regular_elements": reg.size})
+        yield VerifyReport("orthodox", family, n, "pass", detail={"regular_elements": reg.size})
         return
     witness = _first_idempotent_pair(reg, reg.table().diagonal() != np.arange(reg.size))
     if witness is not None:
@@ -255,16 +220,15 @@ def check_orthodox(family: str, n: int):
             "maps": [map_to_text(stray)],
             "reason": "not regular within the regular elements",
         }
-    yield _report("orthodox", family, n, "fail", witness)
+    yield VerifyReport("orthodox", family, n, "fail", witness)
 
 
 def check_idempotent_products(family: str, n: int):
-    _require_family("idempotent-products", family, ("ct", "oct", "orct"))
     s = enumerate_family(family, n)
     ids = idempotents(s)
     if family == "ct":
         witness = _first_idempotent_pair(s, ~_regular_mask(s.table()))
-        yield _report(
+        yield VerifyReport(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,
             {"claim": "products of idempotents are regular", "idempotents": len(ids)},
@@ -276,13 +240,13 @@ def check_idempotent_products(family: str, n: int):
         if not ok:
             missing = sorted(set(gen.elements) - set(regular_inside))
             bad = {"map": map_to_text(missing[0]), "reason": "not regular inside the idempotent-generated subsemigroup"}
-        yield _report(
+        yield VerifyReport(
             "idempotent-products", family, n, "pass" if ok else "fail", bad,
             {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size},
         )
     else:
         witness = _first_idempotent_pair(s, s.table().diagonal() != np.arange(s.size))
-        yield _report(
+        yield VerifyReport(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,
             {"claim": "idempotents are closed under product", "idempotents": len(ids)},
@@ -296,10 +260,9 @@ def check_refinement_readings(family: str, n: int):
     (admissible transversal); the alternative accepts any convex transversal.
     Reported, never asserted: this check always passes and carries counts.
     """
-    _require_family("refinement-readings", family, ("ct",))
     # Only the maps are read, so no carrier or product table is built.
-    check_family_size("ct", n)
-    words = family_words("ct", n)
+    check_family_size(family, n)
+    words = family_words(family, n)
     # Words share a kernel exactly when they share the first-occurrence key:
     # each position replaced by the least position with the same image.
     keys = (words[:, :, None] == words[:, None, :]).argmax(axis=2)
@@ -322,21 +285,22 @@ def check_refinement_readings(family: str, n: int):
     detail = {"kernels_scanned": len(firsts), "readings_differ_on": differing}
     if example is not None:
         detail["example"] = example
-    yield _report("refinement-readings", family, n, "pass", detail=detail)
+    yield VerifyReport("refinement-readings", family, n, "pass", detail=detail)
 
 
+# check id -> (check, the families it supports, the default first)
 CHECKS = {
-    "regularity-ct": (check_regularity_ct, "ct"),
-    "regularity-orct": (check_regularity_orct, "orct"),
-    "green-l": (partial(_check_green, "l"), "ct"),
-    "green-r": (partial(_check_green, "r"), "ct"),
-    "green-d": (partial(_check_green, "d"), "ct"),
-    "starred": (check_starred, "ct"),
-    "abundance": (check_abundance, "ct"),
-    "unipotence": (check_unipotence, "orct"),
-    "orthodox": (check_orthodox, "ct"),
-    "idempotent-products": (check_idempotent_products, "ct"),
-    "refinement-readings": (check_refinement_readings, "ct"),
+    "regularity-ct": (partial(_check_regularity, "regularity-ct"), ("ct",)),
+    "regularity-orct": (partial(_check_regularity, "regularity-orct"), ("orct", "oct")),
+    "green-l": (partial(_check_green, "l"), ("ct",)),
+    "green-r": (partial(_check_green, "r"), ("ct",)),
+    "green-d": (partial(_check_green, "d"), ("ct",)),
+    "starred": (check_starred, ("ct", "oct", "orct")),
+    "abundance": (check_abundance, ("ct", "oct", "orct")),
+    "unipotence": (check_unipotence, ("orct", "oct")),
+    "orthodox": (check_orthodox, ("ct", "oct", "orct")),
+    "idempotent-products": (check_idempotent_products, ("ct", "oct", "orct")),
+    "refinement-readings": (check_refinement_readings, ("ct",)),
 }
 
 CHECK_IDS = tuple(CHECKS)
@@ -345,12 +309,15 @@ CHECK_IDS = tuple(CHECKS)
 def run_check(check_id: str, n: int, family: str | None = None) -> list[VerifyReport]:
     """Run one named check; ``family`` defaults per check."""
     try:
-        fn, default_family = CHECKS[check_id]
+        fn, families = CHECKS[check_id]
     except KeyError:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}") from None
+    family = family or families[0]
+    if family not in families:
+        raise ValueError(f"check {check_id!r} supports families {', '.join(families)}; got {family!r}")
     reports = []
     start = time.perf_counter()
-    for report in fn(family or default_family, n):
+    for report in fn(family, n):
         now = time.perf_counter()
         report.elapsed_ms = (now - start) * 1000.0
         reports.append(report)

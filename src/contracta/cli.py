@@ -369,7 +369,7 @@ def cmd_counterexample(args) -> int:
         "schema": SCHEMA,
         "command": "counterexample",
         "check": args.check,
-        "family": args.family or CHECKS[args.check][1],
+        "family": args.family or CHECKS[args.check][1][0],
         "n": args.n,
         "witness": witness,
     }

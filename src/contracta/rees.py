@@ -14,6 +14,7 @@ import numpy as np
 from .maps import ChainMap, height, map_to_text
 from .semigroups import (
     TABLE_DTYPE,
+    Carrier,
     FiniteSemigroup,
     _regular_mask,
     _unique_inverse_counts,
@@ -62,50 +63,30 @@ def height_ideal(base: FiniteSemigroup, p: int) -> HeightIdeal:
     return HeightIdeal(base, p, selected)
 
 
-class ReesQuotient:
+class ReesQuotient(Carrier):
     """The height-p layer of a regular base with a collapsing zero.
 
-    Index 0 is the distinguished zero (serialized as the token "0"); indices
-    1..m are the height-p maps in lexicographic order.  The product of two
-    maps is their composite when that stays at height p and zero otherwise;
-    zero absorbs.
+    Index 0 is the distinguished zero, the element None (serialized as the
+    token "0"); indices 1..m are the height-p maps in lexicographic order.
+    The product of two maps is their composite when that stays at height p
+    and zero otherwise; zero absorbs.
     """
 
     def __init__(self, base: FiniteSemigroup, p: int, maps):
         self.base = base
         self.p = p
         self.n = base.n
-        self.maps = tuple(sorted(maps))
-        self._map_index = {m: i + 1 for i, m in enumerate(self.maps)}
+        super().__init__((None, *sorted(maps)))
         self._table = self._build_table()
-        if len(self.maps) <= _ASSOC_CHECK_MAX:
+        if self.size - 1 <= _ASSOC_CHECK_MAX:
             self._assert_associative()
-
-    @property
-    def size(self) -> int:
-        return len(self.maps) + 1
 
     @property
     def zero_index(self) -> int:
         return 0
 
-    def element(self, i: int) -> ChainMap | None:
-        """The map at index i, or None for the zero."""
-        return None if i == 0 else self.maps[i - 1]
-
     def label(self, i: int) -> str:
-        return "0" if i == 0 else map_to_text(self.maps[i - 1])
-
-    def index_of(self, m) -> int:
-        if m is None or m == "0":
-            return 0
-        try:
-            return self._map_index[m]
-        except KeyError:
-            raise ValueError(f"{m} is not in this quotient's carrier") from None
-
-    def product(self, i: int, j: int) -> int:
-        return int(self._table[i, j])
+        return "0" if i == 0 else map_to_text(self.elements[i])
 
     def table(self) -> np.ndarray:
         """The int16 product table, built on construction; row and column 0 are the zero."""
@@ -119,7 +100,7 @@ class ReesQuotient:
         # pos[x] is base element x's carrier index if it is a height-p map and
         # 0 otherwise.  Below height p the products fall into the lower ideal,
         # so reading composites through pos is exactly the collapsing product.
-        layer = np.array([self.base.index_of(m) for m in self.maps], dtype=np.intp)
+        layer = np.array([self.base.index_of(m) for m in self.elements[1:]], dtype=np.intp)
         pos = np.zeros(self.base.size, dtype=TABLE_DTYPE)
         pos[layer] = np.arange(1, len(layer) + 1)
         table = np.zeros((self.size, self.size), dtype=TABLE_DTYPE)

@@ -21,7 +21,7 @@ import numpy as np
 from .limits import check_refinement_scan
 from .maps import ChainMap, FamilyTag, height, image, is_contraction
 from .partitions import convex_refinement_transversals, has_convex_transversal, kernel
-from .semigroups import TABLE_DTYPE, FiniteSemigroup, idempotent_indices, row_blocks
+from .semigroups import TABLE_DTYPE, Carrier, FiniteSemigroup, idempotent_indices, row_blocks
 
 __all__ = [
     "RelationPartition",
@@ -94,6 +94,8 @@ class RelationPartition:
         return bool(self.labels[i] == self.labels[j])
 
     def refines(self, other: "RelationPartition") -> bool:
+        if self.semigroup.elements != other.semigroup.elements:
+            raise ValueError("partitions of different carriers cannot be compared")
         least = _least_members(self.labels)
         return bool((other.labels == other.labels[least[self.labels]]).all())
 
@@ -529,11 +531,10 @@ def char_partition(s, kind: str) -> RelationPartition:
 # -- abundance and unipotence -------------------------------------------------
 
 
-def _require_contraction_family(s: FiniteSemigroup) -> None:
-    if getattr(s, "family", None) not in ("ct", "oct", "orct"):
-        raise ValueError(
-            f"abundance verdicts are defined here for the contraction families, got {s.family!r}"
-        )
+def _require_contraction_family(s: Carrier) -> None:
+    family = getattr(s, "family", None)
+    if family not in ("ct", "oct", "orct"):
+        raise ValueError(f"abundance verdicts are defined here for the contraction families, got {family!r}")
 
 
 def _first_class_by_idempotents(part: RelationPartition, bad):
@@ -571,7 +572,7 @@ def _non_unipotent_class(carrier, side: str):
     return _first_class_by_idempotents(green_oracle(carrier, side), lambda k: k != 1)
 
 
-def unipotence_witness(s: FiniteSemigroup, side: str):
+def unipotence_witness(s: Carrier, side: str):
     """A Green's class with idempotent count != 1, as a tuple of maps, or None.
 
     ``side`` "l" scans L-classes, "r" scans R-classes.  The regular part of

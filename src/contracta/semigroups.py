@@ -22,6 +22,7 @@ from .limits import check_family_size
 from .maps import ChainMap, FamilyTag, compose
 
 __all__ = [
+    "Carrier",
     "FiniteSemigroup",
     "enumerate_family",
     "subsemigroup",
@@ -51,7 +52,14 @@ _MAX_CODED_N = 15
 
 
 class ClosureError(ValueError):
-    """An element set claimed to be closed under composition is not."""
+    """An element set claimed to be closed under composition is not; ``pair``
+    holds the factors (a, b) of the escaping product a*b."""
+
+    def __init__(self, a: ChainMap, b: ChainMap):
+        super().__init__(
+            f"not closed under composition: product {a} * {b} = {compose(a, b)} escapes the element set"
+        )
+        self.pair = (a, b)
 
 
 def check_table_budget(size: int) -> None:
@@ -73,29 +81,13 @@ def row_blocks(rows, width: int, entries: int | None = None):
         yield rows[start:start + step]
 
 
-class FiniteSemigroup:
-    """A closed, deterministically ordered set of chain maps under composition.
+class Carrier:
+    """What every carrier shares: its elements in index order, and products
+    read from the subclass's ``table()``."""
 
-    Elements are sorted lexicographically by image word so that class
-    numbering and reports are reproducible.  Instances are immutable after
-    construction; the lazily built product table is write-once.
-    """
-
-    def __init__(self, n, family, elements):
-        self.n = n
-        self.family = family
-        self.elements = tuple(sorted(set(elements)))
-        if not self.elements:
-            raise ValueError("a semigroup needs at least one element")
-        for m in self.elements:
-            if m.n != n:
-                raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
+    def __init__(self, elements):
+        self.elements = tuple(elements)
         self._index = {m: i for i, m in enumerate(self.elements)}
-        self._table = None
-        # The generator walk raises ClosureError on an escaping product.
-        self._gens, self._left, self._steps = self._generator_walk()
-
-    # -- basic container behaviour -------------------------------------
 
     @property
     def size(self) -> int:
@@ -110,20 +102,40 @@ class FiniteSemigroup:
     def __contains__(self, m):
         return m in self._index
 
-    def __repr__(self):
-        return f"FiniteSemigroup(family={self.family!r}, n={self.n}, size={self.size})"
-
-    def index_of(self, m: ChainMap) -> int:
+    def index_of(self, m) -> int:
         try:
             return self._index[m]
         except KeyError:
-            raise ValueError(f"{m} is not an element of this semigroup") from None
-
-    # -- products --------------------------------------------------------
+            raise ValueError(f"{m} is not an element of this carrier") from None
 
     def product(self, i: int, j: int) -> int:
         """Index of element_i composed-then element_j."""
         return int(self.table()[i, j])
+
+
+class FiniteSemigroup(Carrier):
+    """A closed, deterministically ordered set of chain maps under composition.
+
+    Elements are sorted lexicographically by image word so that class
+    numbering and reports are reproducible.  Instances are immutable after
+    construction; the lazily built product table is write-once.
+    """
+
+    def __init__(self, n, family, elements):
+        self.n = n
+        self.family = family
+        super().__init__(sorted(set(elements)))
+        if not self.elements:
+            raise ValueError("a semigroup needs at least one element")
+        for m in self.elements:
+            if m.n != n:
+                raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
+        self._table = None
+        # The generator walk raises ClosureError on an escaping product.
+        self._gens, self._left, self._steps = self._generator_walk()
+
+    def __repr__(self):
+        return f"FiniteSemigroup(family={self.family!r}, n={self.n}, size={self.size})"
 
     def table(self) -> np.ndarray:
         """The full int16 product table, replayed from the generator walk on
@@ -206,19 +218,12 @@ class FiniteSemigroup:
         return table
 
     def _raise_first_escape(self, spread, right, codes):
-        """ClosureError naming the first escaping product of the lowest column."""
-        escape = None
+        """ClosureError naming the first escaping product, row by row."""
         for rows in row_blocks(np.arange(self.size), self.size, _TABLE_BLOCK_ENTRIES):
             _, bad = _direct_rows(spread, right, codes, rows)
             if bad.any():
-                j = int(np.argmax(bad.any(axis=0)))
-                first = (j, int(rows[np.argmax(bad[:, j])]))
-                escape = first if escape is None else min(escape, first)
-        j, i = escape
-        ab = compose(self.elements[i], self.elements[j])
-        raise ClosureError(
-            f"product {self.elements[i]} * {self.elements[j]} = {ab} escapes the element set"
-        )
+                i, j = divmod(int(np.argmax(bad)), self.size)
+                raise ClosureError(self.elements[rows[i]], self.elements[j])
 
 
 def _direct_rows(spread, right, codes, rows):
@@ -278,14 +283,14 @@ def enumerate_family(family, n: int) -> FiniteSemigroup:
 
 
 def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
-    """Wrap a subset of ``s`` as a semigroup of its own; fails if not closed."""
+    """Wrap a subset of ``s`` as a semigroup of its own; ClosureError if it
+    is not closed."""
     elements = list(elements)
+    if not elements:
+        raise ValueError("subset must be nonempty")
     for m in elements:
         s.index_of(m)
-    try:
-        return FiniteSemigroup(s.n, "custom", elements)
-    except ClosureError as exc:
-        raise ValueError(f"subset is not closed under composition: {exc}") from None
+    return FiniteSemigroup(s.n, "custom", elements)
 
 
 # -- criteria over one closed carrier -----------------------------------------
@@ -319,24 +324,7 @@ def _unique_inverse_counts(table) -> np.ndarray:
     return np.concatenate(counts)
 
 
-def _escaping_pair(s: FiniteSemigroup, subset):
-    """The first (a, b) of subset x subset, row by row, whose product leaves
-    the subset, as maps; None when the subset is closed."""
-    pool = np.array([s.index_of(m) for m in subset], dtype=np.intp)
-    if not pool.size:
-        raise ValueError("subset must be nonempty")
-    table = s.table()
-    inside = np.zeros(s.size, dtype=bool)
-    inside[pool] = True
-    for rows in row_blocks(pool, len(pool)):
-        out = ~inside[table[rows[:, None], pool]]
-        if out.any():
-            r, c = divmod(int(np.argmax(out)), len(pool))
-            return s.elements[rows[r]], s.elements[pool[c]]
-    return None
-
-
-def idempotents(s: FiniteSemigroup) -> tuple[ChainMap, ...]:
+def idempotents(s: Carrier) -> tuple[ChainMap, ...]:
     """All elements e with e*e = e."""
     return tuple(s.elements[i] for i in idempotent_indices(s))
 
@@ -345,6 +333,8 @@ def is_regular_in(words: np.ndarray, m: ChainMap) -> bool:
     """True iff m = m*b*m for a witness b among the rows of ``words``, which
     must hold m itself, as from ``family_words``.  Scans row blocks of the
     words, so no carrier or product table is built."""
+    if words.shape[1] != m.n:
+        raise ValueError(f"{m} lives on a chain of size {m.n}, the words on one of size {words.shape[1]}")
     after = np.array((0, *m.images), dtype=np.int8)  # after[v] = m(v) for v in 1..n
     a = after[1:]
     member = regular = False
@@ -359,7 +349,7 @@ def is_regular_in(words: np.ndarray, m: ChainMap) -> bool:
     return False
 
 
-def regular_elements(s: FiniteSemigroup) -> tuple[ChainMap, ...]:
+def regular_elements(s: Carrier) -> tuple[ChainMap, ...]:
     """Elements a with a*b*a = a for some witness b in the semigroup."""
     return tuple(s.elements[a] for a in np.flatnonzero(_regular_mask(s.table())))
 
@@ -397,7 +387,11 @@ def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
 
 def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
     """True iff the subset is closed under the ambient product."""
-    return _escaping_pair(s, subset) is None
+    try:
+        subsemigroup(s, subset)
+    except ClosureError:
+        return False
+    return True
 
 
 def idempotents_commute(s) -> bool:

@@ -349,8 +349,8 @@ GOLDEN_STDOUT = [
         "3a92ca8c2942ce02f9d578420aa8cdc2b81c9cc3b40ca6b7f31de58244036a7c",
     ),
     (
-        # Row by row the first escape is this pair; the first escape of the
-        # lowest column, which a carrier's ClosureError names, is another.
+        # The witness is the first escaping pair row by row, which the
+        # ClosureError raised while building Reg(ct7) names.
         ("verify", "--check", "orthodox", "--family", "ct", "--n", "7"),
         1,
         "0df146510bcf3fa4f6ddccf3c92245d49936fd008ccafb110843ff205e3d435e",

@@ -9,13 +9,16 @@ from contracta import (
     compose,
     height,
     height_ideal,
+    idempotents,
     identity_map,
     is_idempotent,
     is_inverse,
     kernel,
     make_map,
     rees_quotient,
+    regular_elements,
     subsemigroup,
+    unipotence_witness,
     verify_inverse,
 )
 from contracta.semigroups import idempotent_indices
@@ -57,8 +60,8 @@ class TestQuotientConstruction:
     def test_carrier_is_exact_height_layer_plus_zero(self, regular_base):
         base = regular_base("orct", 4)
         q = rees_quotient(base, 2)
-        assert q.label(0) == "0"
-        maps = [q.element(i) for i in range(1, q.size)]
+        assert q.label(0) == "0" and q.elements[0] is None
+        maps = q.elements[1:]
         assert all(height(m) == 2 for m in maps)
         assert len(maps) == sum(1 for m in base.elements if height(m) == 2)
 
@@ -72,20 +75,20 @@ class TestQuotientConstruction:
         q = rees_quotient(regular_base("orct", 4), 2)
         for i in range(1, q.size):
             for j in range(1, q.size):
-                ab = compose(q.element(i), q.element(j))
+                ab = compose(q.elements[i], q.elements[j])
                 if height(ab) == 2:
-                    assert q.element(q.product(i, j)) == ab
+                    assert q.elements[q.product(i, j)] == ab
                 else:
                     assert q.product(i, j) == 0
 
     def test_top_layer_contains_identity_kernel_elements(self, regular_base):
         q = rees_quotient(regular_base("orct", 4), 4)
         ident = identity_map(4)
-        assert q.element(q.index_of(ident)) == ident
+        assert q.elements[q.index_of(ident)] == ident
         # full-height products never drop for the identity
         for i in range(1, q.size):
-            m = q.element(i)
-            assert q.element(q.product(q.index_of(ident), i)) == m
+            m = q.elements[i]
+            assert q.elements[q.product(q.index_of(ident), i)] == m
 
     def test_p_out_of_range(self, regular_base):
         base = regular_base("orct", 4)
@@ -175,6 +178,18 @@ class TestQuotientIdempotents:
             }
             assert got == expected
 
+    def test_criteria_read_the_quotient(self, regular_base):
+        # The zero, None, is an element like any other: every element is
+        # regular, the idempotents are the table's diagonal, and each L- and
+        # R-class holds one idempotent.
+        base = regular_base("orct", 5)
+        for p in range(2, 6):
+            q = rees_quotient(base, p)
+            assert regular_elements(q) == q.elements
+            diagonal = q.table().diagonal()
+            assert idempotents(q) == tuple(m for i, m in enumerate(q.elements) if diagonal[i] == i)
+            assert unipotence_witness(q, "l") is None and unipotence_witness(q, "r") is None
+
     def test_canonical_shape_and_unique_in_r_class(self, regular_base):
         from contracta import green_oracle
 
@@ -187,11 +202,11 @@ class TestQuotientIdempotents:
                 continue
             hits = ids.intersection(c)
             assert len(hits) == 1
-            e = q.element(next(iter(hits)))
+            e = q.elements[next(iter(hits))]
             k = kernel(e)
             first = k.blocks[0]
             assert first == tuple(range(1, max(first) + 1))
             assert k.block_images[0] == max(first)
             # the idempotent's kernel matches every class member's kernel
             for i in c:
-                assert kernel(q.element(i)).blocks == k.blocks
+                assert kernel(q.elements[i]).blocks == k.blocks

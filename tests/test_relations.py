@@ -264,6 +264,14 @@ class TestLabels:
         assert not coarser.refines(part)
         assert part.refines(part)
 
+    def test_refines_rejects_other_carriers(self, family):
+        # Three elements each, so the labels alone would compare.
+        consts3 = subsemigroup(family("ct", 3), [make_map(3, [c] * 3) for c in (1, 2, 3)])
+        pairs = [(family("oct", 2), consts3), (family("ct", 3), family("ct", 4))]
+        for s, t in pairs:
+            with pytest.raises(ValueError, match="different carriers"):
+                green_oracle(s, "r").refines(green_oracle(t, "r"))
+
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, 2, 3, 4], [0.0, 1.0, 0.0, 1.0]])
     def test_partition_rejects_bad_labels(self, family, labels):
         with pytest.raises(ValueError, match="4 integers"):
@@ -561,9 +569,11 @@ class TestAbundance:
             for n in (1, 2, 3):
                 assert is_right_abundant(family(fam, n))
 
-    def test_family_restriction(self, family):
+    def test_family_restriction(self, family, regular_base):
         with pytest.raises(ValueError, match="contraction families"):
             is_left_abundant(family("t", 3))
+        with pytest.raises(ValueError, match="contraction families, got None"):
+            is_left_abundant(rees_quotient(regular_base("orct", 4), 2))
 
     def test_every_lstar_class_has_stationary_idempotent(self, family):
         # Build the stationary idempotent with the class's common image and

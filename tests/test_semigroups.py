@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contracta import (
     FamilyTag,
@@ -144,14 +144,14 @@ CT45_GENERATORS = st.sampled_from([4, 5]).flatmap(
 # Non-closed sets whose widest map has an in-set row, so a later generator
 # row trips the closure check, with the ClosureError each raises.
 NOT_CLOSED = {
-    # The second generator, [1,2,1], trips on column [2,3,3]; the lowest
-    # escaping column is [1,2,1] itself, in row [2,3,3].
+    # The second generator, [1,2,1], trips; row by row, its own row holds
+    # the first escape, in column [2,3,3].
     "identity-first": (
         [[1, 2, 3], [1, 2, 1], [2, 3, 3]],
-        "product [2,3,3] * [1,2,1] = [2,1,1] escapes the element set",
+        "product [1,2,1] * [2,3,3] = [2,3,2] escapes the element set",
     ),
     # The identity and the reversal have in-set rows; the third generator
-    # trips, on the only escaping column.
+    # trips, on the only escaping product.
     "third-generator": (
         [[1, 2, 3], [3, 2, 1], [1, 2, 1]],
         "product [1,2,1] * [3,2,1] = [3,2,3] escapes the element set",
@@ -207,6 +207,22 @@ def _compose_closure(gens):
     return closed
 
 
+@st.composite
+def subsets(draw):
+    """A sorted subset of ct4 or orct5 maps with its family and chain size: a
+    few maps as drawn, their closure under compose, or that closure less the
+    first map."""
+    fam, n = draw(st.sampled_from([("ct", 4), ("orct", 5)]))
+    words = draw(st.lists(st.sampled_from(semigroups.family_words(fam, n).tolist()), min_size=1, max_size=4))
+    maps = [make_map(n, w) for w in words]
+    shape = draw(st.sampled_from(["drawn", "closed", "closed-less-one"]))
+    subset = set(maps) if shape == "drawn" else _compose_closure(maps)
+    if shape == "closed-less-one":
+        subset.discard(maps[0])
+    assume(subset)
+    return (fam, n), sorted(subset)
+
+
 GENERATOR_FAMILIES = [(fam, n) for fam in ("ct", "oct", "orct") for n in range(1, 7)] + [
     ("t", n) for n in range(1, 6)
 ]
@@ -239,17 +255,18 @@ class TestClosure:
         assert s.table().tolist() == _compose_table(s)
 
     @pytest.mark.parametrize("block_entries", [None, 1], ids=["default-blocks", "one-row-blocks"])
-    def test_closure_error_names_first_escape_by_column(self, monkeypatch, block_entries):
+    def test_closure_error_names_first_escape_row_by_row(self, monkeypatch, block_entries):
         # Three products escape: [1,2,1]*[2,3,3], [2,3,3]*[1,2,1] and
-        # [2,3,3]*[2,3,3].  Row by row the first is (0, 1); the error names
-        # the first escape of the lowest column, (1, 0), also when the two
-        # rows are built in separate blocks.
+        # [2,3,3]*[2,3,3].  The error names the first row by row, (0, 1),
+        # also when the two rows are coded in separate blocks.
         if block_entries is not None:
             monkeypatch.setattr(semigroups, "_TABLE_BLOCK_ENTRIES", block_entries)
+        a, b = make_map(3, [1, 2, 1]), make_map(3, [2, 3, 3])
         with pytest.raises(
-            ClosureError, match=re.escape("product [2,3,3] * [1,2,1] = [2,1,1] escapes the element set")
-        ):
-            FiniteSemigroup(3, "custom", [make_map(3, [1, 2, 1]), make_map(3, [2, 3, 3])])
+            ClosureError, match=re.escape("product [1,2,1] * [2,3,3] = [2,3,2] escapes the element set")
+        ) as exc:
+            FiniteSemigroup(3, "custom", [a, b])
+        assert exc.value.pair == (a, b)
 
     @pytest.mark.parametrize("case", sorted(NOT_CLOSED))
     def test_closure_error_from_later_generator_row(self, monkeypatch, case):
@@ -262,14 +279,28 @@ class TestClosure:
     def test_closure_error_after_cayley_fill(self, monkeypatch, regular_base):
         # Reg(ct4) is closed; with one non-regular map added, the identity's
         # row is inside and its Cayley fill runs before the reversal's row
-        # trips on the new map.
+        # trips on the new map.  The error names the first escape row by row.
         calls = _record_direct_rows(monkeypatch)
         elements = [*regular_base("ct", 4).elements, make_map(4, [1, 2, 2, 3])]
         with pytest.raises(
-            ClosureError, match=re.escape("product [4,3,2,1] * [1,2,2,3] = [3,2,2,1] escapes the element set")
+            ClosureError, match=re.escape("product [1,2,2,3] * [2,3,4,3] = [2,3,3,4] escapes the element set")
         ):
             FiniteSemigroup(4, "custom", elements)
         assert not calls[0][1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(subsets())
+    def test_closure_check_matches_compose(self, family, case):
+        # The escapes a*b found with compose, row by row in sorted order.
+        (fam, n), subset = case
+        inside = set(subset)
+        escapes = [(a, b) for a in subset for b in subset if compose(a, b) not in inside]
+        s = family(fam, n)
+        assert is_subsemigroup(s, subset) == (not escapes)
+        if escapes:
+            with pytest.raises(ClosureError) as exc:
+                subsemigroup(s, subset)
+            assert exc.value.pair == escapes[0]
 
     @pytest.mark.parametrize("carrier", ["height2-ct5", "idgen-ct5"])
     def test_cayley_fill_matches_compose(self, family, carrier):
@@ -394,6 +425,10 @@ class TestRegularElements:
         with pytest.raises(ValueError, match="not one of the words"):
             is_regular_in(semigroups.family_words("ct", 3), make_map(3, [3, 1, 3]))
 
+    def test_single_element_scan_rejects_other_chain_size(self):
+        with pytest.raises(ValueError, match="chain of size 4, the words on one of size 3"):
+            is_regular_in(semigroups.family_words("ct", 3), make_map(4, [1, 2, 3, 4]))
+
     def test_regular_within_subset(self, family):
         s = family("ct", 4)
         # Within the two-element subsemigroup {identity, reversal} everything
@@ -476,9 +511,10 @@ class TestPredicates:
     def test_closure_required(self, family):
         # [2,3,3] squares to [3,3,3]: the escaping pair is the map with itself.
         s, a = family("ct", 3), make_map(3, [2, 3, 3])
-        assert semigroups._escaping_pair(s, [a]) == (a, a)
-        with pytest.raises(ValueError, match="not closed"):
-            is_orthodox(subsemigroup(s, [a]))
+        with pytest.raises(ClosureError, match="not closed under composition") as exc:
+            subsemigroup(s, [a])
+        assert exc.value.pair == (a, a)
+        assert not is_subsemigroup(s, [a])
 
     def test_empty_subset_rejected(self, family):
         with pytest.raises(ValueError, match="nonempty"):
