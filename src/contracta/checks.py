@@ -18,13 +18,12 @@ from .maps import ChainMap, is_idempotent, map_to_text
 from .partitions import (
     coarsest_merely_convex_refinement,
     kernel,
+    kernel_word,
     max_convex_refinement,
     partition_to_text,
 )
 from .relations import (
     STARRED_KINDS,
-    _labels,
-    _least_members,
     abundance_witness,
     characterized_rows,
     green_oracle,
@@ -36,13 +35,13 @@ from .relations import (
 )
 from .semigroups import (
     ClosureError,
+    _first_idempotent_pair,
     _regular_mask,
     enumerate_family,
     family_words,
     generated_subsemigroup,
-    idempotent_indices,
     idempotents,
-    is_orthodox,
+    orthodox_witness,
     regular_elements,
     regular_subsemigroup,
 )
@@ -186,16 +185,11 @@ def check_unipotence(family: str, n: int):
             )
 
 
-def _first_idempotent_pair(s, bad: np.ndarray) -> dict | None:
-    """Witness payload for the first pair (e, f) of idempotents, row by row,
-    whose product is flagged in ``bad`` (one flag per element), or None."""
-    ids = np.array(idempotent_indices(s), dtype=np.intp)
-    ef = s.table()[np.ix_(ids, ids)]
-    hits = np.flatnonzero(bad[ef])
-    if not hits.size:
+def _pair_payload(pair) -> dict | None:
+    """Witness payload for idempotents (e, f) and their product, or None."""
+    if pair is None:
         return None
-    e, f = divmod(int(hits[0]), len(ids))
-    e, f, product = (map_to_text(s.elements[i]) for i in (ids[e], ids[f], ef[e, f]))
+    e, f, product = map(map_to_text, pair)
     return {"maps": [e, f], "product": product}
 
 
@@ -207,19 +201,14 @@ def check_orthodox(family: str, n: int):
         witness = {"reason": f"subset is not closed: {a} * {b} escapes"}
         yield VerifyReport("orthodox", family, n, "fail", witness)
         return
-    if is_orthodox(reg):
+    found = orthodox_witness(reg)
+    if found is None:
         yield VerifyReport("orthodox", family, n, "pass", detail={"regular_elements": reg.size})
         return
-    witness = _first_idempotent_pair(reg, reg.table().diagonal() != np.arange(reg.size))
-    if witness is not None:
-        witness["reason"] = "product of idempotents is not idempotent"
+    if len(found) == 3:
+        witness = {**_pair_payload(found), "reason": "product of idempotents is not idempotent"}
     else:
-        inside = set(regular_elements(reg))
-        stray = next(m for m in reg.elements if m not in inside)
-        witness = {
-            "maps": [map_to_text(stray)],
-            "reason": "not regular within the regular elements",
-        }
+        witness = {"maps": [map_to_text(found[0])], "reason": "not regular within the regular elements"}
     yield VerifyReport("orthodox", family, n, "fail", witness)
 
 
@@ -227,7 +216,7 @@ def check_idempotent_products(family: str, n: int):
     s = enumerate_family(family, n)
     ids = idempotents(s)
     if family == "ct":
-        witness = _first_idempotent_pair(s, ~_regular_mask(s.table()))
+        witness = _pair_payload(_first_idempotent_pair(s, ~_regular_mask(s.table())))
         yield VerifyReport(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,
@@ -245,7 +234,7 @@ def check_idempotent_products(family: str, n: int):
             {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size},
         )
     else:
-        witness = _first_idempotent_pair(s, s.table().diagonal() != np.arange(s.size))
+        witness = _pair_payload(_first_idempotent_pair(s, s.table().diagonal() != np.arange(s.size)))
         yield VerifyReport(
             "idempotent-products", family, n,
             "pass" if witness is None else "fail", witness,
@@ -262,18 +251,15 @@ def check_refinement_readings(family: str, n: int):
     """
     # Only the maps are read, so no carrier or product table is built.
     check_family_size(family, n)
-    words = family_words(family, n)
-    # Words share a kernel exactly when they share the first-occurrence key:
-    # each position replaced by the least position with the same image.
-    keys = (words[:, :, None] == words[:, None, :]).argmax(axis=2)
-    firsts = _least_members(_labels(key.tobytes() for key in keys))
+    firsts: dict = {}  # kernel word -> the first map with that kernel
+    for word in family_words(family, n).tolist():
+        firsts.setdefault(kernel_word(word), word)
     differing = 0
     example = None
-    for i in firsts:
-        a = ChainMap(n, words[i].tolist())
-        k = kernel(a).without_images()
+    for word in firsts.values():
+        a = ChainMap(n, word)
         primary = max_convex_refinement(a)
-        alternative = coarsest_merely_convex_refinement(k)
+        alternative = coarsest_merely_convex_refinement(kernel(a))
         if primary != alternative:
             differing += 1
             if example is None:

@@ -6,14 +6,16 @@ interval, and *admissible* when collapsing every block onto its picked point
 yields a contraction.  Refinement scans drive the characterized Green's
 relation predicates.
 
-Refinement scans read one table per chain size n of all Bell(n) set
-partitions of {1, ..., n} (877 rows at n = 7), built on first use.  A row
-holds a partition's restricted growth string, its block count, its pairs
+Internal paths read a partition as its word, a restricted growth string
+(see ``kernel_word``); ``KernelPartition`` objects are built by the public
+functions and for output.  Refinement scans read one table per chain size n
+of all Bell(n) set partitions of {1, ..., n} (877 rows at n = 7), built on
+first use.  A row holds a partition's word, its block count, its pairs
 x < y that share a block as a bitmask, and the starts of its convex windows
-and of its admissible ones, computed with the per-partition window scans
-below.  A partition refines another exactly when its pair bits are a subset
-of the other's, so the refinements of a kernel are the rows whose bits lie
-inside the kernel's, and each scan is a few numpy bit operations over them.
+and of its admissible ones, computed with the per-word window scans below.
+A partition refines another exactly when its pair bits are a subset of the
+other's, so the refinements of a kernel are the rows whose bits lie inside
+the kernel's, and each scan is a few numpy bit operations over them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ __all__ = [
     "Transversal",
     "make_partition",
     "kernel",
+    "kernel_word",
     "transversals",
     "is_convex",
+    "convex_windows",
     "is_relatively_convex",
     "is_admissible",
     "collapse_map",
@@ -43,6 +47,7 @@ __all__ = [
     "max_convex_refinement",
     "is_isometry_on",
     "convex_refinement_transversals",
+    "refinement_windows",
     "partition_to_text",
     "partition_to_json",
     "partition_from_json",
@@ -132,6 +137,13 @@ def kernel(a: ChainMap) -> KernelPartition:
     )
 
 
+def kernel_word(images) -> tuple[int, ...]:
+    """The kernel of the map with these images as a word: entry x - 1 numbers
+    the fiber of x from 0, fibers ordered by least point."""
+    first: dict = {}
+    return tuple(first.setdefault(v, len(first)) for v in images)
+
+
 @dataclass(frozen=True)
 class Transversal:
     """One point per block of a parent partition, stored sorted."""
@@ -199,29 +211,25 @@ def is_admissible(t: Transversal) -> bool:
     return is_contraction(collapse_map(t.parent, t))
 
 
-def _labels(k: KernelPartition) -> list[int]:
-    """Entry x - 1 is the index of the block of x: a restricted growth string,
-    since blocks are ordered by least point."""
-    label = [0] * k.n
+def _word(k: KernelPartition) -> tuple[int, ...]:
+    """The word of ``k``: entry x - 1 is the index of the block of x."""
+    word = [0] * k.n
     for i, b in enumerate(k.blocks):
         for x in b:
-            label[x - 1] = i
-    return label
+            word[x - 1] = i
+    return tuple(word)
 
 
-def _convex_windows(k: KernelPartition):
-    """Starts ``lo`` of the intervals [lo, lo + block_count) that meet every
-    block of ``k``, in increasing order.
+def convex_windows(word) -> list[int]:
+    """Starts ``lo`` of the intervals [lo, lo + p) that meet every one of the
+    p blocks of the partition with word ``word``, in increasing order.
 
     Such an interval meets each block exactly once, so these are exactly the
-    convex transversals: the windows of ``block_count`` points that lie in
-    pairwise distinct blocks.
+    convex transversals: the windows of p points that lie in pairwise
+    distinct blocks.
     """
-    label = _labels(k)
-    p = k.block_count
-    for lo in range(1, k.n - p + 2):
-        if len(set(label[lo - 1 : lo - 1 + p])) == p:
-            yield lo
+    p = max(word) + 1
+    return [lo for lo in range(1, len(word) - p + 2) if len(set(word[lo - 1 : lo - 1 + p])) == p]
 
 
 def has_convex_transversal(k: KernelPartition) -> bool:
@@ -231,13 +239,17 @@ def has_convex_transversal(k: KernelPartition) -> bool:
     meets every block, so a window scan suffices; tests cross-check this
     against full transversal enumeration.
     """
-    return next(_convex_windows(k), None) is not None
+    return bool(convex_windows(_word(k)))
 
 
-def _admissible_windows(k: KernelPartition) -> list[int]:
-    """The convex windows of ``k`` whose collapse is a contraction."""
-    p = k.block_count
-    return [lo for lo in _convex_windows(k) if is_admissible(Transversal(tuple(range(lo, lo + p)), k))]
+def _admissible_windows(word) -> list[int]:
+    """The convex windows of ``word`` whose collapse, every point sent to the
+    window's point in its block, is a contraction."""
+    p, n = max(word) + 1, len(word)
+    return [
+        lo for lo in convex_windows(word)
+        if is_contraction(ChainMap(n, tuple(lo + word[lo - 1 : lo - 1 + p].index(g) for g in word)))
+    ]
 
 
 def _window_bits(starts) -> int:
@@ -250,26 +262,22 @@ def _pair_bits(labels: np.ndarray) -> np.ndarray:
     return ((labels[:, i] == labels[:, j]).astype(np.int64) << np.arange(i.size)).sum(axis=1)
 
 
-def _from_labels(labels: list[int]) -> KernelPartition:
-    """The partition of a restricted growth string (see ``_labels``)."""
-    blocks = [[] for _ in range(max(labels) + 1)]
-    for x, g in enumerate(labels, start=1):
-        blocks[g].append(x)
-    return KernelPartition(len(labels), blocks)
-
-
 class _PartitionTable(NamedTuple):
     """Every set partition of {1, ..., n}, one row each, in the lexicographic
     order of their restricted growth strings."""
 
-    labels: np.ndarray  # (rows, n) restricted growth strings
+    labels: np.ndarray  # (rows, n) words
     blocks: np.ndarray  # block count
     pairs: np.ndarray  # _pair_bits of the labels
     convex: np.ndarray  # bit lo - 1 set for each convex window start lo
     admissible: np.ndarray  # the convex window bits whose collapse is a contraction
 
     def partition(self, row: int) -> KernelPartition:
-        return _from_labels(self.labels[row].tolist())
+        word = self.labels[row].tolist()
+        blocks = [[] for _ in range(max(word) + 1)]
+        for x, g in enumerate(word, start=1):
+            blocks[g].append(x)
+        return KernelPartition(len(word), blocks)
 
 
 @lru_cache(maxsize=None)
@@ -278,22 +286,19 @@ def _partition_table(n: int) -> _PartitionTable:
     words = [()]
     for _ in range(n):
         words = [w + (g,) for w in words for g in range(max(w, default=-1) + 2)]
-    convex, admissible = [], []
-    for w in words:
-        p = _from_labels(w)
-        convex.append(_window_bits(_convex_windows(p)))
-        admissible.append(_window_bits(_admissible_windows(p)))
+    convex = [_window_bits(convex_windows(w)) for w in words]
+    admissible = [_window_bits(_admissible_windows(w)) for w in words]
     labels = np.array(words, dtype=np.int8)
     return _PartitionTable(
         labels, labels.max(axis=1) + 1, _pair_bits(labels), np.array(convex), np.array(admissible)
     )
 
 
-def _refinement_rows(k: KernelPartition) -> tuple[_PartitionTable, np.ndarray]:
-    """The table for ``k.n`` and its rows that refine ``k``: a partition
-    refines another exactly when its pairs are a subset of the other's."""
-    t = _partition_table(k.n)
-    mask = _pair_bits(np.array([_labels(k)]))[0]
+def _refinement_rows(word) -> tuple[_PartitionTable, np.ndarray]:
+    """The table for ``word``'s chain and its rows that refine ``word``: a
+    partition refines another exactly when its pairs are a subset of the other's."""
+    t = _partition_table(len(word))
+    mask = _pair_bits(np.array([word]))[0]
     return t, np.flatnonzero((t.pairs & ~mask) == 0)
 
 
@@ -305,14 +310,14 @@ def refinements(k: KernelPartition) -> list[KernelPartition]:
     product of Bell numbers of the block sizes; the table behind it is only
     built at desk scale (see limits).
     """
-    t, rows = _refinement_rows(k)
+    t, rows = _refinement_rows(_word(k))
     return [t.partition(r) for r in rows]
 
 
-def _coarsest(k: KernelPartition, admissible: bool) -> KernelPartition:
-    """The coarsest refinement of ``k`` with an admissible (or merely convex)
-    window, else the meet of the maximal ones."""
-    t, rows = _refinement_rows(k)
+def _coarsest(word, admissible: bool) -> KernelPartition:
+    """The coarsest refinement of the word's partition with an admissible (or
+    merely convex) window, else the meet of the maximal ones."""
+    t, rows = _refinement_rows(word)
     windows = t.admissible if admissible else t.convex
     # The all-singleton partition always qualifies, so good is nonempty.
     good = t.pairs[rows[windows[rows] != 0]]
@@ -336,14 +341,14 @@ def max_convex_refinement(a: ChainMap) -> KernelPartition:
     """
     if not is_contraction(a):
         raise ValueError(f"{a} is not a contraction")
-    return _coarsest(kernel(a), admissible=True)
+    return _coarsest(kernel_word(a.images), admissible=True)
 
 
 def coarsest_merely_convex_refinement(k: KernelPartition) -> KernelPartition:
     """Same scan, but requiring only a convex transversal (no contraction
     condition on the collapse).  Exposed so the two readings can be compared
     by the verify suite."""
-    return _coarsest(k, admissible=False)
+    return _coarsest(_word(k), admissible=False)
 
 
 def is_isometry_on(t: Transversal, a: ChainMap) -> bool:
@@ -357,25 +362,28 @@ def is_isometry_on(t: Transversal, a: ChainMap) -> bool:
     return all(abs(x - y) == abs(a(x) - a(y)) for x, y in combinations(pts, 2))
 
 
-@lru_cache(maxsize=None)
-def convex_refinement_transversals(k: KernelPartition) -> tuple[tuple[int, ...], ...]:
-    """Intervals that occur as an admissible convex transversal of some
-    refinement of ``k``, ordered by size and then by least point.
+@lru_cache(maxsize=1155)  # one entry per word: the Bell(n) partitions of every n <= 7
+def refinement_windows(word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The intervals [lo, lo + p) that occur as an admissible convex
+    transversal of some refinement of the partition with word ``word``, as
+    pairs (lo, p) ordered by size p and then by least point lo.
 
-    These are the admissible windows of all refinements of ``k``.  An
-    interval T is one exactly when some assignment f of every chain point to
-    a point of T inside its own ``k``-block, fixing T pointwise, is a
-    contraction: the fibers of f are the refinement.
+    These are the admissible windows of all refinements.  An interval T is
+    one exactly when some assignment f of every chain point to a point of T
+    inside its own block, fixing T pointwise, is a contraction: the fibers
+    of f are the refinement.
     """
-    t, rows = _refinement_rows(k)
-    by_size = np.zeros(k.n + 1, dtype=np.int64)
-    np.bitwise_or.at(by_size, t.blocks[rows], t.admissible[rows])
+    t, rows = _refinement_rows(word)
+    bits = np.zeros(len(word) + 1, dtype=np.int64)
+    np.bitwise_or.at(bits, t.blocks[rows], t.admissible[rows])
     return tuple(
-        tuple(range(lo, lo + p))
-        for p in range(1, k.n + 1)
-        for lo in range(1, k.n - p + 2)
-        if by_size[p] >> (lo - 1) & 1
+        (lo, p) for p, b in enumerate(bits.tolist()) for lo in range(1, b.bit_length() + 1) if b >> (lo - 1) & 1
     )
+
+
+def convex_refinement_transversals(k: KernelPartition) -> tuple[tuple[int, ...], ...]:
+    """``refinement_windows`` of ``k``, each interval spelled out point by point."""
+    return tuple(tuple(range(lo, lo + p)) for lo, p in refinement_windows(_word(k)))
 
 
 # -- text and JSON encodings -------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .maps import ChainMap, height, map_to_text
+from .relations import is_l_unipotent, is_r_unipotent
 from .semigroups import (
     TABLE_DTYPE,
     Carrier,
@@ -168,8 +169,6 @@ def verify_inverse(c) -> InverseVerification:
     exactly one inverse, (iii) orthodox plus unique idempotents per L-class
     and per R-class.  ``consistent`` says whether all three agree.
     """
-    from .relations import is_l_unipotent, is_r_unipotent  # local import to avoid a cycle
-
     table = c.table()
     all_regular = bool(_regular_mask(table).all())
     commute = idempotents_commute(c)

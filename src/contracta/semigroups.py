@@ -32,6 +32,7 @@ __all__ = [
     "generated_subsemigroup",
     "is_subsemigroup",
     "idempotents_commute",
+    "orthodox_witness",
     "is_orthodox",
 ]
 
@@ -401,12 +402,31 @@ def idempotents_commute(s) -> bool:
     return bool((ef == ef.T).all())
 
 
+def _first_idempotent_pair(s, bad: np.ndarray):
+    """The first pair (e, f) of idempotents, row by row, whose product is
+    flagged in ``bad`` (one flag per element), as (e, f, e*f), or None."""
+    ids = np.array(idempotent_indices(s), dtype=np.intp)
+    ef = s.table()[np.ix_(ids, ids)]
+    hits = np.flatnonzero(bad[ef])
+    if not hits.size:
+        return None
+    e, f = divmod(int(hits[0]), len(ids))
+    return tuple(s.elements[i] for i in (ids[e], ids[f], ef[e, f]))
+
+
+def orthodox_witness(s):
+    """Why the carrier is not orthodox, or None: the first pair of
+    idempotents whose product is not idempotent, as (e, f, e*f), else the
+    first element that is not regular, as a 1-tuple."""
+    table = s.table()
+    pair = _first_idempotent_pair(s, table.diagonal() != np.arange(s.size))
+    if pair is not None:
+        return pair
+    irregular = np.flatnonzero(~_regular_mask(table))
+    return (s.elements[irregular[0]],) if irregular.size else None
+
+
 def is_orthodox(s) -> bool:
     """True iff every element of the carrier is regular and its idempotents
     are closed under product."""
-    table = s.table()
-    if not _regular_mask(table).all():
-        return False
-    ids = idempotent_indices(s)
-    ef = table[np.ix_(ids, ids)]
-    return bool((table[ef, ef] == ef).all())
+    return orthodox_witness(s) is None

@@ -1,7 +1,9 @@
 """Kernels, transversal classification, refinements, and the coarsest
 convex-collapsing refinement."""
 
+from functools import partial
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +12,7 @@ from contracta import (
     Transversal,
     collapse_map,
     convex_refinement_transversals,
+    d_char,
     enumerate_family,
     has_convex_transversal,
     is_admissible,
@@ -19,6 +22,7 @@ from contracta import (
     is_isometry_on,
     is_relatively_convex,
     kernel,
+    l_char,
     make_map,
     make_partition,
     max_convex_refinement,
@@ -31,6 +35,7 @@ from contracta import (
     transversals,
 )
 from contracta.partitions import _partition_table, coarsest_merely_convex_refinement
+from contracta.relations import characterized_rows
 from contracta.semigroups import family_words
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
@@ -383,11 +388,17 @@ class TestPartitionTable:
     def test_scans_guarded_beyond_seven(self):
         k = make_partition(8, [(1, 2), (3,), (4, 5, 6), (7, 8)])
         a = make_map(8, [1, 1, 2, 3, 3, 3, 4, 4])
+        # The characterized side reads only the elements, so a bare
+        # namespace stands in for a carrier the n = 8 guards would refuse.
+        stand_in = SimpleNamespace(n=8, size=1, elements=(a,))
         for scan, arg in [
             (refinements, k),
             (max_convex_refinement, a),
             (coarsest_merely_convex_refinement, k),
             (convex_refinement_transversals, k),
+            (partial(l_char, a), a),
+            (partial(d_char, a), a),
+            *[(partial(characterized_rows, stand_in), kind) for kind in ("l", "h", "d")],
         ]:
             with pytest.raises(ValueError, match="refinement scans are limited"):
                 scan(arg)

@@ -43,6 +43,7 @@ from contracta import (
     subsemigroup,
     unipotence_witness,
 )
+from contracta.partitions import kernel_word
 from contracta.relations import RelationPartition, char_partition, characterized_rows
 from contracta.semigroups import row_blocks
 
@@ -160,8 +161,8 @@ class TestGreenOracle:
             member = np.zeros(m + 1, dtype=bool)
             member[table[table[:, a], :]] = True
             ideals.append(member.tobytes())
-        assert green_oracle(s, "j").labels.tolist() == list(rel._canon(ideals))
-        assert _matrix_product_j(s).tolist() == list(rel._canon(ideals))
+        assert green_oracle(s, "j").labels.tolist() == list(kernel_word(ideals))
+        assert _matrix_product_j(s).tolist() == list(kernel_word(ideals))
 
     @pytest.mark.parametrize("fam,n", [("ct", 5), ("t", 4)])
     @pytest.mark.parametrize("side", ["l", "r"])
@@ -376,7 +377,7 @@ def _reference_kernel_patterns(a):
     block_of = {x: i for i, blk in enumerate(k.blocks) for x in blk}
     bare = k.without_images()
     return frozenset(
-        rel._canon(tuple(block_of[t] for t in T)) for T in convex_refinement_transversals(bare)
+        kernel_word(tuple(block_of[t] for t in T)) for T in convex_refinement_transversals(bare)
     )
 
 
@@ -426,12 +427,12 @@ class TestStarredOracles:
 
 
 def _canon_fingerprint_labels(s, side):
-    """Reference starred labels: each row of S^1 products renumbered by _canon."""
+    """Reference starred labels: each row of S^1 products renumbered by kernel_word."""
     table = s.table()
     rows = []
     for a in range(s.size):
         row = (table[a, :] if side == "l" else table[:, a]).tolist()
-        rows.append(rel._canon(row + [a]))
+        rows.append(kernel_word(row + [a]))
     return rel._labels(rows)
 
 
@@ -455,6 +456,21 @@ class TestFingerprintKeys:
         got = rel._product_labels(s, STARRED_OF_SIDE[side])
         assert got.dtype == np.int32
         assert np.array_equal(got, _canon_fingerprint_labels(s, side))
+
+
+class TestCharPartitionsCT6:
+    """Partition-level agreement: the characterized classes, joined through
+    shared probes, are exactly the oracle's classes."""
+
+    @pytest.mark.parametrize("kind", ["l", "r", "h", "d"])
+    def test_green(self, family, kind):
+        s = family("ct", 6)
+        assert np.array_equal(char_partition(s, kind).labels, green_oracle(s, kind).labels)
+
+    @pytest.mark.parametrize("kind", ["lstar", "rstar", "hstar", "dstar"])
+    def test_starred(self, family, kind):
+        s = family("ct", 6)
+        assert np.array_equal(char_partition(s, kind).labels, starred_partition(s, kind).labels)
 
 
 @pytest.fixture(scope="module")
