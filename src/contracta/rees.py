@@ -130,7 +130,7 @@ def rees_quotient(base: FiniteSemigroup, p: int) -> ReesQuotient:
     """
     if not 2 <= p <= base.n:
         raise ValueError(f"quotient height p={p} out of range 2..{base.n}")
-    if not _regular_mask(base.table()).all():
+    if not _regular_mask(base).all():
         raise ValueError("base contains non-regular elements")
     upper = height_ideal(base, p)
     layer = tuple(m for m in upper.elements if height(m) == p)
@@ -169,10 +169,9 @@ def verify_inverse(c) -> InverseVerification:
     exactly one inverse, (iii) orthodox plus unique idempotents per L-class
     and per R-class.  ``consistent`` says whether all three agree.
     """
-    table = c.table()
-    all_regular = bool(_regular_mask(table).all())
+    all_regular = bool(_regular_mask(c).all())
     commute = idempotents_commute(c)
-    unique = bool((_unique_inverse_counts(table) == 1).all())
+    unique = bool((_unique_inverse_counts(c.table()) == 1).all())
     orthodox = is_orthodox(c)
     l_uni, r_uni = is_l_unipotent(c), is_r_unipotent(c)
     by_structure = all_regular and commute

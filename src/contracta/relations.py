@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import ChainMap, FamilyTag, height, image, is_contraction
-from .partitions import convex_windows, kernel, kernel_word, refinement_windows
-from .semigroups import TABLE_DTYPE, Carrier, FiniteSemigroup, idempotent_indices, row_blocks
+from .partitions import convex_windows, kernel_word, refinement_windows
+from .semigroups import TABLE_DTYPE, Carrier, FiniteSemigroup, _strong_components, idempotent_indices, row_blocks
 
 __all__ = [
     "RelationPartition",
@@ -152,54 +152,12 @@ def _join(*labelings: np.ndarray) -> np.ndarray:
     return _components(size, np.tile(np.arange(size), len(labelings)), nodes)
 
 
-def _strong_components(successors) -> np.ndarray:
-    """Labels of the strongly connected components of the graph with edges
-    v -> w for w in successors[v], numbered by least member.
-
-    Iterative Tarjan: chains of the Cayley graphs are thousands of nodes long.
-    A visited node without a component is still on the stack.
-    """
-    size = len(successors)
-    order, low, comp, stack = [-1] * size, [0] * size, [-1] * size, []
-    found = count = 0
-    for root in range(size):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = found
-        found += 1
-        stack.append(root)
-        work = [(root, iter(successors[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if order[w] < 0:
-                    order[w] = low[w] = found
-                    found += 1
-                    stack.append(w)
-                    work.append((w, iter(successors[w])))
-                    break
-                if comp[w] < 0 and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if low[v] == order[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = count
-                        if w == v:
-                            break
-                    count += 1
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-    return _labels(comp)
-
-
 def _cayley_labels(s, sides: str) -> np.ndarray:
     """Components of the Cayley graph over the carrier's generators g, with
     edges a -> g*a for side "l" and a -> a*g for side "r" (``s.cayley``).
     From a, the left graph reaches exactly S^1 a, so its components are the
     L-classes; the right graph's are the R-classes, and both give J."""
-    return _strong_components(np.hstack([s.cayley(side) for side in sides]).tolist())
+    return _labels(_strong_components(np.hstack([s.cayley(side) for side in sides]).tolist()))
 
 
 def _products(s, side: str):
@@ -585,11 +543,17 @@ def regular_char_ct(a: ChainMap) -> bool:
     return bool(convex_windows(_kernel_word(a)))
 
 
-def _orct_mode(blocks, ys) -> bool:
-    d = max(blocks[0]) - ys[0]
-    if min(blocks[-1]) - ys[-1] != d:
-        return False
-    return all(blocks[i] == (ys[i] + d,) for i in range(1, len(blocks) - 1))
+def _monotone_regular(a: ChainMap, reflected: bool) -> bool:
+    """The arithmetic test below on the blocks of a monotone map, numbered as
+    in its kernel word, with their image points in order or reflected."""
+    word = kernel_word(a.images)
+    blocks = [[x for x, b in enumerate(word, start=1) if b == i] for i in range(max(word) + 1)]
+    xs = [a.images[block[0] - 1] for block in blocks]
+    for ys in (xs, xs[::-1]) if reflected else (xs,):
+        d = blocks[0][-1] - ys[0]
+        if blocks[-1][0] - ys[-1] == d and all(blocks[i] == [ys[i] + d] for i in range(1, len(blocks) - 1)):
+            return True
+    return len(blocks) == 1  # constant maps
 
 
 def regular_char_orct(a: ChainMap) -> bool:
@@ -603,19 +567,11 @@ def regular_char_orct(a: ChainMap) -> bool:
     """
     if not FamilyTag.ORCT.contains(a):
         raise ValueError(f"{a} is not an order-preserving or order-reversing contraction")
-    k = kernel(a)
-    if k.block_count == 1:
-        return True
-    xs = k.block_images
-    return _orct_mode(k.blocks, xs) or _orct_mode(k.blocks, xs[::-1])
+    return _monotone_regular(a, reflected=True)
 
 
 def regular_char_oct(a: ChainMap) -> bool:
-    """Arithmetic regularity test for order-preserving contractions (no
-    reflected variant)."""
+    """Arithmetic regularity test for order-preserving contractions: no reflected variant."""
     if not FamilyTag.OCT.contains(a):
         raise ValueError(f"{a} is not an order-preserving contraction")
-    k = kernel(a)
-    if k.block_count == 1:
-        return True
-    return _orct_mode(k.blocks, k.block_images)
+    return _monotone_regular(a, reflected=False)

@@ -113,6 +113,10 @@ class Carrier:
         """Index of element_i composed-then element_j."""
         return int(self.table()[i, j])
 
+    def squares(self) -> np.ndarray:
+        """Index of a*a for each element a, read off the table's diagonal."""
+        return self.table().diagonal()
+
 
 class FiniteSemigroup(Carrier):
     """A closed, deterministically ordered set of chain maps under composition.
@@ -157,6 +161,11 @@ class FiniteSemigroup(Carrier):
             return self._left
         spread, right, codes = self._coding()
         return _direct_rows(spread, right[:, self._gens], codes, np.arange(self.size))[0]
+
+    def squares(self) -> np.ndarray:
+        """Index of a*a for each element a, coded from the words: no table."""
+        spread, right, codes = self._coding()
+        return np.searchsorted(codes, (spread * right.T).sum(axis=1))
 
     def _coding(self):
         """Each element's base-n code and the arrays that code its products."""
@@ -235,6 +244,48 @@ def _direct_rows(spread, right, codes, rows):
     return idx, codes[np.minimum(idx, len(codes) - 1)] != ccodes
 
 
+def _strong_components(successors) -> np.ndarray:
+    """Strongly connected components of the graph with edges v -> w for w in
+    successors[v], numbered in the order completed.
+
+    Iterative Tarjan: chains of the Cayley graphs are thousands of nodes long.
+    A visited node without a component is still on the stack.
+    """
+    size = len(successors)
+    order, low, comp, stack = [-1] * size, [0] * size, [-1] * size, []
+    found = count = 0
+    for root in range(size):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return np.array(comp, dtype=np.intp)
+
+
 def _walks(n: int, steps: tuple[int, ...]) -> np.ndarray:
     """All words on 1..n whose adjacent steps lie in ``steps`` (ascending),
     in lexicographic order."""
@@ -296,22 +347,21 @@ def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
 
 # -- criteria over one closed carrier -----------------------------------------
 #
-# Every criterion reads the whole product table of one carrier (a
-# FiniteSemigroup or a ReesQuotient), closed by construction.  A subset is
-# asked about as ``subsemigroup(s, subset)``.
+# Every criterion reads one closed carrier, a FiniteSemigroup or a ReesQuotient;
+# idempotents and regularity read no product table.  A subset is asked about
+# as ``subsemigroup(s, subset)``.
 
 
 def idempotent_indices(s) -> list[int]:
-    """Indices i of the carrier with i*i = i, read off the table's diagonal."""
-    return np.flatnonzero(s.table().diagonal() == np.arange(s.size)).tolist()
+    """Indices i of the carrier with i*i = i."""
+    return np.flatnonzero(s.squares() == np.arange(s.size)).tolist()
 
 
-def _regular_mask(table) -> np.ndarray:
-    """Per element a, whether a*b*a = a for some b."""
-    mask = []
-    for rows in row_blocks(np.arange(len(table)), len(table)):
-        mask.append((table[table[rows], rows[:, None]] == rows[:, None]).any(axis=1))
-    return np.concatenate(mask)
+def _regular_mask(s) -> np.ndarray:
+    """Per element a, whether a*b*a = a for some b: exactly when the R-class
+    of a, a strong component of the right Cayley graph, holds an idempotent."""
+    r = _strong_components(s.cayley("r").tolist())
+    return np.isin(r, r[idempotent_indices(s)])
 
 
 def _unique_inverse_counts(table) -> np.ndarray:
@@ -352,7 +402,7 @@ def is_regular_in(words: np.ndarray, m: ChainMap) -> bool:
 
 def regular_elements(s: Carrier) -> tuple[ChainMap, ...]:
     """Elements a with a*b*a = a for some witness b in the semigroup."""
-    return tuple(s.elements[a] for a in np.flatnonzero(_regular_mask(s.table())))
+    return tuple(s.elements[a] for a in np.flatnonzero(_regular_mask(s)))
 
 
 def regular_subsemigroup(family, n: int) -> FiniteSemigroup:
@@ -402,12 +452,13 @@ def idempotents_commute(s) -> bool:
     return bool((ef == ef.T).all())
 
 
-def _first_idempotent_pair(s, bad: np.ndarray):
+def _first_idempotent_pair(s, bad: np.ndarray | None = None):
     """The first pair (e, f) of idempotents, row by row, whose product is
-    flagged in ``bad`` (one flag per element), as (e, f, e*f), or None."""
+    flagged in ``bad`` (one flag per element; by default, the product is not
+    idempotent), as (e, f, e*f), or None."""
     ids = np.array(idempotent_indices(s), dtype=np.intp)
     ef = s.table()[np.ix_(ids, ids)]
-    hits = np.flatnonzero(bad[ef])
+    hits = np.flatnonzero(s.squares()[ef] != ef if bad is None else bad[ef])
     if not hits.size:
         return None
     e, f = divmod(int(hits[0]), len(ids))
@@ -418,11 +469,10 @@ def orthodox_witness(s):
     """Why the carrier is not orthodox, or None: the first pair of
     idempotents whose product is not idempotent, as (e, f, e*f), else the
     first element that is not regular, as a 1-tuple."""
-    table = s.table()
-    pair = _first_idempotent_pair(s, table.diagonal() != np.arange(s.size))
+    pair = _first_idempotent_pair(s)
     if pair is not None:
         return pair
-    irregular = np.flatnonzero(~_regular_mask(table))
+    irregular = np.flatnonzero(~_regular_mask(s))
     return (s.elements[irregular[0]],) if irregular.size else None
 
 

@@ -375,6 +375,13 @@ GOLDEN_STDOUT = [
         "e3a22c82574e5cf1cb2b72425a1bb23a77540dc413d05284a12d5d8edb585bb1",
     ),
     (
+        # Per-element idempotent and regular flags, recorded while both were
+        # still read from the product table.
+        ("enumerate", "--family", "ct", "--n", "6", "--output", "csv"),
+        0,
+        "1c3d679420d81e5f7dbaeb95766216aef534be08b200dbcee24f718bcc3fc3f2",
+    ),
+    (
         ("relations", "--family", "t", "--n", "3", "--relation", "j"),
         0,
         "1d6d7a17896d0c5a2093621bc556648f09b8c8755faa9047722a9b6afa39cd1e",

@@ -45,7 +45,7 @@ from contracta import (
 )
 from contracta.partitions import kernel_word
 from contracta.relations import RelationPartition, char_partition, characterized_rows
-from contracta.semigroups import row_blocks
+from contracta.semigroups import FiniteSemigroup, _regular_mask, regular_subsemigroup, row_blocks
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -112,6 +112,14 @@ def _matrix_product_j(s):
 
     ideals = meets("l", llab) @ meets("r", rlab)
     return rel._labels(row.tobytes() for row in ideals)[llab]
+
+
+def _regular_mask_by_table(table):
+    """Per element a, whether a*b*a = a for some b: a scan of the whole table."""
+    mask = []
+    for rows in row_blocks(np.arange(len(table)), len(table)):
+        mask.append((table[table[rows], rows[:, None]] == rows[:, None]).any(axis=1))
+    return np.concatenate(mask)
 
 
 # ct, oct and orct at n = 1..7, t at n = 1..5, the regular bases of orct4..7
@@ -186,10 +194,7 @@ class TestGreenOracle:
         ids=[f"{fam}{n}" + (f"-p{p}" if p else "") for fam, n, p in CAYLEY_CARRIERS],
     )
     def test_cayley_components_match_ideal_route(self, family, regular_base, fam, n, p):
-        if fam == "reg-orct":
-            s = regular_base("orct", n) if p is None else rees_quotient(regular_base("orct", n), p)
-        else:
-            s = family(fam, n)
+        s = _carrier(family, regular_base, fam, n, p)
         # A quotient's Cayley graphs run over every index.
         gens, table = np.arange(s.size) if p else s.generators(), s.table()
         assert np.array_equal(s.cayley("l"), table[gens].T)
@@ -629,6 +634,55 @@ class TestUnipotence:
         trivial = subsemigroup(s, [identity_map(3)])
         assert is_l_unipotent(trivial)
         assert is_r_unipotent(trivial)
+
+
+def _carrier(family, regular_base, fam, n, p):
+    """A carrier of CAYLEY_CARRIERS, the idempotent-generated subsemigroup
+    ("idgen-ct") or a height-p ideal ("ideal-ct") of ct_n."""
+    if fam == "reg-orct":
+        return regular_base("orct", n) if p is None else rees_quotient(regular_base("orct", n), p)
+    if fam == "idgen-ct":
+        return generated_subsemigroup(family("ct", n), idempotents(family("ct", n)))
+    if fam == "ideal-ct":
+        return subsemigroup(family("ct", n), height_ideal(family("ct", n), p).elements)
+    return family(fam, n)
+
+
+# The idempotent-generated subsemigroup of ct6 holds irregular elements, and
+# the height-2 ideal of ct5 has no identity.
+REGULARITY_CARRIERS = CAYLEY_CARRIERS + [("idgen-ct", 6, None), ("ideal-ct", 5, 2)]
+
+
+class TestRegularMask:
+    @pytest.mark.parametrize(
+        "fam,n,p", REGULARITY_CARRIERS,
+        ids=[f"{fam}{n}" + (f"-p{p}" if p else "") for fam, n, p in REGULARITY_CARRIERS],
+    )
+    def test_matches_table_scan(self, family, regular_base, fam, n, p):
+        # Regular exactly when the R-class holds an idempotent (Green's lemma).
+        s = _carrier(family, regular_base, fam, n, p)
+        assert s.size == {"idgen-ct": 523, "ideal-ct": 125}.get(fam, s.size)
+        assert np.array_equal(s.squares(), s.table().diagonal())
+        assert np.array_equal(_regular_mask(s), _regular_mask_by_table(s.table()))
+
+    def test_ct7_builds_no_table(self, monkeypatch):
+        # The int16 table alone is 22.9 MB; the right Cayley graph and the
+        # coded squares peak near 2.8 MB.
+        def unreachable(s):
+            raise AssertionError("a product table was built")
+
+        monkeypatch.setattr(FiniteSemigroup, "_build_table", unreachable)
+        tracemalloc.start()
+        try:
+            s = enumerate_family("ct", 7)
+            regular, ids = regular_elements(s), idempotents(s)
+            reg = regular_subsemigroup("orct", 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        assert (len(regular), len(ids), reg.size) == (2335, 395, 189)
+        assert s._table is None and reg._table is None
 
 
 class TestRegularityCharacterizations:
