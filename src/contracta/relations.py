@@ -6,7 +6,8 @@ Oracles work purely from products; characterized predicates work from kernel
 and image data of the two maps alone.  L, R and J are the strongly connected
 components of the left, right and two-sided Cayley graphs, read as successor
 arrays from ``cayley(side)`` on either carrier type, so they build no product
-table; the starred kinds key the kernel of each element's row of S^1 products.
+table.  The starred kinds key the kernel of one row of S^1 products per
+Green's class, from ``product_rows`` (coded from the words on a semigroup).
 
 Relation kinds are the strings ``l r h d j lstar rstar hstar dstar``.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from .maps import ChainMap, FamilyTag, height, image, is_contraction
 from .partitions import convex_windows, kernel_word, refinement_windows
-from .semigroups import TABLE_DTYPE, Carrier, FiniteSemigroup, _strong_components, idempotent_indices, row_blocks
+from .semigroups import Carrier, FiniteSemigroup, _strong_components, idempotent_indices, index_dtype, row_blocks
 
 __all__ = [
     "RelationPartition",
@@ -46,11 +47,6 @@ __all__ = [
 
 GREEN_KINDS = ("l", "r", "h", "d", "j")
 STARRED_KINDS = ("lstar", "rstar", "hstar", "dstar")
-
-# Side "l" product rows are table columns, read through tiles of this many
-# contiguous table rows.
-_TILE_ROWS = 64
-
 
 @dataclass(frozen=True, eq=False)
 class RelationPartition:
@@ -160,35 +156,17 @@ def _cayley_labels(s, sides: str) -> np.ndarray:
     return _labels(_strong_components(np.hstack([s.cayley(side) for side in sides]).tolist()))
 
 
-def _products(s, side: str):
-    """Row blocks of S^1 products: row k holds x*a (side "l") or a*x (side
-    "r") for every x in S, then a itself in the trailing formal-identity
-    slot, where a = k.  Side "l" reads table columns, so each block is
-    filled from contiguous tiles of table rows."""
-    size, table = s.size, s.table()
-    for block in row_blocks(np.arange(size), size + 1):
-        lo, hi = int(block[0]), int(block[-1]) + 1
-        rows = np.empty((len(block), size + 1), dtype=np.int32)
-        products = rows[:, :size]
-        if side == "l":
-            for top in range(0, size, _TILE_ROWS):
-                products[:, top:top + _TILE_ROWS] = table[top:top + _TILE_ROWS, lo:hi].T
-        else:
-            products[:] = table[lo:hi]
-        rows[:, size] = block
-        yield rows
-
-
 def _kernel_keys(rows: np.ndarray, size: int) -> np.ndarray:
     # Which positions of each row share a value: every entry replaced by the
     # position where its value first occurs.  Offsetting each row in place
     # keeps the rows' values apart in one flat buffer; minimum.at is
     # unbuffered and min is order-free, so every slot ends at its value's
-    # least position however repeats are applied.  Positions fit the table's int16.
+    # least position however repeats are applied.  Positions and the fill
+    # value, the row width, are int16 while the width fits and int32 beyond.
     width = size + 1
     rows += (np.arange(len(rows), dtype=np.int32) * size)[:, None]
-    first = np.full(len(rows) * size, width, dtype=TABLE_DTYPE)
-    np.minimum.at(first, rows.ravel(), np.tile(np.arange(width, dtype=TABLE_DTYPE), len(rows)))
+    first = np.full(len(rows) * size, width, dtype=index_dtype(width + 1))
+    np.minimum.at(first, rows.ravel(), np.tile(np.arange(width, dtype=first.dtype), len(rows)))
     return first[rows]
 
 
@@ -208,10 +186,12 @@ def _eggbox_join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 # Green's one-sided kinds and J: the sides of the Cayley graph.
 _CAYLEY_SIDES = {"l": "l", "r": "r", "j": "lr"}
-# Starred one-sided kinds: the side of the S^1 products whose rows' kernels
-# are keyed.  a L* b when a*x = a*y exactly when b*x = b*y, the kernels of
-# x -> a*x; R* dually.
-_KERNEL_SIDE = {"lstar": "r", "rstar": "l"}
+# Starred one-sided kinds: the Green's kind of the same side, and the side of
+# the S^1 products whose rows' kernels are keyed, one row per Green's class.
+# a L* b when a*x = a*y exactly when b*x = b*y, the kernels of x -> a*x; R*
+# dually.  L lies within L* and R within R* (Fountain 1982), so every member
+# of a Green's class has its least member's key.
+_KERNEL_SIDE = {"lstar": ("l", "r"), "rstar": ("r", "l")}
 # Other kinds: the meet or the join of two one-sided kinds.
 _TWO_SIDED = {
     "h": (_pair_labels, "l", "r"),
@@ -236,15 +216,23 @@ def _oracle_labels(s, kind: str) -> np.ndarray:
 def _product_labels(s, kind: str) -> np.ndarray:
     """Class labels of one relation kind, from products of the carrier.
 
-    A starred one-sided kind labels each element by the kernel key of its
-    row of S^1 products; the keys are streamed, so only the distinct ones
-    are held.
+    A starred one-sided kind gives each Green's class the kernel key of its
+    least member a's row of S^1 products, a itself in the trailing
+    formal-identity slot; least members ascend, as the class numbers do.
     """
     if kind in _CAYLEY_SIDES:
         return _cayley_labels(s, _CAYLEY_SIDES[kind])
     if kind in _KERNEL_SIDE:
-        blocks = _products(s, _KERNEL_SIDE[kind])
-        return _labels(k.tobytes() for rows in blocks for k in _kernel_keys(rows, s.size))
+        green, side = _KERNEL_SIDE[kind]
+        classes = _oracle_labels(s, green)
+        reps = _least_members(classes).astype(np.int32)
+        products = s.product_rows(reps, side)
+        keys = [
+            key.tobytes()
+            for k in row_blocks(np.arange(len(reps)), s.size + 1)
+            for key in _kernel_keys(np.column_stack([products[k], reps[k]]), s.size)
+        ]
+        return _labels(keys)[classes]
     combine, left, right = _TWO_SIDED[kind]
     return combine(_oracle_labels(s, left), _oracle_labels(s, right))
 

@@ -74,6 +74,11 @@ def check_table_budget(size: int) -> None:
         )
 
 
+def index_dtype(bound: int):
+    """int16 when every value below ``bound`` fits it, else int32."""
+    return np.int16 if bound <= 1 << 15 else np.int32
+
+
 def row_blocks(rows, width: int, entries: int | None = None):
     """Consecutive slices of ``rows`` sized so a block times ``width`` stays
     near ``entries`` (by default the block-entry budget)."""
@@ -117,6 +122,12 @@ class Carrier:
         """Index of a*a for each element a, read off the table's diagonal."""
         return self.table().diagonal()
 
+    def product_rows(self, rows, side: str) -> np.ndarray:
+        """Row k holds a*x (side "r") or x*a (side "l") for every element x,
+        where a = rows[k], read off the table."""
+        table = self.table()
+        return table[rows] if side == "r" else table[:, rows].T
+
 
 class FiniteSemigroup(Carrier):
     """A closed, deterministically ordered set of chain maps under composition.
@@ -157,15 +168,26 @@ class FiniteSemigroup(Carrier):
     def cayley(self, side: str) -> np.ndarray:
         """Successors of the left (side "l", a -> g*a: the walk's) or right
         (a -> a*g, coded per call) Cayley graph over the generators g."""
-        if side == "l":
-            return self._left
-        spread, right, codes = self._coding()
-        return _direct_rows(spread, right[:, self._gens], codes, np.arange(self.size))[0]
+        return self._left if side == "l" else self.product_rows(self._gens, "l").T
 
     def squares(self) -> np.ndarray:
         """Index of a*a for each element a, coded from the words: no table."""
         spread, right, codes = self._coding()
         return np.searchsorted(codes, (spread * right.T).sum(axis=1))
+
+    def product_rows(self, rows, side: str) -> np.ndarray:
+        """Row k holds a*x (side "r") or x*a (side "l") for every element x,
+        where a = rows[k], coded from the words a block of rows at a time: no
+        table.  The words are coded once per call."""
+        spread, right, codes = self._coding()
+        whole = np.arange(self.size)
+        out = np.empty((len(rows), self.size), dtype=index_dtype(self.size))
+        for k in row_blocks(np.arange(len(rows)), self.size):
+            if side == "r":
+                out[k] = _direct_rows(spread, right, codes, rows[k])[0]
+            else:
+                out[k] = _direct_rows(spread, right[:, rows[k]], codes, whole)[0].T
+        return out
 
     def _coding(self):
         """Each element's base-n code and the arrays that code its products."""

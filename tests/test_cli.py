@@ -410,6 +410,23 @@ GOLDEN_STDOUT = [
         ("h", "87ba2c55e14b03a9f07ebe9c20f3c16a432b9956fbb9092568ff2ac9d9ef9e32"),
         ("d", "844d0fbc8275225bc3a00d7ae5ec7745f1d0d2bd16dc37c06956115a887d622c"),
     ]
+] + [
+    # The starred kinds and abundance as recorded while they read every
+    # element's row of S^1 products off the product table; lstar and rstar
+    # as the benchmark pins them.
+    (("relations", "--method", "oracle", "--family", "ct", "--n", "7", "--relation", relation), 0, digest)
+    for relation, digest in [
+        ("lstar", "6ed48052f4b003fe02d1c8614ed166b4b9b82a73c6fa01e4880a689d2f455f58"),
+        ("rstar", "ce019d478c21e407c465e8b346550505b80ac00466c53acf09c430c539437e0b"),
+        ("hstar", "83eeff800224976aecac7d48c4d5b0f82bf26c1229d5752f1a8e907c25f4d6a4"),
+        ("dstar", "f8eda408d1c4c7cfd90da42cb541aea646f3b3477da66ea3ad747206b39add53"),
+    ]
+] + [
+    (("verify", "--check", "starred,abundance", "--family", family, "--n", "6"), 1, digest)
+    for family, digest in [
+        ("orct", "719b439e77c40cc0c9a10da37ee0f6eaffac93d8a8c7fc4443a1c63cb645e6e0"),
+        ("oct", "636b73428b185ad892e08ef081c8445eeffa907501497d4260823c0385ea7b8c"),
+    ]
 ]
 
 

@@ -446,21 +446,52 @@ def _canon_fingerprint_labels(s, side):
 STARRED_OF_SIDE = {"l": "lstar", "r": "rstar"}
 
 
+# Carriers of both row sources, as _carrier arguments: semigroups code their
+# rows from the words, and Rees quotients read theirs off the table.
+# height2-ct5 has no identity, so the formal-identity column is not a copy of
+# any table column; idgen-ct6 holds irregular elements.
+FINGERPRINT_CARRIERS = {
+    "ct5": ("ct", 5, None),
+    "orct5": ("orct", 5, None),
+    "t4": ("t", 4, None),
+    "height2-ct5": ("ideal-ct", 5, 2),
+    "idgen-ct6": ("idgen-ct", 6, None),
+    **{f"reg-orct{n}": ("reg-orct", n, None) for n in range(4, 8)},
+    **{f"reg-orct{n}-p{p}": ("reg-orct", n, p) for n in range(4, 7) for p in range(2, n + 1)},
+}
+
+
 class TestFingerprintKeys:
-    @pytest.mark.parametrize("carrier", ["ct5", "orct5", "t4", "height2-ct5"])
+    @pytest.mark.parametrize("carrier", list(FINGERPRINT_CARRIERS))
     @pytest.mark.parametrize("side", ["l", "r"])
-    def test_match_canon_reference(self, family, carrier, side):
-        # height2-ct5 has no identity, so the formal-identity column is not
-        # a copy of any table column.
-        s = {
-            "ct5": lambda: family("ct", 5),
-            "orct5": lambda: family("orct", 5),
-            "t4": lambda: family("t", 4),
-            "height2-ct5": lambda: subsemigroup(family("ct", 5), height_ideal(family("ct", 5), 2).elements),
-        }[carrier]()
+    def test_match_canon_reference(self, family, regular_base, carrier, side):
+        s = _carrier(family, regular_base, *FINGERPRINT_CARRIERS[carrier])
+        rows, table = np.arange(s.size - 1, -1, -2), s.table()
+        assert np.array_equal(s.product_rows(rows, "r"), table[rows])
+        assert np.array_equal(s.product_rows(rows, "l"), table[:, rows].T)
+        reference = _canon_fingerprint_labels(s, side)
         got = rel._product_labels(s, STARRED_OF_SIDE[side])
         assert got.dtype == np.int32
-        assert np.array_equal(got, _canon_fingerprint_labels(s, side))
+        assert np.array_equal(got, reference)
+        # The oracle keys one row per Green's class of the same side, which
+        # is sound only because L refines L* and R refines R*.
+        green = green_oracle(s, side)
+        assert green.refines(RelationPartition(s, STARRED_OF_SIDE[side], reference, "oracle"))
+
+    @pytest.mark.parametrize("width", [40, 32_767, 32_768, 40_504])
+    def test_kernel_keys_past_int16(self, width):
+        # Synthetic rows, no enumeration: each entry becomes the position
+        # where its value first occurs, which np.unique's first indices give.
+        size = width - 1
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, size, (3, width)).astype(np.int32)
+        rows[0] = rng.integers(0, 5, width)  # few distinct values
+        rows[1] = np.arange(width) % size  # last slot repeats the first
+        got = rel._kernel_keys(rows.copy(), size)
+        assert got.dtype == (np.int16 if width <= 32_767 else np.int32)
+        for row, key in zip(rows, got):
+            _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+            assert np.array_equal(key, first[inverse])
 
 
 class TestCharPartitionsCT6:
@@ -537,6 +568,26 @@ class TestStarredCT7:
             (6, 6, 6, 6, 5, 5, 4),
             (7, 7, 7, 7, 6, 6, 5),
         ]
+
+    def test_builds_no_table(self, monkeypatch):
+        # The int16 table alone is 22.9 MB; one coded row per Green's class
+        # (153 for L, 365 for R) and their keys stay near 7 MB.
+        def unreachable(s):
+            raise AssertionError("a product table was built")
+
+        monkeypatch.setattr(FiniteSemigroup, "_build_table", unreachable)
+        s = enumerate_family("ct", 7)
+        tracemalloc.start()
+        try:
+            counts = {k: starred_partition(s, k).class_count for k in ("lstar", "rstar", "hstar", "dstar")}
+            left, right = abundance_witness(s, "left"), abundance_witness(s, "right")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert counts == {"lstar": 28, "rstar": 365, "hstar": 1697, "dstar": 7}
+        assert left is None and len(right) == 10
+        assert s._table is None
 
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_fingerprint_peak_memory(self, ct7, side):
