@@ -55,8 +55,7 @@ def height_ideal(base: FiniteSemigroup, p: int) -> HeightIdeal:
     chosen = np.array([base.index_of(m) for m in selected], dtype=np.intp)
     inside = np.zeros(base.size, dtype=bool)
     inside[chosen] = True
-    table = base.table()
-    if not (inside[table[chosen, :]].all() and inside[table[:, chosen]].all()):
+    if not all(inside[base.product_rows(chosen, side)].all() for side in "rl"):
         raise RuntimeError(
             f"height-{p} slice of {base!r} is not a two-sided ideal; "
             "the base is not height-monotone"
@@ -97,6 +96,15 @@ class ReesQuotient(Carrier):
         """The Cayley graphs over every index: quotients are small, so the table is both."""
         return self._table.T if side == "l" else self._table
 
+    def squares(self) -> np.ndarray:
+        """Index of a*a for each element a, read off the table's diagonal."""
+        return self._table.diagonal()
+
+    def product_rows(self, rows, side: str) -> np.ndarray:
+        """Row k holds a*x (side "r") or x*a (side "l") for every element x,
+        where a = rows[k], read off the table."""
+        return self._table[rows] if side == "r" else self._table[:, rows].T
+
     def _build_table(self):
         # pos[x] is base element x's carrier index if it is a height-p map and
         # 0 otherwise.  Below height p the products fall into the lower ideal,
@@ -105,7 +113,7 @@ class ReesQuotient(Carrier):
         pos = np.zeros(self.base.size, dtype=TABLE_DTYPE)
         pos[layer] = np.arange(1, len(layer) + 1)
         table = np.zeros((self.size, self.size), dtype=TABLE_DTYPE)
-        table[1:, 1:] = pos[self.base.table()[np.ix_(layer, layer)]]
+        table[1:, 1:] = pos[self.base.product_rows(layer, "r")[:, layer]]
         return table
 
     def _assert_associative(self):

@@ -273,7 +273,7 @@ def _same_cancellation(s, a: ChainMap, b: ChainMap, side: str) -> bool:
     x*c = y*c (side "l") holds for c = a exactly when it holds for c = b."""
     def products(c):  # trailing slot: the identity
         i = s.index_of(c)
-        return [s.product(i, x) if side == "r" else s.product(x, i) for x in range(s.size)] + [i]
+        return [*s.product_rows([i], side)[0].tolist(), i]
 
     pa, pb = products(a), products(b)
     width = s.size + 1

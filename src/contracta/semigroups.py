@@ -1,4 +1,4 @@
-"""Enumerated finite semigroups of chain maps, with lazily built product tables.
+"""Enumerated finite semigroups of chain maps, with products coded from the words.
 
 A map is a contraction exactly when adjacent images differ by -1, 0 or +1
 (see ``maps.is_contraction``), so the contraction families are generated as
@@ -10,8 +10,9 @@ Construction walks the left Cayley graph: only generator rows are coded and
 looked up, and every other element t is found as g*k for a generator g and
 an element k found before it.  Closure is checked in full, since t*b =
 g*(k*b) is inside when the generator rows are; the walk fails loudly if a
-product escapes the element set.  The int16 product table is built when it
-is first read, by replaying the walk: row(g*k) = row(g)[row(k)].
+product escapes the element set.  Every later product is coded from the
+words and looked up among the element codes (``product_rows``); no product
+table is kept.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def row_blocks(rows, width: int, entries: int | None = None):
 
 
 class Carrier:
-    """What every carrier shares: its elements in index order, and products
-    read from the subclass's ``table()``."""
+    """What every carrier shares: its elements in index order, and single
+    products read from the subclass's ``product_rows``."""
 
     def __init__(self, elements):
         self.elements = tuple(elements)
@@ -116,17 +117,7 @@ class Carrier:
 
     def product(self, i: int, j: int) -> int:
         """Index of element_i composed-then element_j."""
-        return int(self.table()[i, j])
-
-    def squares(self) -> np.ndarray:
-        """Index of a*a for each element a, read off the table's diagonal."""
-        return self.table().diagonal()
-
-    def product_rows(self, rows, side: str) -> np.ndarray:
-        """Row k holds a*x (side "r") or x*a (side "l") for every element x,
-        where a = rows[k], read off the table."""
-        table = self.table()
-        return table[rows] if side == "r" else table[:, rows].T
+        return int(self.product_rows([i], "r")[0, j])
 
 
 class FiniteSemigroup(Carrier):
@@ -134,7 +125,7 @@ class FiniteSemigroup(Carrier):
 
     Elements are sorted lexicographically by image word so that class
     numbering and reports are reproducible.  Instances are immutable after
-    construction; the lazily built product table is write-once.
+    construction.
     """
 
     def __init__(self, n, family, elements):
@@ -146,20 +137,17 @@ class FiniteSemigroup(Carrier):
         for m in self.elements:
             if m.n != n:
                 raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
-        self._table = None
         # The generator walk raises ClosureError on an escaping product.
-        self._gens, self._left, self._steps = self._generator_walk()
+        self._gens, self._left = self._generator_walk()
 
     def __repr__(self):
         return f"FiniteSemigroup(family={self.family!r}, n={self.n}, size={self.size})"
 
     def table(self) -> np.ndarray:
-        """The full int16 product table, replayed from the generator walk on
-        first read; ValueError when it exceeds the entry budget."""
-        if self._table is None:
-            check_table_budget(self.size)
-            self._table = self._build_table()
-        return self._table
+        """The full product table, coded anew on every call; ValueError when
+        it exceeds the entry budget."""
+        check_table_budget(self.size)
+        return self.product_rows(np.arange(self.size), "r")
 
     def generators(self) -> np.ndarray:
         """Indices of a generating set: the rows the generator walk coded directly."""
@@ -178,15 +166,16 @@ class FiniteSemigroup(Carrier):
     def product_rows(self, rows, side: str) -> np.ndarray:
         """Row k holds a*x (side "r") or x*a (side "l") for every element x,
         where a = rows[k], coded from the words a block of rows at a time: no
-        table.  The words are coded once per call."""
+        table.  The words are coded once per call.  The generator walk proved
+        closure, so each code is looked up without an escape check."""
         spread, right, codes = self._coding()
-        whole = np.arange(self.size)
+        rows = np.asarray(rows, dtype=np.intp)
         out = np.empty((len(rows), self.size), dtype=index_dtype(self.size))
         for k in row_blocks(np.arange(len(rows)), self.size):
             if side == "r":
-                out[k] = _direct_rows(spread, right, codes, rows[k])[0]
+                out[k] = np.searchsorted(codes, spread[rows[k]] @ right)
             else:
-                out[k] = _direct_rows(spread, right[:, rows[k]], codes, whole)[0].T
+                out[k] = np.searchsorted(codes, spread @ right[:, rows[k]]).T
         return out
 
     def _coding(self):
@@ -207,13 +196,12 @@ class FiniteSemigroup(Carrier):
         return spread, np.ascontiguousarray(words.T), codes
 
     def _generator_walk(self):
-        """Generators, the left successor array g*a, and one step (t, g, k)
-        with t = g*k for every other element, in the order found."""
+        """Generators, in the order found, and the left successor array g*a."""
         spread, right, codes = self._coding()
         rank = np.count_nonzero(spread, axis=1)
         known = np.zeros(self.size, dtype=bool)
         found, done = [], 0  # every generator has been multiplied onto found[:done]
-        gens, rows, steps = [], [], []
+        gens, rows = [], []
         while len(found) < self.size:
             # Rank never rises along a product, so the widest unknown map is
             # taken as the next generator; only its row is coded directly.
@@ -230,24 +218,14 @@ class FiniteSemigroup(Carrier):
             ks = np.array(found[:done], dtype=np.intp)
             while True:
                 targets = succ[np.ix_(hs, ks)]
-                hi, ki = np.nonzero(~known[targets])
-                for t, h, k in zip(targets[hi, ki].tolist(), hs[hi].tolist(), ks[ki].tolist()):
+                for t in targets[~known[targets]].tolist():
                     if not known[t]:
                         known[t] = True
                         found.append(t)
-                        steps.append((t, gens[h], k))
                 if done == len(found):
                     break
                 hs, ks, done = np.arange(len(gens)), np.array(found[done:]), len(found)
-        return np.array(gens, dtype=np.intp), np.array(rows, dtype=np.int32).T, np.array(steps)
-
-    def _build_table(self):
-        """Replay the generator walk: the row of t = g*k is row(g)[row(k)]."""
-        table = np.empty((self.size, self.size), dtype=TABLE_DTYPE)
-        table[self._gens] = self._left.T
-        for t, g, k in self._steps.tolist():
-            table[g].take(table[k], out=table[t])
-        return table
+        return np.array(gens, dtype=np.intp), np.array(rows, dtype=np.int32).T
 
     def _raise_first_escape(self, spread, right, codes):
         """ClosureError naming the first escaping product, row by row."""
@@ -369,9 +347,10 @@ def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
 
 # -- criteria over one closed carrier -----------------------------------------
 #
-# Every criterion reads one closed carrier, a FiniteSemigroup or a ReesQuotient;
-# idempotents and regularity read no product table.  A subset is asked about
-# as ``subsemigroup(s, subset)``.
+# Every criterion reads one closed carrier, a FiniteSemigroup or a ReesQuotient,
+# through ``squares``, ``cayley`` and ``product_rows``; only the unique-inverse
+# count behind ``verify_inverse`` reads a whole product table.  A subset is
+# asked about as ``subsemigroup(s, subset)``.
 
 
 def idempotent_indices(s) -> list[int]:
@@ -443,16 +422,15 @@ def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
     Every product g1*...*gk is reached from g1 by right multiplication, so
     each round multiplies only the newly reached elements by the generators.
     """
-    table = s.table()
     inside = np.zeros(s.size, dtype=bool)
     inside[[s.index_of(m) for m in gens]] = True
-    generators = frontier = np.flatnonzero(inside)
-    if not generators.size:
+    frontier = np.flatnonzero(inside)
+    if not frontier.size:
         raise ValueError("at least one generator is required")
+    right = s.product_rows(frontier, "l").T  # right[a, g] = a*g
     while frontier.size:
         reached = np.zeros(s.size, dtype=bool)
-        for rows in row_blocks(frontier, len(generators)):
-            reached[table[np.ix_(rows, generators)]] = True
+        reached[right[frontier]] = True
         frontier = np.flatnonzero(reached & ~inside)
         inside[frontier] = True
     return FiniteSemigroup(s.n, "custom", [s.elements[i] for i in np.flatnonzero(inside)])
@@ -470,7 +448,7 @@ def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
 def idempotents_commute(s) -> bool:
     """True iff e*f = f*e for all idempotents e, f of the carrier."""
     ids = idempotent_indices(s)
-    ef = s.table()[np.ix_(ids, ids)]
+    ef = s.product_rows(ids, "r")[:, ids]
     return bool((ef == ef.T).all())
 
 
@@ -479,7 +457,7 @@ def _first_idempotent_pair(s, bad: np.ndarray | None = None):
     flagged in ``bad`` (one flag per element; by default, the product is not
     idempotent), as (e, f, e*f), or None."""
     ids = np.array(idempotent_indices(s), dtype=np.intp)
-    ef = s.table()[np.ix_(ids, ids)]
+    ef = s.product_rows(ids, "r")[:, ids]
     hits = np.flatnonzero(s.squares()[ef] != ef if bad is None else bad[ef])
     if not hits.size:
         return None

@@ -1,9 +1,13 @@
+import weakref
+
 import pytest
 
 from contracta import enumerate_family, regular_elements, subsemigroup
+from contracta.semigroups import FiniteSemigroup
 
 _families: dict = {}
 _regs: dict = {}
+_tables = weakref.WeakKeyDictionary()
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +35,27 @@ def regular_base(family):
         return _regs[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def table_of():
+    """A carrier's full product table, the reference the tests compare
+    against, taken once per live carrier: a semigroup codes it anew on every
+    ``table()`` call."""
+
+    def get(s):
+        if s not in _tables:
+            _tables[s] = s.table()
+        return _tables[s]
+
+    return get
+
+
+@pytest.fixture
+def no_semigroup_table(monkeypatch):
+    """Make ``FiniteSemigroup.table`` raise for the rest of the test."""
+
+    def unreachable(s):
+        raise AssertionError("a semigroup product table was built")
+
+    monkeypatch.setattr(FiniteSemigroup, "table", unreachable)

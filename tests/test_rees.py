@@ -21,7 +21,7 @@ from contracta import (
     unipotence_witness,
     verify_inverse,
 )
-from contracta.semigroups import idempotent_indices
+from contracta.semigroups import FiniteSemigroup, idempotent_indices
 
 
 class TestHeightIdeal:
@@ -43,6 +43,24 @@ class TestHeightIdeal:
             height_ideal(base, 0)
         with pytest.raises(ValueError, match="out of range"):
             height_ideal(base, 5)
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_product_leaving_the_slice_rejected(self, regular_base, monkeypatch, side):
+        # One corrupted product, a*x (side "r") or x*a (side "l") for the
+        # first map a of the slice and the first x of the base, lands on the
+        # identity, above the slice.
+        base = regular_base("orct", 4)
+        coded, top = FiniteSemigroup.product_rows, base.index_of(identity_map(4))
+
+        def corrupted(s, rows, row_side):
+            out = coded(s, rows, row_side)
+            if row_side == side:
+                out[0, 0] = top
+            return out
+
+        monkeypatch.setattr(FiniteSemigroup, "product_rows", corrupted)
+        with pytest.raises(RuntimeError, match="not a two-sided ideal"):
+            height_ideal(base, 2)
 
     def test_two_sided_ideal_property(self, regular_base):
         for fam in ("orct", "oct"):

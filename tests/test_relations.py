@@ -45,7 +45,7 @@ from contracta import (
 )
 from contracta.partitions import kernel_word
 from contracta.relations import RelationPartition, char_partition, characterized_rows
-from contracta.semigroups import FiniteSemigroup, _regular_mask, regular_subsemigroup, row_blocks
+from contracta.semigroups import _regular_mask, regular_subsemigroup, row_blocks
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -65,10 +65,10 @@ CT4_CLASS_COUNTS = {"l": 12, "r": 14, "h": 36, "d": 5, "j": 5}
 # -- the principal-ideal route, as the reference for the Cayley-graph oracles --
 
 
-def _product_rows(s, side, elements):
+def _product_rows(table, side, elements):
     """Row blocks of S^1 products: row k holds x*a (side "l") or a*x (side
     "r") for every x in S, then a itself, where a = elements[k]."""
-    size, table = s.size, s.table()
+    size = len(table)
     for block in row_blocks(elements, size + 1):
         rows = np.empty((len(block), size + 1), dtype=np.int32)
         rows[:, :size] = table.take(block, axis=1).T if side == "l" else table[block, :]
@@ -83,18 +83,18 @@ def _members(rows, width):
     return member
 
 
-def _image_keys(s, side):
+def _image_keys(table, side):
     """Each element's principal ideal S^1 a (side "l") or a S^1 as packed bits."""
-    blocks = _product_rows(s, side, np.arange(s.size))
-    return np.concatenate([np.packbits(_members(rows, s.size), axis=1) for rows in blocks])
+    blocks = _product_rows(table, side, np.arange(len(table)))
+    return np.concatenate([np.packbits(_members(rows, len(table)), axis=1) for rows in blocks])
 
 
-def _ideal_labels(s, side):
+def _ideal_labels(table, side):
     """L (side "l") or R labels: equal exactly when the principal ideals are."""
-    return rel._labels(key.tobytes() for key in _image_keys(s, side))
+    return rel._labels(key.tobytes() for key in _image_keys(table, side))
 
 
-def _matrix_product_j(s):
+def _matrix_product_j(table):
     """J labels from one boolean matrix product.
 
     S^1 a S^1 is the union of the right ideals b S^1 over b in S^1 a.  A
@@ -103,11 +103,11 @@ def _matrix_product_j(s):
     L-class, as a set of R-classes, is the R-classes that S^1 a meets times
     the R-classes inside each b S^1, read from the class representatives.
     """
-    llab, rlab = _ideal_labels(s, "l"), _ideal_labels(s, "r")
+    llab, rlab = _ideal_labels(table, "l"), _ideal_labels(table, "r")
 
     def meets(side, labels):
         # [c, k]: the products on ``side`` of class c's least member meet R-class k
-        blocks = _product_rows(s, side, rel._least_members(labels))
+        blocks = _product_rows(table, side, rel._least_members(labels))
         return np.concatenate([_members(rlab[rows], int(rlab.max()) + 1) for rows in blocks])
 
     ideals = meets("l", llab) @ meets("r", rlab)
@@ -150,7 +150,7 @@ class TestGreenOracle:
         assert part.same_class(s.index_of(ALPHA), s.index_of(BETA))
 
     @pytest.mark.parametrize("carrier", ["ct4", "t3", "orct4", "reg-ct5", "idgen-ct6"])
-    def test_j_matches_two_sided_ideals(self, family, regular_base, carrier):
+    def test_j_matches_two_sided_ideals(self, family, regular_base, table_of, carrier):
         s = {
             "ct4": lambda: family("ct", 4),
             "t3": lambda: family("t", 3),
@@ -162,7 +162,7 @@ class TestGreenOracle:
         # S^1 a S^1 straight from the table with an identity adjoined at index size.
         m = s.size
         table = np.empty((m + 1, m + 1), dtype=np.int64)
-        table[:m, :m] = s.table()
+        table[:m, :m] = reference = table_of(s)
         table[m, :] = table[:, m] = np.arange(m + 1)
         ideals = []
         for a in range(m):
@@ -170,15 +170,15 @@ class TestGreenOracle:
             member[table[table[:, a], :]] = True
             ideals.append(member.tobytes())
         assert green_oracle(s, "j").labels.tolist() == list(kernel_word(ideals))
-        assert _matrix_product_j(s).tolist() == list(kernel_word(ideals))
+        assert _matrix_product_j(reference).tolist() == list(kernel_word(ideals))
 
     @pytest.mark.parametrize("fam,n", [("ct", 5), ("t", 4)])
     @pytest.mark.parametrize("side", ["l", "r"])
-    def test_ideal_keys_match_unique_reference(self, family, fam, n, side):
+    def test_ideal_keys_match_unique_reference(self, family, table_of, fam, n, side):
         # L and R label each element by the image of its row of S^1 products.
         s = family(fam, n)
-        table = s.table()
-        keys = _image_keys(s, side)
+        table = table_of(s)
+        keys = _image_keys(table, side)
         assert len(keys) == s.size
         ideals = []
         for a, key in enumerate(keys):
@@ -193,15 +193,15 @@ class TestGreenOracle:
         "fam,n,p", CAYLEY_CARRIERS,
         ids=[f"{fam}{n}" + (f"-p{p}" if p else "") for fam, n, p in CAYLEY_CARRIERS],
     )
-    def test_cayley_components_match_ideal_route(self, family, regular_base, fam, n, p):
+    def test_cayley_components_match_ideal_route(self, family, regular_base, table_of, fam, n, p):
         s = _carrier(family, regular_base, fam, n, p)
         # A quotient's Cayley graphs run over every index.
-        gens, table = np.arange(s.size) if p else s.generators(), s.table()
+        gens, table = np.arange(s.size) if p else s.generators(), table_of(s)
         assert np.array_equal(s.cayley("l"), table[gens].T)
         assert np.array_equal(s.cayley("r"), table[:, gens])
         for side in ("l", "r"):
-            assert np.array_equal(green_oracle(s, side).labels, _ideal_labels(s, side)), side
-        assert np.array_equal(green_oracle(s, "j").labels, _matrix_product_j(s))
+            assert np.array_equal(green_oracle(s, side).labels, _ideal_labels(table, side)), side
+        assert np.array_equal(green_oracle(s, "j").labels, _matrix_product_j(table))
 
     def test_refinement_chain(self, family):
         s = family("ct", 4)
@@ -431,11 +431,10 @@ class TestStarredOracles:
         assert parts["rstar"].refines(parts["dstar"])
 
 
-def _canon_fingerprint_labels(s, side):
+def _canon_fingerprint_labels(table, side):
     """Reference starred labels: each row of S^1 products renumbered by kernel_word."""
-    table = s.table()
     rows = []
-    for a in range(s.size):
+    for a in range(len(table)):
         row = (table[a, :] if side == "l" else table[:, a]).tolist()
         rows.append(kernel_word(row + [a]))
     return rel._labels(rows)
@@ -464,12 +463,12 @@ FINGERPRINT_CARRIERS = {
 class TestFingerprintKeys:
     @pytest.mark.parametrize("carrier", list(FINGERPRINT_CARRIERS))
     @pytest.mark.parametrize("side", ["l", "r"])
-    def test_match_canon_reference(self, family, regular_base, carrier, side):
+    def test_match_canon_reference(self, family, regular_base, table_of, carrier, side):
         s = _carrier(family, regular_base, *FINGERPRINT_CARRIERS[carrier])
-        rows, table = np.arange(s.size - 1, -1, -2), s.table()
+        rows, table = np.arange(s.size - 1, -1, -2), table_of(s)
         assert np.array_equal(s.product_rows(rows, "r"), table[rows])
         assert np.array_equal(s.product_rows(rows, "l"), table[:, rows].T)
-        reference = _canon_fingerprint_labels(s, side)
+        reference = _canon_fingerprint_labels(table, side)
         got = rel._product_labels(s, STARRED_OF_SIDE[side])
         assert got.dtype == np.int32
         assert np.array_equal(got, reference)
@@ -511,9 +510,7 @@ class TestCharPartitionsCT6:
 
 @pytest.fixture(scope="module")
 def ct7():
-    s = enumerate_family("ct", 7)
-    s.table()
-    return s
+    return enumerate_family("ct", 7)
 
 
 class TestGreenCT7:
@@ -532,7 +529,7 @@ class TestGreenCT7:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_green_kinds_build_no_table(self):
+    def test_green_kinds_build_no_table(self, no_semigroup_table):
         # The Cayley successor arrays are size x |generators|; the int32 table
         # alone was 45.9 MB and the int16 one is half that.
         tracemalloc.start()
@@ -545,7 +542,6 @@ class TestGreenCT7:
         assert peak < 10e6
         for kind in ("r", "j", "h", "d"):
             green_oracle(s, kind)
-        assert s._table is None
 
 
 class TestStarredCT7:
@@ -569,13 +565,9 @@ class TestStarredCT7:
             (7, 7, 7, 7, 6, 6, 5),
         ]
 
-    def test_builds_no_table(self, monkeypatch):
+    def test_builds_no_table(self, no_semigroup_table):
         # The int16 table alone is 22.9 MB; one coded row per Green's class
         # (153 for L, 365 for R) and their keys stay near 7 MB.
-        def unreachable(s):
-            raise AssertionError("a product table was built")
-
-        monkeypatch.setattr(FiniteSemigroup, "_build_table", unreachable)
         s = enumerate_family("ct", 7)
         tracemalloc.start()
         try:
@@ -587,7 +579,6 @@ class TestStarredCT7:
         assert peak < 10e6
         assert counts == {"lstar": 28, "rstar": 365, "hstar": 1697, "dstar": 7}
         assert left is None and len(right) == 10
-        assert s._table is None
 
     @pytest.mark.parametrize("side", ["l", "r"])
     def test_fingerprint_peak_memory(self, ct7, side):
@@ -709,20 +700,17 @@ class TestRegularMask:
         "fam,n,p", REGULARITY_CARRIERS,
         ids=[f"{fam}{n}" + (f"-p{p}" if p else "") for fam, n, p in REGULARITY_CARRIERS],
     )
-    def test_matches_table_scan(self, family, regular_base, fam, n, p):
+    def test_matches_table_scan(self, family, regular_base, table_of, fam, n, p):
         # Regular exactly when the R-class holds an idempotent (Green's lemma).
         s = _carrier(family, regular_base, fam, n, p)
         assert s.size == {"idgen-ct": 523, "ideal-ct": 125}.get(fam, s.size)
-        assert np.array_equal(s.squares(), s.table().diagonal())
-        assert np.array_equal(_regular_mask(s), _regular_mask_by_table(s.table()))
+        table = table_of(s)
+        assert np.array_equal(s.squares(), table.diagonal())
+        assert np.array_equal(_regular_mask(s), _regular_mask_by_table(table))
 
-    def test_ct7_builds_no_table(self, monkeypatch):
+    def test_ct7_builds_no_table(self, no_semigroup_table):
         # The int16 table alone is 22.9 MB; the right Cayley graph and the
         # coded squares peak near 2.8 MB.
-        def unreachable(s):
-            raise AssertionError("a product table was built")
-
-        monkeypatch.setattr(FiniteSemigroup, "_build_table", unreachable)
         tracemalloc.start()
         try:
             s = enumerate_family("ct", 7)
@@ -733,7 +721,6 @@ class TestRegularMask:
             tracemalloc.stop()
         assert peak < 6e6
         assert (len(regular), len(ids), reg.size) == (2335, 395, 189)
-        assert s._table is None and reg._table is None
 
 
 class TestRegularityCharacterizations:

@@ -23,6 +23,7 @@ from contracta import (
     is_subsemigroup,
     kernel,
     make_map,
+    rees_quotient,
     regular_elements,
     subsemigroup,
     verify_inverse,
@@ -173,15 +174,14 @@ def _record_direct_rows(monkeypatch):
     return calls
 
 
-def _left_closure(s, gens):
+def _left_closure(table, gens):
     """Mask of every index reached from the generators by multiplying on the
     left by generators, through the product table."""
-    table = s.table()
-    reached = np.zeros(s.size, dtype=bool)
+    reached = np.zeros(len(table), dtype=bool)
     reached[gens] = True
     frontier = gens
     while frontier.size:
-        step = np.zeros(s.size, dtype=bool)
+        step = np.zeros(len(table), dtype=bool)
         step[table[np.ix_(gens, frontier)]] = True
         frontier = np.flatnonzero(step & ~reached)
         reached |= step
@@ -328,16 +328,16 @@ class TestClosure:
         assert sum(rows for rows, _ in calls) * s.size < 0.01 * s.size**2
 
     @pytest.mark.parametrize("fam,n", GENERATOR_FAMILIES)
-    def test_generators_generate(self, family, fam, n):
+    def test_generators_generate(self, family, table_of, fam, n):
         s = family(fam, n)
-        assert _left_closure(s, s.generators()).all()
+        assert _left_closure(table_of(s), s.generators()).all()
 
     def test_generators_of_unchecked_subsemigroup(self, family):
         # The height-2 ideal of ct5 needs 30 generator rows.
         s = FiniteSemigroup(5, "custom", height_ideal(family("ct", 5), 2).elements)
         gens = s.generators()
         assert len(gens) == 30
-        assert _left_closure(s, gens).all()
+        assert _left_closure(s.table(), gens).all()
 
     def test_chain_too_long_for_word_codes(self):
         # Base-16 codes of 16-letter words overflow int64; the build stops
@@ -354,15 +354,26 @@ class TestClosure:
 
     def test_table_over_budget_raises(self, family, monkeypatch):
         # Construction checks closure by the generator walk alone; the budget
-        # applies when the table is first read.
+        # applies whenever the table is read.
         s = family("ct", 3)
         monkeypatch.setattr(semigroups, "DEFAULT_TABLE_BUDGET", 100)
         checked = FiniteSemigroup(3, "ct", s.elements)
         with pytest.raises(ValueError, match=r"17 elements needs 289 entries \(578 bytes\)"):
             checked.table()
 
-    def test_ct7_table_is_int16(self, family):
-        table = family("ct", 7).table()
+    @pytest.mark.parametrize("carrier", ["ct4", "reg-orct4-p2"])
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_product_rows_take_lists(self, family, regular_base, carrier, side):
+        # A semigroup codes its rows and a quotient reads its table; both
+        # take a list, as idempotent_indices returns, and an empty one.
+        s = family("ct", 4) if carrier == "ct4" else rees_quotient(regular_base("orct", 4), 2)
+        for rows in ([3, 0, 3, s.size - 1], []):
+            got = s.product_rows(rows, side)
+            assert got.shape == (len(rows), s.size)
+            assert np.array_equal(got, s.product_rows(np.array(rows, dtype=np.intp), side))
+
+    def test_ct7_table_is_int16(self, family, table_of):
+        table = table_of(family("ct", 7))
         assert table.dtype == np.int16 and table.nbytes == 2 * 3387**2
 
     def test_budget_fits_int16(self):
@@ -519,6 +530,20 @@ class TestPredicates:
     def test_empty_subset_rejected(self, family):
         with pytest.raises(ValueError, match="nonempty"):
             is_subsemigroup(family("ct", 3), [])
+
+    def test_ct8_past_the_table_budget(self, no_semigroup_table):
+        # ct8 has 11,814 elements: a table would need 139.6M entries, and
+        # enumerate_family refuses it.  Built directly, the idempotent-pair
+        # search of the idempotent-products check reads rows coded from the
+        # words.
+        words = semigroups.family_words("ct", 8)
+        s = FiniteSemigroup(8, "ct", [make_map(8, w) for w in words.tolist()])
+        ids = idempotents(s)
+        assert len(ids) == 1042
+        e, f, ef = semigroups._first_idempotent_pair(s, ~semigroups._regular_mask(s))
+        assert (e.images, f.images) == ((1, 2, 3, 4, 3, 2, 1, 1), (6, 5, 5, 4, 5, 6, 5, 4))
+        assert ef == compose(e, f) == make_map(8, [6, 5, 5, 4, 5, 5, 6, 6])
+        assert not is_regular_in(words, ef)
 
 
 class TestHallEquivalence:
