@@ -1,18 +1,18 @@
-"""Enumerated finite semigroups of chain maps, with products coded from the words.
+"""Finite semigroups of chain maps, stored as image words and coded once.
 
 A map is a contraction exactly when adjacent images differ by -1, 0 or +1
 (see ``maps.is_contraction``), so the contraction families are generated as
 walks on 1..n: ``ct`` takes steps in {-1, 0, +1}, ``oct`` steps in {0, +1},
 and ``orct`` the ``oct`` walks together with those with steps in {-1, 0}.
 ``t`` is all n^n image words.  Every family's words are one lexicographic
-(count, n) int8 array, which ``is_regular_in`` scans without a carrier.
+(count, n) int8 array, which ``is_regular_in`` scans without a carrier.  A
+``FiniteSemigroup`` is built from such words and codes them in base n once.
 Construction walks the left Cayley graph: only generator rows are coded and
 looked up, and every other element t is found as g*k for a generator g and
 an element k found before it.  Closure is checked in full, since t*b =
 g*(k*b) is inside when the generator rows are; the walk fails loudly if a
-product escapes the element set.  Every later product is coded from the
-words and looked up among the element codes (``product_rows``); no product
-table is kept.
+product escapes.  Every later product is coded from the stored arrays and
+looked up among the element codes (``product_rows``); no table is kept.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ TABLE_DTYPE = np.int16
 _BLOCK_ENTRIES = 1 << 17
 _TABLE_BLOCK_ENTRIES = 1 << 13
 
-# The generator walk codes image words in base n as int64, exact while
+# A semigroup codes its image words in base n as int64, exact while
 # n^n < 2^63: 15^15 is about 4.4e17, 16^16 about 1.8e19.
 _MAX_CODED_N = 15
 
@@ -121,22 +121,37 @@ class Carrier:
 
 
 class FiniteSemigroup(Carrier):
-    """A closed, deterministically ordered set of chain maps under composition.
+    """A closed set of chain maps under composition, stored as image words.
 
-    Elements are sorted lexicographically by image word so that class
-    numbering and reports are reproducible.  Instances are immutable after
-    construction.
+    ``words`` is an integer array-like of shape (k, n) with values in 1..n.
+    The words are sorted lexicographically and deduplicated, so that class
+    numbering and reports are reproducible, and coded once: ``s.words`` is
+    the read-only int8 array, and ``elements`` the maps it spells.  Instances
+    are immutable after construction.
     """
 
-    def __init__(self, n, family, elements):
-        self.n = n
-        self.family = family
-        super().__init__(sorted(set(elements)))
-        if not self.elements:
-            raise ValueError("a semigroup needs at least one element")
-        for m in self.elements:
-            if m.n != n:
-                raise ValueError(f"element {m} lives on a chain of size {m.n}, not {n}")
+    def __init__(self, n, family, words):
+        if not 1 <= n <= _MAX_CODED_N:
+            raise ValueError(f"semigroups are coded for chains of size 1 <= n <= {_MAX_CODED_N}, got n={n}")
+        self.n, self.family = n, family
+        words = np.asarray(words)
+        if not words.size:
+            raise ValueError("a semigroup needs a nonempty set of words")
+        if words.ndim != 2 or words.shape[1] != n or not np.issubdtype(words.dtype, np.integer):
+            raise ValueError(f"expected integer words of length {n}, got an array of shape {words.shape}")
+        if ((words < 1) | (words > n)).any():
+            raise ValueError(f"a word has an image outside 1..{n}")
+        weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._codes, first = np.unique((words.astype(np.int64) - 1) @ weights, return_index=True)
+        self.words = words[first].astype(np.int8)
+        self.words.flags.writeable = False
+        super().__init__(ChainMap(n, word) for word in self.words.tolist())
+        # The code of a*b is sum_x b(x) * spread_a[x], where spread_a[x] sums
+        # the weights of the positions k with a(k) = x.
+        self._right = np.ascontiguousarray(self.words.T, dtype=np.int64) - 1
+        self._spread = np.zeros((self.size, n), dtype=np.int64)
+        for k in range(n):
+            self._spread[np.arange(self.size), self._right[k]] += weights[k]
         # The generator walk raises ClosureError on an escaping product.
         self._gens, self._left = self._generator_walk()
 
@@ -160,44 +175,26 @@ class FiniteSemigroup(Carrier):
 
     def squares(self) -> np.ndarray:
         """Index of a*a for each element a, coded from the words: no table."""
-        spread, right, codes = self._coding()
-        return np.searchsorted(codes, (spread * right.T).sum(axis=1))
+        return np.searchsorted(self._codes, (self._spread * self._right.T).sum(axis=1))
 
     def product_rows(self, rows, side: str) -> np.ndarray:
         """Row k holds a*x (side "r") or x*a (side "l") for every element x,
         where a = rows[k], coded from the words a block of rows at a time: no
-        table.  The words are coded once per call.  The generator walk proved
-        closure, so each code is looked up without an escape check."""
-        spread, right, codes = self._coding()
+        table.  The coding arrays are built once, on construction.  The
+        generator walk proved closure, so each code is looked up without an
+        escape check."""
         rows = np.asarray(rows, dtype=np.intp)
         out = np.empty((len(rows), self.size), dtype=index_dtype(self.size))
         for k in row_blocks(np.arange(len(rows)), self.size):
             if side == "r":
-                out[k] = np.searchsorted(codes, spread[rows[k]] @ right)
+                out[k] = np.searchsorted(self._codes, self._spread[rows[k]] @ self._right)
             else:
-                out[k] = np.searchsorted(codes, spread @ right[:, rows[k]]).T
+                out[k] = np.searchsorted(self._codes, self._spread @ self._right[:, rows[k]]).T
         return out
-
-    def _coding(self):
-        """Each element's base-n code and the arrays that code its products."""
-        n = self.n
-        if n > _MAX_CODED_N:
-            raise ValueError(
-                f"product tables are built for chains of size n <= {_MAX_CODED_N}, got n={n}"
-            )
-        words = np.array([e.images for e in self.elements], dtype=np.int64) - 1
-        weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        codes = words @ weights  # ascending, since elements are sorted
-        # The code of a*b is sum_x b(x) * spread_a[x], where spread_a[x] sums
-        # the weights of the positions k with a(k) = x.
-        spread = np.zeros((self.size, n), dtype=np.int64)
-        for k in range(n):
-            spread[np.arange(self.size), words[:, k]] += weights[k]
-        return spread, np.ascontiguousarray(words.T), codes
 
     def _generator_walk(self):
         """Generators, in the order found, and the left successor array g*a."""
-        spread, right, codes = self._coding()
+        spread, right, codes = self._spread, self._right, self._codes
         rank = np.count_nonzero(spread, axis=1)
         known = np.zeros(self.size, dtype=bool)
         found, done = [], 0  # every generator has been multiplied onto found[:done]
@@ -208,7 +205,7 @@ class FiniteSemigroup(Carrier):
             g = int(np.argmax(np.where(known, -1, rank)))
             idx, bad = _direct_rows(spread, right, codes, [g])
             if bad.any():
-                self._raise_first_escape(spread, right, codes)
+                self._raise_first_escape()
             known[g] = True
             found.append(g)
             gens.append(g)
@@ -227,10 +224,10 @@ class FiniteSemigroup(Carrier):
                 hs, ks, done = np.arange(len(gens)), np.array(found[done:]), len(found)
         return np.array(gens, dtype=np.intp), np.array(rows, dtype=np.int32).T
 
-    def _raise_first_escape(self, spread, right, codes):
+    def _raise_first_escape(self):
         """ClosureError naming the first escaping product, row by row."""
         for rows in row_blocks(np.arange(self.size), self.size, _TABLE_BLOCK_ENTRIES):
-            _, bad = _direct_rows(spread, right, codes, rows)
+            _, bad = _direct_rows(self._spread, self._right, self._codes, rows)
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), self.size)
                 raise ClosureError(self.elements[rows[i]], self.elements[j])
@@ -330,19 +327,14 @@ def enumerate_family(family, n: int) -> FiniteSemigroup:
     tag = FamilyTag.coerce(family)
     check_family_size(tag.value, n)
     words = family_words(tag, n)
-    check_table_budget(len(words))  # before building a ChainMap per word
-    return FiniteSemigroup(n, tag.value, [ChainMap(n, word) for word in words.tolist()])
+    check_table_budget(len(words))  # before coding the words
+    return FiniteSemigroup(n, tag.value, words)
 
 
 def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
     """Wrap a subset of ``s`` as a semigroup of its own; ClosureError if it
     is not closed."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("subset must be nonempty")
-    for m in elements:
-        s.index_of(m)
-    return FiniteSemigroup(s.n, "custom", elements)
+    return FiniteSemigroup(s.n, "custom", s.words[[s.index_of(m) for m in elements]])
 
 
 # -- criteria over one closed carrier -----------------------------------------
@@ -433,7 +425,7 @@ def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
         reached[right[frontier]] = True
         frontier = np.flatnonzero(reached & ~inside)
         inside[frontier] = True
-    return FiniteSemigroup(s.n, "custom", [s.elements[i] for i in np.flatnonzero(inside)])
+    return FiniteSemigroup(s.n, "custom", s.words[inside])
 
 
 def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:

@@ -237,7 +237,7 @@ class TestClosure:
     def test_non_closed_set_rejected(self):
         # A bare non-idempotent cannot be closed under composition.
         with pytest.raises(ClosureError):
-            FiniteSemigroup(3, "custom", [make_map(3, [2, 3, 3])])
+            FiniteSemigroup(3, "custom", [[2, 3, 3]])
 
     def test_product_table_matches_composition(self, family):
         s = family("ct", 4)
@@ -265,7 +265,7 @@ class TestClosure:
         with pytest.raises(
             ClosureError, match=re.escape("product [1,2,1] * [2,3,3] = [2,3,2] escapes the element set")
         ) as exc:
-            FiniteSemigroup(3, "custom", [a, b])
+            FiniteSemigroup(3, "custom", [a.images, b.images])
         assert exc.value.pair == (a, b)
 
     @pytest.mark.parametrize("case", sorted(NOT_CLOSED))
@@ -273,7 +273,7 @@ class TestClosure:
         words, message = NOT_CLOSED[case]
         calls = _record_direct_rows(monkeypatch)
         with pytest.raises(ClosureError, match=re.escape(message)):
-            FiniteSemigroup(3, "custom", [make_map(3, w) for w in words])
+            FiniteSemigroup(3, "custom", words)
         assert not calls[0][1]  # the first generator row stays inside
 
     def test_closure_error_after_cayley_fill(self, monkeypatch, regular_base):
@@ -285,7 +285,7 @@ class TestClosure:
         with pytest.raises(
             ClosureError, match=re.escape("product [1,2,2,3] * [2,3,4,3] = [2,3,3,4] escapes the element set")
         ):
-            FiniteSemigroup(4, "custom", elements)
+            FiniteSemigroup(4, "custom", [m.images for m in elements])
         assert not calls[0][1]
 
     @settings(max_examples=40, deadline=None)
@@ -311,14 +311,14 @@ class TestClosure:
             "height2-ct5": lambda: height_ideal(ct5, 2).elements,
             "idgen-ct5": lambda: generated_subsemigroup(ct5, idempotents(ct5)).elements,
         }[carrier]()
-        s = FiniteSemigroup(5, "custom", elements)
+        s = FiniteSemigroup(5, "custom", [m.images for m in elements])
         assert s.table().tolist() == _compose_table(s)
 
     @settings(max_examples=30, deadline=None)
     @given(CT45_GENERATORS)
     def test_generated_table_matches_compose(self, family, gens):
         n = gens[0].n
-        s = FiniteSemigroup(n, "custom", generated_subsemigroup(family("ct", n), gens).elements)
+        s = FiniteSemigroup(n, "custom", generated_subsemigroup(family("ct", n), gens).words)
         assert s.table().tolist() == _compose_table(s)
 
     def test_ct7_codes_few_rows(self, monkeypatch):
@@ -334,7 +334,7 @@ class TestClosure:
 
     def test_generators_of_unchecked_subsemigroup(self, family):
         # The height-2 ideal of ct5 needs 30 generator rows.
-        s = FiniteSemigroup(5, "custom", height_ideal(family("ct", 5), 2).elements)
+        s = FiniteSemigroup(5, "custom", [m.images for m in height_ideal(family("ct", 5), 2).elements])
         gens = s.generators()
         assert len(gens) == 30
         assert _left_closure(s.table(), gens).all()
@@ -342,13 +342,13 @@ class TestClosure:
     def test_chain_too_long_for_word_codes(self):
         # Base-16 codes of 16-letter words overflow int64; the build stops
         # before coding them instead of reporting a spurious escape.
-        constants = [make_map(16, [c] * 16) for c in range(1, 17)]
+        constants = [[c] * 16 for c in range(1, 17)]
         with pytest.raises(ValueError, match=r"n <= 15, got n=16") as exc:
             FiniteSemigroup(16, "custom", constants)
         assert not isinstance(exc.value, ClosureError)
 
     def test_fifteen_constant_maps_build(self):
-        constants = [make_map(15, [c] * 15) for c in range(1, 16)]
+        constants = [[c] * 15 for c in range(1, 16)]
         s = FiniteSemigroup(15, "custom", constants)
         assert s.table().tolist() == [list(range(15))] * 15
 
@@ -357,7 +357,7 @@ class TestClosure:
         # applies whenever the table is read.
         s = family("ct", 3)
         monkeypatch.setattr(semigroups, "DEFAULT_TABLE_BUDGET", 100)
-        checked = FiniteSemigroup(3, "ct", s.elements)
+        checked = FiniteSemigroup(3, "ct", s.words)
         with pytest.raises(ValueError, match=r"17 elements needs 289 entries \(578 bytes\)"):
             checked.table()
 
@@ -384,6 +384,67 @@ class TestClosure:
         s = family("ct", 3)
         with pytest.raises(ValueError, match="not closed"):
             subsemigroup(s, [make_map(3, [2, 3, 3])])
+
+    def test_products_read_the_stored_words(self, family, table_of, monkeypatch):
+        # Products are coded from the arrays kept at construction, so none of
+        # them walks the element maps.
+        class Unwalkable(tuple):
+            def __iter__(self):
+                raise AssertionError("a product walked the element maps")
+
+        s = family("ct", 4)
+        table, rows = table_of(s), [3, 0, 3, s.size - 1]
+        monkeypatch.setattr(s, "elements", Unwalkable(s.elements))
+        assert np.array_equal(s.product_rows(rows, "r"), table[rows])
+        assert np.array_equal(s.product_rows(rows, "l"), table[:, rows].T)
+        assert np.array_equal(s.squares(), table.diagonal())
+        assert np.array_equal(s.cayley("r"), table[:, s.generators()])
+        assert s.product(5, 7) == table[5, 7]
+
+
+class TestWordInput:
+    """``FiniteSemigroup`` takes image words and validates them before coding."""
+
+    @pytest.mark.parametrize(
+        "n,words,message",
+        [
+            # reshape(-1, 4) would read these as the one word [1, 2, 3, 4].
+            (4, [[1, 2], [3, 4]], "words of length 4"),
+            (3, [1, 2, 3], "words of length 3"),
+            (3, [[1.0, 2.0, 3.0]], "integer words"),
+            # Both words code to 2, so deduplication would drop one.
+            (2, [[2, 1], [1, 3]], r"outside 1\.\.2"),
+            (3, [[0, 1, 2]], r"outside 1\.\.3"),
+            (3, [], "nonempty"),
+            (3, np.empty((0, 3), dtype=np.int8), "nonempty"),
+        ],
+        ids=["short-words", "flat", "float", "above-n", "zero", "no-words", "empty-array"],
+    )
+    def test_rejected_before_coding(self, monkeypatch, n, words, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("words were coded before they were validated")
+
+        monkeypatch.setattr(np, "unique", unreachable)
+        with pytest.raises(ValueError, match=message) as exc:
+            FiniteSemigroup(n, "custom", words)
+        assert not isinstance(exc.value, ClosureError)
+
+    def test_repeated_words_collapse(self):
+        s = FiniteSemigroup(3, "custom", [[2, 2, 2], [1, 2, 3], [2, 2, 2], [1, 2, 3]])
+        assert s.words.tolist() == [[1, 2, 3], [2, 2, 2]]
+        assert s.elements == (identity_map(3), make_map(3, [2, 2, 2]))
+
+    def test_words_are_read_only(self):
+        words = semigroups.family_words("ct", 3)
+        s = FiniteSemigroup(3, "ct", words)
+        assert s.words.dtype == np.int8 and words.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.words[0, 0] = 2
+
+    @pytest.mark.parametrize("fam", ["t", "ct", "oct", "orct"])
+    def test_enumerated_words_are_the_family_words(self, family, fam):
+        for n in range(1, 6):
+            assert np.array_equal(family(fam, n).words, semigroups.family_words(fam, n))
 
 
 class TestIdempotents:
@@ -537,7 +598,7 @@ class TestPredicates:
         # search of the idempotent-products check reads rows coded from the
         # words.
         words = semigroups.family_words("ct", 8)
-        s = FiniteSemigroup(8, "ct", [make_map(8, w) for w in words.tolist()])
+        s = FiniteSemigroup(8, "ct", words)
         ids = idempotents(s)
         assert len(ids) == 1042
         e, f, ef = semigroups._first_idempotent_pair(s, ~semigroups._regular_mask(s))
