@@ -77,6 +77,7 @@ class ReesQuotient(Carrier):
         self.p = p
         self.n = base.n
         super().__init__((None, *sorted(maps)))
+        self.rank = np.r_[0, np.full(self.size - 1, p)]  # the zero below one layer
         self._table = self._build_table()
         if self.size - 1 <= _ASSOC_CHECK_MAX:
             self._assert_associative()

@@ -20,7 +20,8 @@ import numpy as np
 
 from .maps import ChainMap, FamilyTag, height, image, is_contraction
 from .partitions import convex_windows, kernel_word, refinement_windows
-from .semigroups import Carrier, FiniteSemigroup, _strong_components, idempotent_indices, index_dtype, row_blocks
+from .semigroups import Carrier, FiniteSemigroup, _least_reaching, cayley_components
+from .semigroups import idempotent_indices, index_dtype, row_blocks
 
 __all__ = [
     "RelationPartition",
@@ -116,27 +117,11 @@ def _pair_labels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _components(size: int, elements: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Connected components of the graph joining element ``elements[k]`` to
-    key node ``nodes[k]``, each labelled by its least element.
-
-    Each round hooks every node onto the least label among its elements, hooks
-    each element and its label onto the least label among its nodes, and
-    halves the label chains.  A label only decreases and always names an
-    element of the same component, so the labels stop changing exactly when
-    each component is labelled by its least member.
-    """
-    label = np.arange(size, dtype=np.int32)
-    least = np.empty(int(np.max(nodes, initial=-1)) + 1, dtype=np.int32)
-    while True:
-        least.fill(size)
-        np.minimum.at(least, nodes, label[elements])
-        offer = least[nodes]
-        hooked = label.copy()
-        np.minimum.at(hooked, elements, offer)
-        np.minimum.at(hooked, label[elements], offer)
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            return label
-        label = hooked
+    key node ``nodes[k]``, each labelled by its least element: with edges
+    both ways and the key nodes numbered last, the least node reaching it."""
+    keys = nodes + size
+    edges = np.concatenate([elements, keys]), np.concatenate([keys, elements])
+    return _least_reaching(*edges, size + int(np.max(nodes, initial=-1)) + 1)[:size]
 
 
 def _join(*labelings: np.ndarray) -> np.ndarray:
@@ -146,14 +131,6 @@ def _join(*labelings: np.ndarray) -> np.ndarray:
     offsets = np.cumsum([0] + [int(labels.max()) + 1 for labels in labelings])
     nodes = np.concatenate([labels + offset for labels, offset in zip(labelings, offsets)])
     return _components(size, np.tile(np.arange(size), len(labelings)), nodes)
-
-
-def _cayley_labels(s, sides: str) -> np.ndarray:
-    """Components of the Cayley graph over the carrier's generators g, with
-    edges a -> g*a for side "l" and a -> a*g for side "r" (``s.cayley``).
-    From a, the left graph reaches exactly S^1 a, so its components are the
-    L-classes; the right graph's are the R-classes, and both give J."""
-    return _labels(_strong_components(np.hstack([s.cayley(side) for side in sides]).tolist()))
 
 
 def _kernel_keys(rows: np.ndarray, size: int) -> np.ndarray:
@@ -221,17 +198,16 @@ def _product_labels(s, kind: str) -> np.ndarray:
     formal-identity slot; least members ascend, as the class numbers do.
     """
     if kind in _CAYLEY_SIDES:
-        return _cayley_labels(s, _CAYLEY_SIDES[kind])
+        return _labels(cayley_components(s, _CAYLEY_SIDES[kind]))
     if kind in _KERNEL_SIDE:
         green, side = _KERNEL_SIDE[kind]
         classes = _oracle_labels(s, green)
         reps = _least_members(classes).astype(np.int32)
-        products = s.product_rows(reps, side)
-        keys = [
+        keys = (
             key.tobytes()
-            for k in row_blocks(np.arange(len(reps)), s.size + 1)
-            for key in _kernel_keys(np.column_stack([products[k], reps[k]]), s.size)
-        ]
+            for k in row_blocks(reps, s.size + 1)
+            for key in _kernel_keys(np.column_stack([s.product_rows(k, side), k]), s.size)
+        )
         return _labels(keys)[classes]
     combine, left, right = _TWO_SIDED[kind]
     return combine(_oracle_labels(s, left), _oracle_labels(s, right))

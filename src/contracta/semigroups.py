@@ -90,7 +90,8 @@ def row_blocks(rows, width: int, entries: int | None = None):
 
 class Carrier:
     """What every carrier shares: its elements in index order, and single
-    products read from the subclass's ``product_rows``."""
+    products read from the subclass's ``product_rows``.  A subclass sets
+    ``rank``, per element a number that never rises along a product."""
 
     def __init__(self, elements):
         self.elements = tuple(elements)
@@ -152,6 +153,7 @@ class FiniteSemigroup(Carrier):
         self._spread = np.zeros((self.size, n), dtype=np.int64)
         for k in range(n):
             self._spread[np.arange(self.size), self._right[k]] += weights[k]
+        self.rank = np.count_nonzero(self._spread, axis=1)  # image sizes
         # The generator walk raises ClosureError on an escaping product.
         self._gens, self._left = self._generator_walk()
 
@@ -194,8 +196,7 @@ class FiniteSemigroup(Carrier):
 
     def _generator_walk(self):
         """Generators, in the order found, and the left successor array g*a."""
-        spread, right, codes = self._spread, self._right, self._codes
-        rank = np.count_nonzero(spread, axis=1)
+        spread, right, codes, rank = self._spread, self._right, self._codes, self.rank
         known = np.zeros(self.size, dtype=bool)
         found, done = [], 0  # every generator has been multiplied onto found[:done]
         gens, rows = [], []
@@ -241,46 +242,57 @@ def _direct_rows(spread, right, codes, rows):
     return idx, codes[np.minimum(idx, len(codes) - 1)] != ccodes
 
 
-def _strong_components(successors) -> np.ndarray:
-    """Strongly connected components of the graph with edges v -> w for w in
-    successors[v], numbered in the order completed.
+def _least_reaching(src, dst, size: int) -> np.ndarray:
+    """Per node of 0..size-1, the least node that reaches it along the edges
+    src[k] -> dst[k]: each label falls to the least label along the edges,
+    then jumps ``label = label[label]``, until nothing changes.  A label
+    only falls and always names a node that reaches its own."""
+    label = np.arange(size, dtype=np.int32)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, dst, label[src])
+        while not np.array_equal(low, jump := low[low]):
+            low = jump
+        if np.array_equal(low, label):
+            return label
+        label = low
 
-    Iterative Tarjan: chains of the Cayley graphs are thousands of nodes long.
-    A visited node without a component is still on the stack.
+
+def _strong_components(src, dst, size: int) -> np.ndarray:
+    """Strong components of the graph on nodes 0..size-1 with edges
+    src[k] -> dst[k], each labelled by its least node.
+
+    Each round colours every unfinished node v with the least unfinished
+    node c that reaches it; v is in c's component exactly when it reaches c
+    along edges inside c's colour, and edges between colours join nothing.
+    A round finishes every colour's component: nearly all components when
+    edges mostly run down the numbering, one on a path numbered upward.
     """
-    size = len(successors)
-    order, low, comp, stack = [-1] * size, [0] * size, [-1] * size, []
-    found = count = 0
-    for root in range(size):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = found
-        found += 1
-        stack.append(root)
-        work = [(root, iter(successors[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if order[w] < 0:
-                    order[w] = low[w] = found
-                    found += 1
-                    stack.append(w)
-                    work.append((w, iter(successors[w])))
-                    break
-                if comp[w] < 0 and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if low[v] == order[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = count
-                        if w == v:
-                            break
-                    count += 1
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-    return np.array(comp, dtype=np.intp)
+    comp = np.arange(size, dtype=np.int32)
+    todo = np.ones(size, dtype=bool)
+    while todo.any():
+        colour = _least_reaching(src, dst, size)
+        inner = colour[src] == colour[dst]
+        reach = _least_reaching(dst[inner], src[inner], size)
+        comp[todo] = colour[todo]
+        todo &= reach != colour
+        keep = inner & todo[src]
+        src, dst = src[keep], dst[keep]
+    return comp
+
+
+def cayley_components(s, sides: str) -> np.ndarray:
+    """Per element, a member of its strong component in the Cayley graphs of
+    ``sides`` (``s.cayley``; "lr" is both).  Nodes are numbered in rank
+    order: rank never rises along a product, so the least node reaching a
+    node mostly lies in its component, and the first round finishes most."""
+    successors = np.hstack([s.cayley(side) for side in sides])
+    order = np.argsort(s.rank, kind="stable")
+    node = np.empty(s.size, dtype=np.int32)
+    node[order] = np.arange(s.size, dtype=np.int32)
+    src, dst = np.repeat(node, successors.shape[1]), node[successors].ravel()
+    moved = src != dst  # a loop a -> a joins nothing
+    return order[_strong_components(src[moved], dst[moved], s.size)[node]]
 
 
 def _walks(n: int, steps: tuple[int, ...]) -> np.ndarray:
@@ -353,7 +365,7 @@ def idempotent_indices(s) -> list[int]:
 def _regular_mask(s) -> np.ndarray:
     """Per element a, whether a*b*a = a for some b: exactly when the R-class
     of a, a strong component of the right Cayley graph, holds an idempotent."""
-    r = _strong_components(s.cayley("r").tolist())
+    r = cayley_components(s, "r")
     return np.isin(r, r[idempotent_indices(s)])
 
 

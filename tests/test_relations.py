@@ -45,7 +45,7 @@ from contracta import (
 )
 from contracta.partitions import kernel_word
 from contracta.relations import RelationPartition, char_partition, characterized_rows
-from contracta.semigroups import _regular_mask, regular_subsemigroup, row_blocks
+from contracta.semigroups import FiniteSemigroup, _regular_mask, family_words, regular_subsemigroup, row_blocks
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -591,6 +591,51 @@ class TestStarredCT7:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+def _ct8():
+    # 11,814 elements: past the family guard and the table budget, so the
+    # carrier is built from the words directly.
+    return FiniteSemigroup(8, "ct", family_words("ct", 8))
+
+
+@pytest.fixture(scope="module")
+def ct8():
+    return _ct8()
+
+
+class TestCT8PastTheGuards:
+    def test_class_counts(self, ct8, no_semigroup_table):
+        counts = {k: green_oracle(ct8, k).class_count for k in rel.GREEN_KINDS}
+        counts |= {k: starred_partition(ct8, k).class_count for k in rel.STARRED_KINDS}
+        assert counts == {
+            "l": 449, "r": 1094, "h": 7087, "d": 67, "j": 67,
+            "lstar": 36, "rstar": 1094, "hstar": 5911, "dstar": 8,
+        }
+
+    def test_abundance(self, ct8, no_semigroup_table):
+        assert abundance_witness(ct8, "left") is None
+        right = abundance_witness(ct8, "right")
+        assert len(right) == 12
+        assert [m.images for m in right[:2]] == [(1, 1, 1, 1, 1, 2, 2, 3), (2, 2, 2, 2, 2, 3, 3, 4)]
+        part = starred_partition(ct8, "rstar")
+        holding = np.bincount(part.labels[rel.idempotent_indices(ct8)], minlength=part.class_count)
+        assert np.count_nonzero(holding == 0) == 456
+
+    @pytest.mark.parametrize("kind,bound", [("j", 9e6), ("lstar", 10e6)])
+    def test_peak_memory(self, kind, bound):
+        # Each on a fresh carrier, so the peak includes the Green's labels a
+        # starred kind reads.  A Python Tarjan over .tolist() of the Cayley
+        # graphs peaked at 11.9 MB for j, and holding every coded L*
+        # representative row at once at 22.3 MB for lstar.
+        s = _ct8()
+        tracemalloc.start()
+        try:
+            (green_oracle if kind == "j" else starred_partition)(s, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestStarredChar:

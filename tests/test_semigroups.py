@@ -655,3 +655,78 @@ class TestRegularOrctIdempotentShape:
                 assert imgs[-1] == min(last)
                 for i in range(1, p - 1):
                     assert blocks[i] == (imgs[i],)
+
+
+def _least_mutually_reachable(size, edges):
+    """Per node, the least node it reaches and is reached from: Warshall's
+    transitive closure over a boolean matrix."""
+    reach = np.eye(size, dtype=bool)
+    for a, b in edges:
+        reach[a, b] = True
+    for k in range(size):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return (reach & reach.T).argmax(axis=1)
+
+
+@st.composite
+def digraphs(draw):
+    """(size, edges, renumbering) with 1-40 nodes and up to 3 edges a node."""
+    size = draw(st.integers(1, 40))
+    node = st.integers(0, size - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * size))
+    return size, edges, np.array(draw(st.permutations(range(size))), dtype=np.int32)
+
+
+def _edge_arrays(edges):
+    ends = np.array(edges, dtype=np.int32).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+class TestStrongComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_matches_transitive_closure(self, graph):
+        size, edges, perm = graph
+        src, dst = _edge_arrays(edges)
+        comp = semigroups._strong_components(src, dst, size)
+        assert comp.tolist() == _least_mutually_reachable(size, edges).tolist()
+        # Renumbered, the graph has the same partition, labelled by least node.
+        renumbered = semigroups._strong_components(perm[src], perm[dst], size)
+        assert renumbered.tolist() == _least_mutually_reachable(size, [(perm[a], perm[b]) for a, b in edges]).tolist()
+        pairs = set(zip(comp.tolist(), renumbered[perm].tolist()))
+        assert len(pairs) == len(set(comp.tolist())) == len(set(renumbered.tolist()))
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_long_cycle(self, step):
+        # 3,387 nodes, as many as ct7 has elements, in either direction.
+        nodes = np.arange(3387, dtype=np.int32)
+        comp = semigroups._strong_components(nodes, np.roll(nodes, -step), len(nodes))
+        assert comp.tolist() == [0] * len(nodes)
+
+    def test_long_chain(self, monkeypatch):
+        # Along a chain v -> v+1 the least node reaching v is 0, found by
+        # pointer jumps in a few steps rather than one step a node; along
+        # v+1 -> v it is v, and no two nodes are joined.
+        nodes = np.arange(3387, dtype=np.int32)
+        up, down = nodes[:-1], nodes[1:]
+        steps, array_equal = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda a, b: steps.append(1) or array_equal(a, b))
+        assert semigroups._least_reaching(up, down, len(nodes)).tolist() == [0] * len(nodes)
+        assert len(steps) <= 32
+        monkeypatch.undo()
+        assert semigroups._least_reaching(down, up, len(nodes)).tolist() == nodes.tolist()
+        assert semigroups._strong_components(down, up, len(nodes)).tolist() == nodes.tolist()
+
+    def test_no_edges(self):
+        none = np.empty(0, dtype=np.int32)
+        assert semigroups._strong_components(none, none, 5).tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    def test_rank_never_rises_along_a_product(self, family, regular_base, table_of, quotient):
+        # cayley_components numbers the nodes by rank, so the Cayley graphs'
+        # edges mostly run down the numbering.
+        s = rees_quotient(regular_base("ct", 5), 3) if quotient else family("ct", 5)
+        table = table_of(s)
+        assert (s.rank[table] <= np.minimum.outer(s.rank, s.rank)).all()
+        if not quotient:
+            assert s.rank.tolist() == [len(set(m.images)) for m in s.elements]
