@@ -11,12 +11,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .maps import ChainMap, height, map_to_text
+from .maps import ChainMap, map_to_text
 from .relations import is_l_unipotent, is_r_unipotent
 from .semigroups import (
     TABLE_DTYPE,
     Carrier,
     FiniteSemigroup,
+    _index_pair,
     _regular_mask,
     _unique_inverse_counts,
     idempotents_commute,
@@ -51,71 +52,53 @@ def height_ideal(base: FiniteSemigroup, p: int) -> HeightIdeal:
     """Filter the base down to heights <= p and assert the ideal property."""
     if not 1 <= p <= base.n:
         raise ValueError(f"height bound p={p} out of range 1..{base.n}")
-    selected = tuple(m for m in base.elements if height(m) <= p)
-    chosen = np.array([base.index_of(m) for m in selected], dtype=np.intp)
-    inside = np.zeros(base.size, dtype=bool)
-    inside[chosen] = True
+    inside = base.rank <= p  # rank is the image size, the height
+    chosen = np.flatnonzero(inside)
     if not all(inside[base.product_rows(chosen, side)].all() for side in "rl"):
         raise RuntimeError(
             f"height-{p} slice of {base!r} is not a two-sided ideal; "
             "the base is not height-monotone"
         )
-    return HeightIdeal(base, p, selected)
+    return HeightIdeal(base, p, tuple(base.elements[i] for i in chosen))
 
 
 class ReesQuotient(Carrier):
     """The height-p layer of a regular base with a collapsing zero.
 
     Index 0 is the distinguished zero, the element None (serialized as the
-    token "0"); indices 1..m are the height-p maps in lexicographic order.
-    The product of two maps is their composite when that stays at height p
-    and zero otherwise; zero absorbs.
+    token "0"); indices 1..m are the height-p maps, at the ascending base
+    indices ``layer``.  The product of two maps is their composite when that
+    stays at height p and zero otherwise; zero absorbs.
     """
 
-    def __init__(self, base: FiniteSemigroup, p: int, maps):
-        self.base = base
-        self.p = p
-        self.n = base.n
-        super().__init__((None, *sorted(maps)))
+    def __init__(self, base: FiniteSemigroup, p: int, layer):
+        self.base, self.p, self.n, self._layer = base, p, base.n, layer
+        super().__init__((None, *(base.elements[i] for i in layer)))
         self.rank = np.r_[0, np.full(self.size - 1, p)]  # the zero below one layer
         self._table = self._build_table()
         if self.size - 1 <= _ASSOC_CHECK_MAX:
             self._assert_associative()
 
-    @property
-    def zero_index(self) -> int:
-        return 0
+    zero_index = 0
 
     def label(self, i: int) -> str:
         return "0" if i == 0 else map_to_text(self.elements[i])
 
-    def table(self) -> np.ndarray:
-        """The int16 product table, built on construction; row and column 0 are the zero."""
-        return self._table
+    def products(self, x, y) -> np.ndarray:
+        """Index of a*b for index arrays x and y of one ndim, read off the table."""
+        return self._table[_index_pair(x, y)]
 
     def cayley(self, side: str) -> np.ndarray:
         """The Cayley graphs over every index: quotients are small, so the table is both."""
         return self._table.T if side == "l" else self._table
 
-    def squares(self) -> np.ndarray:
-        """Index of a*a for each element a, read off the table's diagonal."""
-        return self._table.diagonal()
-
-    def product_rows(self, rows, side: str) -> np.ndarray:
-        """Row k holds a*x (side "r") or x*a (side "l") for every element x,
-        where a = rows[k], read off the table."""
-        return self._table[rows] if side == "r" else self._table[:, rows].T
-
     def _build_table(self):
         # pos[x] is base element x's carrier index if it is a height-p map and
         # 0 otherwise.  Below height p the products fall into the lower ideal,
         # so reading composites through pos is exactly the collapsing product.
-        layer = np.array([self.base.index_of(m) for m in self.elements[1:]], dtype=np.intp)
         pos = np.zeros(self.base.size, dtype=TABLE_DTYPE)
-        pos[layer] = np.arange(1, len(layer) + 1)
-        table = np.zeros((self.size, self.size), dtype=TABLE_DTYPE)
-        table[1:, 1:] = pos[self.base.product_rows(layer, "r")[:, layer]]
-        return table
+        pos[self._layer] = np.arange(1, self.size)
+        return np.pad(pos[self.base.products(self._layer[:, None], self._layer[None, :])], (1, 0))
 
     def _assert_associative(self):
         t = self._table
@@ -124,9 +107,7 @@ class ReesQuotient(Carrier):
             bad = t[t[i]] != t[i][t]
             if bad.any():
                 j, k = divmod(int(np.argmax(bad)), self.size)
-                raise RuntimeError(
-                    f"collapsing product is not associative at indices ({i},{j},{k})"
-                )
+                raise RuntimeError(f"collapsing product is not associative at indices ({i},{j},{k})")
 
     def __repr__(self):
         return f"ReesQuotient(n={self.n}, p={self.p}, size={self.size})"
@@ -141,9 +122,9 @@ def rees_quotient(base: FiniteSemigroup, p: int) -> ReesQuotient:
         raise ValueError(f"quotient height p={p} out of range 2..{base.n}")
     if not _regular_mask(base).all():
         raise ValueError("base contains non-regular elements")
-    upper = height_ideal(base, p)
-    layer = tuple(m for m in upper.elements if height(m) == p)
-    if not layer:
+    height_ideal(base, p)  # asserts the ideal property
+    layer = np.flatnonzero(base.rank == p)
+    if not layer.size:
         raise RuntimeError(f"height-{p} layer of {base!r} is empty")
     return ReesQuotient(base, p, layer)
 
@@ -180,7 +161,7 @@ def verify_inverse(c) -> InverseVerification:
     """
     all_regular = bool(_regular_mask(c).all())
     commute = idempotents_commute(c)
-    unique = bool((_unique_inverse_counts(c.table()) == 1).all())
+    unique = bool((_unique_inverse_counts(c) == 1).all())
     orthodox = is_orthodox(c)
     l_uni, r_uni = is_l_unipotent(c), is_r_unipotent(c)
     by_structure = all_regular and commute

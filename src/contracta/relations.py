@@ -7,7 +7,7 @@ and image data of the two maps alone.  L, R and J are the strongly connected
 components of the left, right and two-sided Cayley graphs, read as successor
 arrays from ``cayley(side)`` on either carrier type, so they build no product
 table.  The starred kinds key the kernel of one row of S^1 products per
-Green's class, from ``product_rows`` (coded from the words on a semigroup).
+Green's class, from ``product_rows`` over the carrier's ``products``.
 
 Relation kinds are the strings ``l r h d j lstar rstar hstar dstar``.
 """

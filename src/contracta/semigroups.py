@@ -12,10 +12,12 @@ looked up, and every other element t is found as g*k for a generator g and
 an element k found before it.  Closure is checked in full, since t*b =
 g*(k*b) is inside when the generator rows are; the walk fails loudly if a
 product escapes.  Every later product is coded from the stored arrays and
-looked up among the element codes (``product_rows``); no table is kept.
+looked up among the element codes, only as asked (``products``); no table is kept.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -89,8 +91,8 @@ def row_blocks(rows, width: int, entries: int | None = None):
 
 
 class Carrier:
-    """What every carrier shares: its elements in index order, and single
-    products read from the subclass's ``product_rows``.  A subclass sets
+    """What every carrier shares: its elements in index order, and every
+    product read from the subclass's ``products(x, y)``.  A subclass sets
     ``rank``, per element a number that never rises along a product."""
 
     def __init__(self, elements):
@@ -118,7 +120,29 @@ class Carrier:
 
     def product(self, i: int, j: int) -> int:
         """Index of element_i composed-then element_j."""
-        return int(self.product_rows([i], "r")[0, j])
+        return int(self.products([i], [j])[0])
+
+    def product_rows(self, rows, side: str) -> np.ndarray:
+        """Row k holds a*x (side "r") or x*a (side "l") for every x, where a = rows[k]."""
+        rows, every = np.asarray(rows, dtype=np.intp)[:, None], np.arange(self.size)[None, :]
+        return self.products(rows, every) if side == "r" else self.products(every, rows)
+
+    def squares(self) -> np.ndarray:
+        """Index of a*a for each element a."""
+        return self.products(np.arange(self.size), np.arange(self.size))
+
+    def table(self) -> np.ndarray:
+        """The full product table; ValueError when it exceeds the entry budget."""
+        check_table_budget(self.size)
+        return self.product_rows(np.arange(self.size), "r")
+
+
+def _index_pair(x, y):
+    """Index arrays x and y of one ndim, at least 1: they broadcast as meant."""
+    x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
+    if x.ndim != y.ndim or not x.ndim:
+        raise ValueError(f"products take index arrays of one ndim, at least 1, got {x.ndim} and {y.ndim}")
+    return x, y
 
 
 class FiniteSemigroup(Carrier):
@@ -147,24 +171,18 @@ class FiniteSemigroup(Carrier):
         self.words = words[first].astype(np.int8)
         self.words.flags.writeable = False
         super().__init__(ChainMap(n, word) for word in self.words.tolist())
-        # The code of a*b is sum_x b(x) * spread_a[x], where spread_a[x] sums
-        # the weights of the positions k with a(k) = x.
-        self._right = np.ascontiguousarray(self.words.T, dtype=np.int64) - 1
+        # The code of a*b is sum_x right_b[x] * spread_a[x], where right_b[x] is
+        # b(x) - 1 and spread_a[x] sums the weights of the positions k with a(k) = x.
+        self._right = self.words.astype(np.int64) - 1
         self._spread = np.zeros((self.size, n), dtype=np.int64)
         for k in range(n):
-            self._spread[np.arange(self.size), self._right[k]] += weights[k]
+            self._spread[np.arange(self.size), self._right[:, k]] += weights[k]
         self.rank = np.count_nonzero(self._spread, axis=1)  # image sizes
         # The generator walk raises ClosureError on an escaping product.
         self._gens, self._left = self._generator_walk()
 
     def __repr__(self):
         return f"FiniteSemigroup(family={self.family!r}, n={self.n}, size={self.size})"
-
-    def table(self) -> np.ndarray:
-        """The full product table, coded anew on every call; ValueError when
-        it exceeds the entry budget."""
-        check_table_budget(self.size)
-        return self.product_rows(np.arange(self.size), "r")
 
     def generators(self) -> np.ndarray:
         """Indices of a generating set: the rows the generator walk coded directly."""
@@ -173,25 +191,19 @@ class FiniteSemigroup(Carrier):
     def cayley(self, side: str) -> np.ndarray:
         """Successors of the left (side "l", a -> g*a: the walk's) or right
         (a -> a*g, coded per call) Cayley graph over the generators g."""
-        return self._left if side == "l" else self.product_rows(self._gens, "l").T
+        every = np.arange(self.size)[:, None]
+        return self._left if side == "l" else self.products(every, self._gens[None, :])
 
-    def squares(self) -> np.ndarray:
-        """Index of a*a for each element a, coded from the words: no table."""
-        return np.searchsorted(self._codes, (self._spread * self._right.T).sum(axis=1))
-
-    def product_rows(self, rows, side: str) -> np.ndarray:
-        """Row k holds a*x (side "r") or x*a (side "l") for every element x,
-        where a = rows[k], coded from the words a block of rows at a time: no
-        table.  The coding arrays are built once, on construction.  The
-        generator walk proved closure, so each code is looked up without an
-        escape check."""
-        rows = np.asarray(rows, dtype=np.intp)
-        out = np.empty((len(rows), self.size), dtype=index_dtype(self.size))
-        for k in row_blocks(np.arange(len(rows)), self.size):
-            if side == "r":
-                out[k] = np.searchsorted(self._codes, self._spread[rows[k]] @ self._right)
-            else:
-                out[k] = np.searchsorted(self._codes, self._spread @ self._right[:, rows[k]]).T
+    def products(self, x, y) -> np.ndarray:
+        """Index of a*b for index arrays x and y of one ndim, broadcast together,
+        coded from the words a block of the leading axis at a time; the generator
+        walk proved closure, so codes are looked up without an escape check."""
+        x, y = _index_pair(x, y)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        a, b = _gather(self._spread, x, shape), _gather(self._right, y, shape)
+        out = np.empty(shape, dtype=index_dtype(self.size))
+        for ab, bb, ob in zip(*(row_blocks(v, prod(shape[1:])) for v in (a, b, out))):
+            ob[...] = np.searchsorted(self._codes, np.einsum("...k,...k->...", ab, bb, order="C"))
         return out
 
     def _generator_walk(self):
@@ -234,10 +246,17 @@ class FiniteSemigroup(Carrier):
                 raise ClosureError(self.elements[rows[i]], self.elements[j])
 
 
+def _gather(m, index, shape):
+    """``m[index]`` broadcast to ``shape``; a view of ``m`` when ``index`` lists every row in order."""
+    if index.size == len(m) and np.array_equal(index.ravel(), np.arange(len(m))):
+        return np.broadcast_to(m.reshape(index.shape + m.shape[1:]), shape + m.shape[1:])
+    return np.broadcast_to(m.take(index, axis=0), shape + m.shape[1:])
+
+
 def _direct_rows(spread, right, codes, rows):
     """Indices of the products of ``rows`` by every element, and the mask of
     those that escape: each product is coded and looked up in ``codes``."""
-    ccodes = spread[rows] @ right
+    ccodes = spread[rows] @ right.T
     idx = np.searchsorted(codes, ccodes)
     return idx, codes[np.minimum(idx, len(codes) - 1)] != ccodes
 
@@ -352,14 +371,14 @@ def subsemigroup(s: FiniteSemigroup, elements) -> FiniteSemigroup:
 # -- criteria over one closed carrier -----------------------------------------
 #
 # Every criterion reads one closed carrier, a FiniteSemigroup or a ReesQuotient,
-# through ``squares``, ``cayley`` and ``product_rows``; only the unique-inverse
-# count behind ``verify_inverse`` reads a whole product table.  A subset is
-# asked about as ``subsemigroup(s, subset)``.
+# through ``squares``, ``cayley`` and ``products``, asking only for the
+# products it reads; none reads a whole product table.  A subset is asked
+# about as ``subsemigroup(s, subset)``.
 
 
-def idempotent_indices(s) -> list[int]:
-    """Indices i of the carrier with i*i = i."""
-    return np.flatnonzero(s.squares() == np.arange(s.size)).tolist()
+def idempotent_indices(s) -> np.ndarray:
+    """Indices i of the carrier with i*i = i, ascending."""
+    return np.flatnonzero(s.squares() == np.arange(s.size))
 
 
 def _regular_mask(s) -> np.ndarray:
@@ -369,13 +388,13 @@ def _regular_mask(s) -> np.ndarray:
     return np.isin(r, r[idempotent_indices(s)])
 
 
-def _unique_inverse_counts(table) -> np.ndarray:
-    """Per element a, the number of b with aba = a and bab = b."""
-    whole = np.arange(len(table))
+def _unique_inverse_counts(c) -> np.ndarray:
+    """Per element a of the carrier, the number of b with aba = a and bab = b."""
+    whole, mul = np.arange(c.size), c.products
     counts = []
     for rows in row_blocks(whole, len(whole)):
         a, b = rows[:, None], whole[None, :]
-        inverse = (table[table[a, b], a] == a) & (table[table[b, a], b] == b)
+        inverse = (mul(mul(a, b), a) == a) & (mul(mul(b, a), b) == b)
         counts.append(inverse.sum(axis=1))
     return np.concatenate(counts)
 
@@ -431,7 +450,7 @@ def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
     frontier = np.flatnonzero(inside)
     if not frontier.size:
         raise ValueError("at least one generator is required")
-    right = s.product_rows(frontier, "l").T  # right[a, g] = a*g
+    right = s.products(np.arange(s.size)[:, None], frontier[None, :])  # right[a, g] = a*g
     while frontier.size:
         reached = np.zeros(s.size, dtype=bool)
         reached[right[frontier]] = True
@@ -452,7 +471,7 @@ def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
 def idempotents_commute(s) -> bool:
     """True iff e*f = f*e for all idempotents e, f of the carrier."""
     ids = idempotent_indices(s)
-    ef = s.product_rows(ids, "r")[:, ids]
+    ef = s.products(ids[:, None], ids[None, :])
     return bool((ef == ef.T).all())
 
 
@@ -460,8 +479,8 @@ def _first_idempotent_pair(s, bad: np.ndarray | None = None):
     """The first pair (e, f) of idempotents, row by row, whose product is
     flagged in ``bad`` (one flag per element; by default, the product is not
     idempotent), as (e, f, e*f), or None."""
-    ids = np.array(idempotent_indices(s), dtype=np.intp)
-    ef = s.product_rows(ids, "r")[:, ids]
+    ids = idempotent_indices(s)
+    ef = s.products(ids[:, None], ids[None, :])
     hits = np.flatnonzero(s.squares()[ef] != ef if bad is None else bad[ef])
     if not hits.size:
         return None

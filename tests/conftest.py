@@ -40,8 +40,8 @@ def regular_base(family):
 @pytest.fixture(scope="session")
 def table_of():
     """A carrier's full product table, the reference the tests compare
-    against, taken once per live carrier: a semigroup codes it anew on every
-    ``table()`` call."""
+    against, taken once per live carrier: ``table()`` reads every product
+    through the carrier's ``products`` anew on every call."""
 
     def get(s):
         if s not in _tables:

@@ -1,6 +1,7 @@
 """Family enumeration, closure, and the algebraic predicates."""
 
 import re
+import tracemalloc
 from itertools import product
 from math import isqrt
 
@@ -402,6 +403,74 @@ class TestClosure:
         assert s.product(5, 7) == table[5, 7]
 
 
+def _product_carrier(family, regular_base, carrier):
+    return family("ct", 4) if carrier == "ct4" else rees_quotient(regular_base("orct", 4), 2)
+
+
+def _compose_inverse_counts(s):
+    """Per element a, the number of b with aba = a and bab = b, by compose."""
+    return [
+        sum(compose(compose(a, b), a) == a and compose(compose(b, a), b) == b for b in s.elements)
+        for a in s.elements
+    ]
+
+
+class TestProducts:
+    """``products(x, y)``, each carrier's one product primitive, against the
+    reference table read with the same index arrays."""
+
+    CASES = {
+        "column-row": lambda a, b, n: (a[:, None], b[None, :]),
+        "row-column": lambda a, b, n: (b[None, :], a[:, None]),
+        "pairs": lambda a, b, n: (a, b[: len(a)]),
+        "one-broadcast": lambda a, b, n: (a[:1], b),
+        "empty-pairs": lambda a, b, n: (a[:0], b[:0]),
+        "empty-block": lambda a, b, n: (a[:0, None], b[None, :]),
+        "full-blocks": lambda a, b, n: (np.add.outer(a, b[:3]) % n, np.add.outer(b[:4], a[:3]) % n),
+        "three-axes": lambda a, b, n: (a[:2, None, None], b[:6].reshape(1, 2, 3)),
+        "every-row": lambda a, b, n: (a[:, None], np.arange(n)[None, :]),
+        "reversed-by-every": lambda a, b, n: (np.arange(n)[::-1, None], np.arange(n)[None, :]),
+    }
+
+    @pytest.mark.parametrize("carrier", ["ct4", "reg-orct4-p2"])
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("block_entries", [None, 5], ids=["default-blocks", "small-blocks"])
+    def test_match_the_table(self, family, regular_base, table_of, monkeypatch, carrier, case, block_entries):
+        s = _product_carrier(family, regular_base, carrier)
+        table = table_of(s)
+        if block_entries is not None:
+            monkeypatch.setattr(semigroups, "_BLOCK_ENTRIES", block_entries)
+        a, b = np.array([3, 0, 3, s.size - 1]), np.arange(s.size - 1, -1, -2)
+        x, y = self.CASES[case](a, b, s.size)
+        got, want = s.products(x, y), table[x, y]
+        assert got.shape == want.shape and np.array_equal(got, want)
+        if x.size and y.size:  # an empty nested list loses its shape
+            assert np.array_equal(s.products(x.tolist(), y.tolist()), want)
+
+    @pytest.mark.parametrize("carrier", ["ct4", "reg-orct4-p2"])
+    @pytest.mark.parametrize(
+        "x,y", [([[1], [2]], [1, 2]), ([1, 2], [[1], [2]]), (1, 2), (1, [2]), ([1], 2)],
+        ids=["2d-1d", "1d-2d", "scalars", "scalar-1d", "1d-scalar"],
+    )
+    def test_ndim_mismatch_raises(self, family, regular_base, carrier, x, y):
+        # Broadcasting a column against a 1-D array would pair the wrong axes.
+        s = _product_carrier(family, regular_base, carrier)
+        with pytest.raises(ValueError, match="index arrays of one ndim"):
+            s.products(x, y)
+
+    @pytest.mark.parametrize("carrier", ["reg-orct4", "ct3-identity"])
+    def test_verify_inverse_reads_no_table(self, family, regular_base, no_semigroup_table, carrier):
+        if carrier == "reg-orct4":
+            s = regular_base("orct", 4)
+        else:
+            s = subsemigroup(family("ct", 3), [identity_map(3)])
+        counts = semigroups._unique_inverse_counts(s)
+        assert counts.tolist() == _compose_inverse_counts(s)
+        report = verify_inverse(s)
+        assert report.consistent and report.inverse == (carrier == "ct3-identity")
+        assert report.unique_inverses == (counts == 1).all()
+
+
 class TestWordInput:
     """``FiniteSemigroup`` takes image words and validates them before coding."""
 
@@ -604,6 +673,49 @@ class TestPredicates:
         e, f, ef = semigroups._first_idempotent_pair(s, ~semigroups._regular_mask(s))
         assert (e.images, f.images) == ((1, 2, 3, 4, 3, 2, 1, 1), (6, 5, 5, 4, 5, 6, 5, 4))
         assert ef == compose(e, f) == make_map(8, [6, 5, 5, 4, 5, 5, 6, 6])
+        assert not is_regular_in(words, ef)
+
+
+@pytest.fixture(scope="module")
+def ct8_direct():
+    """ct8 built directly from its words, past the table budget."""
+    return FiniteSemigroup(8, "ct", semigroups.family_words("ct", 8))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIdempotentPairsPastTheGuards:
+    """The idempotent-pair readers code only the |E| x |E| products they
+    read: at ct8, 1,042 idempotents, 1.1M products against 12.3M in the
+    idempotents' whole rows (26.8 MB of tracemalloc peak when coded)."""
+
+    def test_ct8_first_pair_peak(self, ct8_direct):
+        pair, peak = _traced_peak(semigroups._first_idempotent_pair, ct8_direct)
+        assert [m.images for m in pair] == [
+            (1, 2, 1, 1, 1, 1, 1, 1), (3, 4, 3, 4, 3, 3, 3, 3), (3, 4, 3, 3, 3, 3, 3, 3),
+        ]
+        assert peak < 10e6
+
+    def test_ct8_commute_peak(self, ct8_direct):
+        commute, peak = _traced_peak(idempotents_commute, ct8_direct)
+        assert not commute
+        assert peak < 10e6
+
+    def test_ct9_first_irregular_product(self, no_semigroup_table):
+        # 40,503 elements: the pinned pair of the idempotent-products check
+        # one size past ct8, read without a table or whole rows.
+        words = semigroups.family_words("ct", 9)
+        s = FiniteSemigroup(9, "ct", words)
+        e, f, ef = semigroups._first_idempotent_pair(s, ~semigroups._regular_mask(s))
+        assert (e.images, f.images) == ((1, 2, 3, 4, 3, 2, 1, 1, 1), (6, 5, 5, 4, 5, 6, 5, 4, 4))
+        assert ef == compose(e, f) == make_map(9, [6, 5, 5, 4, 5, 5, 6, 6, 6])
         assert not is_regular_in(words, ef)
 
 
