@@ -67,12 +67,10 @@ from .relations import (
     is_r_unipotent,
     is_right_abundant,
     l_char,
-    lstar_oracle,
     r_char,
     regular_char_ct,
     regular_char_oct,
     regular_char_orct,
-    rstar_oracle,
     starred_char,
     starred_partition,
     unipotence_witness,

@@ -21,7 +21,7 @@ the kernel's, and each scan is a few numpy bit operations over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -280,7 +280,7 @@ class _PartitionTable(NamedTuple):
         return KernelPartition(len(word), blocks)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _partition_table(n: int) -> _PartitionTable:
     check_refinement_scan(n)
     words = [()]
@@ -362,7 +362,7 @@ def is_isometry_on(t: Transversal, a: ChainMap) -> bool:
     return all(abs(x - y) == abs(a(x) - a(y)) for x, y in combinations(pts, 2))
 
 
-@lru_cache(maxsize=1155)  # one entry per word: the Bell(n) partitions of every n <= 7
+@cache  # one entry per word; the n <= 7 guard bounds it by the 1,155 Bell(n) words
 def refinement_windows(word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The intervals [lo, lo + p) that occur as an admissible convex
     transversal of some refinement of the partition with word ``word``, as

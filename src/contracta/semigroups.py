@@ -45,10 +45,8 @@ DEFAULT_TABLE_BUDGET = 64_000_000
 # Table entries are indices, and the budget caps a table at 8,000 elements.
 TABLE_DTYPE = np.int16
 
-# Row-blocked scans keep each temporary array near this many entries; the
-# escape search, which holds several int64 temporaries per block, uses fewer.
+# Row-blocked scans keep each temporary array near this many entries.
 _BLOCK_ENTRIES = 1 << 17
-_TABLE_BLOCK_ENTRIES = 1 << 13
 
 # A semigroup codes its image words in base n as int64, exact while
 # n^n < 2^63: 15^15 is about 4.4e17, 16^16 about 1.8e19.
@@ -82,10 +80,10 @@ def index_dtype(bound: int):
     return np.int16 if bound <= 1 << 15 else np.int32
 
 
-def row_blocks(rows, width: int, entries: int | None = None):
+def row_blocks(rows, width: int):
     """Consecutive slices of ``rows`` sized so a block times ``width`` stays
-    near ``entries`` (by default the block-entry budget)."""
-    step = max(1, (entries or _BLOCK_ENTRIES) // max(1, width))
+    near the block-entry budget."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
     for start in range(0, len(rows), step):
         yield rows[start:start + step]
 
@@ -239,7 +237,7 @@ class FiniteSemigroup(Carrier):
 
     def _raise_first_escape(self):
         """ClosureError naming the first escaping product, row by row."""
-        for rows in row_blocks(np.arange(self.size), self.size, _TABLE_BLOCK_ENTRIES):
+        for rows in row_blocks(np.arange(self.size), self.size):
             _, bad = _direct_rows(self._spread, self._right, self._codes, rows)
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), self.size)
@@ -478,14 +476,18 @@ def idempotents_commute(s) -> bool:
 def _first_idempotent_pair(s, bad: np.ndarray | None = None):
     """The first pair (e, f) of idempotents, row by row, whose product is
     flagged in ``bad`` (one flag per element; by default, the product is not
-    idempotent), as (e, f, e*f), or None."""
+    idempotent), as (e, f, e*f), or None.  Products are coded a block of
+    rows at a time, up to the first block with a flagged one."""
     ids = idempotent_indices(s)
-    ef = s.products(ids[:, None], ids[None, :])
-    hits = np.flatnonzero(s.squares()[ef] != ef if bad is None else bad[ef])
-    if not hits.size:
-        return None
-    e, f = divmod(int(hits[0]), len(ids))
-    return tuple(s.elements[i] for i in (ids[e], ids[f], ef[e, f]))
+    if bad is None:
+        bad = s.squares() != np.arange(s.size)
+    for rows in row_blocks(ids, len(ids)):
+        ef = s.products(rows[:, None], ids[None, :])
+        hits = np.flatnonzero(bad[ef])
+        if hits.size:
+            e, f = divmod(int(hits[0]), len(ids))
+            return tuple(s.elements[i] for i in (rows[e], ids[f], ef[e, f]))
+    return None
 
 
 def orthodox_witness(s):

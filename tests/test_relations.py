@@ -28,7 +28,6 @@ from contracta import (
     is_right_abundant,
     kernel,
     l_char,
-    lstar_oracle,
     make_map,
     r_char,
     rees_quotient,
@@ -36,7 +35,6 @@ from contracta import (
     regular_char_oct,
     regular_char_orct,
     regular_elements,
-    rstar_oracle,
     run_check,
     starred_char,
     starred_partition,
@@ -389,38 +387,38 @@ def _reference_kernel_patterns(a):
 class TestDKeys:
     @pytest.mark.parametrize("n", [5, 6])
     def test_match_kernel_pattern_reference(self, family, n):
-        # _d_keys renumbers the collapse profiles instead of the kernel blocks
+        # d probes renumber the collapse profiles instead of the kernel blocks
         # of each transversal; blocks and their images are in bijection.
         for a in family("ct", n).elements:
-            want = frozenset((height(a), q) for q in _reference_kernel_patterns(a))
-            assert rel._d_keys(a) == want, a
+            patterns = _reference_kernel_patterns(a)
+            patterns |= {kernel_word(q[::-1]) for q in patterns}
+            assert rel._probes("d", a) == {(height(a), q) for q in patterns}, a
+
+
+class TestProbes:
+    def test_closed_under_reflection_on_ct5(self, family):
+        reflect = {
+            "l": lambda t: t[::-1],
+            "h": lambda wt: (wt[0], wt[1][::-1]),
+            "d": lambda hq: (hq[0], kernel_word(hq[1][::-1])),
+        }
+        for a in family("ct", 5).elements:
+            for kind, fn in reflect.items():
+                probes = rel._probes(kind, a)
+                assert {fn(p) for p in probes} == probes, (kind, a)
 
 
 class TestStarredOracles:
-    def test_equal_elements(self, family):
-        s = family("ct", 3)
-        for m in s.elements:
-            assert lstar_oracle(s, m, m)
-            assert rstar_oracle(s, m, m)
-
     def test_equal_images_lstar_in_ct3(self, family):
         s = family("ct", 3)
         a, b = make_map(3, [1, 2, 2]), make_map(3, [2, 1, 1])
         assert image(a) == image(b)
-        assert lstar_oracle(s, a, b)
+        assert starred_partition(s, "lstar").same_class(s.index_of(a), s.index_of(b))
 
     def test_different_kernels_not_rstar(self, family):
         s = family("ct", 3)
-        assert not rstar_oracle(s, make_map(3, [1, 2, 2]), make_map(3, [1, 1, 2]))
-
-    def test_partitions_match_pairwise_oracle(self, family):
-        s = family("ct", 3)
-        lpart = starred_partition(s, "lstar")
-        rpart = starred_partition(s, "rstar")
-        for i, j in combinations_with_replacement(range(s.size), 2):
-            a, b = s.elements[i], s.elements[j]
-            assert lpart.same_class(i, j) == lstar_oracle(s, a, b)
-            assert rpart.same_class(i, j) == rstar_oracle(s, a, b)
+        a, b = make_map(3, [1, 2, 2]), make_map(3, [1, 1, 2])
+        assert not starred_partition(s, "rstar").same_class(s.index_of(a), s.index_of(b))
 
     def test_starred_refinement_chain(self, family):
         s = family("ct", 4)
@@ -927,7 +925,8 @@ class TestCharacterizedRows:
         # A deliberately wrong key makes the characterization disagree with
         # the oracle; the row scan must count and order the disagreements
         # exactly as a plain loop over the pairs does.
-        monkeypatch.setitem(rel._CHAR_KEYS, kind, (rel._label(lambda a: a.images[0]), None))
+        probes = rel._probes
+        monkeypatch.setattr(rel, "_probes", lambda k, a: {a.images[0]} if k == kind else probes(k, a))
         s = family("ct", 4)
         part = green_oracle(s, kind) if kind in rel.GREEN_KINDS else starred_partition(s, kind)
         pred = _scalar(kind)

@@ -261,7 +261,7 @@ class TestClosure:
         # [2,3,3]*[2,3,3].  The error names the first row by row, (0, 1),
         # also when the two rows are coded in separate blocks.
         if block_entries is not None:
-            monkeypatch.setattr(semigroups, "_TABLE_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(semigroups, "_BLOCK_ENTRIES", block_entries)
         a, b = make_map(3, [1, 2, 1]), make_map(3, [2, 3, 3])
         with pytest.raises(
             ClosureError, match=re.escape("product [1,2,1] * [2,3,3] = [2,3,2] escapes the element set")
@@ -682,6 +682,12 @@ def ct8_direct():
     return FiniteSemigroup(8, "ct", semigroups.family_words("ct", 8))
 
 
+@pytest.fixture(scope="module")
+def ct9_direct():
+    """ct9 built directly from its words, 40,503 elements."""
+    return FiniteSemigroup(9, "ct", semigroups.family_words("ct", 9))
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -708,15 +714,24 @@ class TestIdempotentPairsPastTheGuards:
         assert not commute
         assert peak < 10e6
 
-    def test_ct9_first_irregular_product(self, no_semigroup_table):
-        # 40,503 elements: the pinned pair of the idempotent-products check
-        # one size past ct8, read without a table or whole rows.
-        words = semigroups.family_words("ct", 9)
-        s = FiniteSemigroup(9, "ct", words)
+    def test_ct9_first_irregular_product(self, ct9_direct, no_semigroup_table):
+        # The pinned pair of the idempotent-products check one size past
+        # ct8, read without a table or whole rows.
+        s = ct9_direct
         e, f, ef = semigroups._first_idempotent_pair(s, ~semigroups._regular_mask(s))
         assert (e.images, f.images) == ((1, 2, 3, 4, 3, 2, 1, 1, 1), (6, 5, 5, 4, 5, 6, 5, 4, 4))
         assert ef == compose(e, f) == make_map(9, [6, 5, 5, 4, 5, 5, 6, 6, 6])
-        assert not is_regular_in(words, ef)
+        assert not is_regular_in(s.words, ef)
+
+    def test_ct9_first_pair_peak(self, ct9_direct):
+        # 2,741 idempotents: coding all 7.5M of their products held 67.6 MB
+        # of tracemalloc peak.  The search codes a block of rows at a time
+        # and stops at the first block with a hit.
+        pair, peak = _traced_peak(semigroups._first_idempotent_pair, ct9_direct)
+        assert [m.images for m in pair] == [
+            (1, 2, 1, 1, 1, 1, 1, 1, 1), (3, 4, 3, 4, 3, 3, 3, 3, 3), (3, 4, 3, 3, 3, 3, 3, 3, 3),
+        ]
+        assert peak < 10e6
 
 
 class TestHallEquivalence:
