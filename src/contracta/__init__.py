@@ -6,6 +6,11 @@ unipotence verdicts, and Rees factors of the regular order-preserving
 families.
 """
 
+import os
+
+# No BLAS routine is called, so let numpy start no BLAS worker thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .maps import (
     ChainMap,
     FamilyTag,

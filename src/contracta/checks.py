@@ -278,7 +278,7 @@ CHECKS = {
     "starred": (check_starred, ("ct", "oct", "orct")),
     "abundance": (check_abundance, ("ct", "oct", "orct")),
     "unipotence": (check_unipotence, ("orct", "oct")),
-    "orthodox": (check_orthodox, ("ct", "oct", "orct")),
+    "orthodox": (check_orthodox, ("orct", "oct", "ct")),
     "idempotent-products": (check_idempotent_products, ("ct", "oct", "orct")),
     "refinement-readings": (check_refinement_readings, ("ct",)),
 }

@@ -214,6 +214,12 @@ class TestRelations:
 
 
 class TestVerify:
+    def test_orthodox_defaults_to_orct(self):
+        # Orthodoxy is claimed for the order-compatible maps only; on ct it
+        # fails from n = 3.
+        reports = checks.run_check("orthodox", 5)
+        assert [(r.family, r.verdict) for r in reports] == [("orct", "pass")]
+
     def test_green_l_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "green-l", "--family", "ct", "--n", "3")
         assert code == 0
@@ -515,6 +521,21 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_import_starts_no_blas_threads(self):
+        # This process has imported contracta, so its environment already
+        # holds the variable; the child must start without it.
+        code = "import os, contracta\nprint(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+        env = _child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[1] == "2"
 
     def test_threads_flag_rejected(self, capsys):
         # The flag never changed execution and was removed.

@@ -506,6 +506,33 @@ class TestCharPartitionsCT6:
         assert np.array_equal(char_partition(s, kind).labels, starred_partition(s, kind).labels)
 
 
+# Class counts of the Green's relations on CT_n for n = 1..7.  R reads
+# (3^(n-1) + 1) / 2 at every n measured, an empirical observation.
+CT_CLASS_COUNTS = {
+    "l": [1, 3, 6, 12, 25, 57, 153],
+    "r": [1, 2, 5, 14, 41, 122, 365],
+    "h": [1, 3, 10, 36, 136, 512, 1923],
+    "d": [1, 2, 3, 5, 8, 15, 29],
+    "j": [1, 2, 3, 5, 8, 15, 29],
+}
+
+
+class TestCTSequences:
+    """The pinned class counts, read by the oracles and, for l, r, h and d,
+    by the characterized partitions.  The regular and idempotent counts are
+    pinned in test_semigroups."""
+
+    @pytest.mark.parametrize("kind", sorted(CT_CLASS_COUNTS))
+    def test_oracle_class_counts(self, family, kind):
+        counts = [green_oracle(family("ct", n), kind).class_count for n in range(1, 8)]
+        assert counts == CT_CLASS_COUNTS[kind]
+
+    @pytest.mark.parametrize("kind", ["l", "r", "h", "d"])
+    def test_char_class_counts(self, family, kind):
+        counts = [char_partition(family("ct", n), kind).class_count for n in range(1, 8)]
+        assert counts == CT_CLASS_COUNTS[kind]
+
+
 @pytest.fixture(scope="module")
 def ct7():
     return enumerate_family("ct", 7)

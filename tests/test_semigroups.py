@@ -36,8 +36,8 @@ from contracta.semigroups import ClosureError, is_regular_in
 CT_SIZES = {1: 1, 2: 4, 3: 17, 4: 68, 5: 259, 6: 950, 7: 3387}
 OCT_SIZES = {1: 1, 2: 3, 3: 8, 4: 20, 5: 48, 6: 112, 7: 256}
 ORCT_SIZES = {1: 1, 2: 4, 3: 13, 4: 36, 5: 91, 6: 218, 7: 505}
-CT_IDEMPOTENT_COUNTS = {2: 3, 3: 8, 4: 21, 5: 56}
-CT_REGULAR_COUNTS = {2: 4, 3: 17, 4: 64, 5: 221}
+CT_IDEMPOTENT_COUNTS = {2: 3, 3: 8, 4: 21, 5: 56, 6: 149, 7: 395}
+CT_REGULAR_COUNTS = {2: 4, 3: 17, 4: 64, 5: 221, 6: 730, 7: 2335}
 
 
 @pytest.fixture(scope="module")
@@ -732,6 +732,50 @@ class TestIdempotentPairsPastTheGuards:
             (1, 2, 1, 1, 1, 1, 1, 1, 1), (3, 4, 3, 4, 3, 3, 3, 3, 3), (3, 4, 3, 3, 3, 3, 3, 3, 3),
         ]
         assert peak < 10e6
+
+    def test_ct9_commute_peak(self, ct9_direct):
+        # Coding all 7.5M products of the 2,741 idempotents and comparing the
+        # matrix with its transpose held 37.6 MB of tracemalloc peak; the
+        # first block of rows already has a pair that does not commute.
+        commute, peak = _traced_peak(idempotents_commute, ct9_direct)
+        assert not commute
+        assert peak < 10e6
+
+
+def _commute_reference(s, table):
+    ids = semigroups.idempotent_indices(s)
+    ef = table[np.ix_(ids, ids)]
+    return bool((ef == ef.T).all())
+
+
+class TestIdempotentsCommute:
+    """The block-by-block scan gives the verdict of the whole |E| x |E|
+    matrix compared with its transpose."""
+
+    @pytest.mark.parametrize("block_entries", [None, 40], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("fam,n", [(f, n) for f in ("ct", "oct", "orct") for n in range(1, 6)])
+    def test_matches_the_whole_matrix(self, family, table_of, monkeypatch, fam, n, block_entries):
+        s = family(fam, n)
+        want = _commute_reference(s, table_of(s))
+        if block_entries is not None:
+            monkeypatch.setattr(semigroups, "_BLOCK_ENTRIES", block_entries)
+        assert idempotents_commute(s) == want
+
+    def test_rees_quotient_scans_every_block(self, regular_base, table_of, monkeypatch):
+        # The height-2 Rees factor of Reg(ORCT_5) is inverse, with 5
+        # idempotents: no block differs, so the scan codes e*f and f*e for
+        # every row of idempotents, two rows per block.
+        q = rees_quotient(regular_base("orct", 5), 2)
+        assert _commute_reference(q, table_of(q))
+        ids = semigroups.idempotent_indices(q)
+        monkeypatch.setattr(semigroups, "_BLOCK_ENTRIES", 2 * len(ids))
+        calls, products = [], q.products
+        monkeypatch.setattr(q, "products", lambda x, y: calls.append((x, y)) or products(x, y))
+        assert idempotents_commute(q)
+        pairs = [(x, y) for x, y in calls if np.ndim(x) == 2]
+        assert len(pairs) == 2 * -(-len(ids) // 2)
+        assert np.concatenate([x.ravel() for x, _ in pairs[0::2]]).tolist() == ids.tolist()
+        assert np.concatenate([y.ravel() for _, y in pairs[1::2]]).tolist() == ids.tolist()
 
 
 class TestHallEquivalence:
