@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: enumerate, analyze, relations, verify, rees, counterexample.
-Output is JSON by default (byte-identical across identical invocations) or a
-flat CSV projection.  Exit codes: 0 success, 1 verification failure or
-counterexample found, 2 invalid input.
+Each ``cmd_*`` returns (payload, CSV rows as a generator, exit code); ``main``
+writes the payload as JSON by default (byte-identical across identical
+invocations) or the rows as a flat CSV projection.  Exit codes: 0 success, 1
+verification failure or counterexample found, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -69,11 +70,9 @@ def _emit_json(payload: dict) -> None:
 def _emit_csv(rows: list[dict]) -> None:
     if not rows:
         return
-    fields = list(rows[0].keys())
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 def _positive_int(text: str) -> int:
@@ -94,9 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite semigroups of full contraction maps on a chain",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    families = [tag.value for tag in FamilyTag]
 
     p = commands.add_parser("enumerate", help="list a family and its structure counts")
-    p.add_argument("--family", choices=("t", "ct", "oct", "orct"), required=True)
+    p.add_argument("--family", choices=families, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = commands.add_parser("relations", help="relation classes of a family")
-    p.add_argument("--family", choices=("t", "ct", "oct", "orct"), required=True)
+    p.add_argument("--family", choices=families, required=True)
     p.add_argument("--relation", choices=GREEN_KINDS + STARRED_KINDS, required=True)
     p.add_argument("--method", choices=("oracle", "char"), default="oracle")
     _add_common(p)
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("verify", help="run named oracle-vs-characterization suites")
     p.add_argument("--check", required=True, help=f"comma-separated check ids: {', '.join(CHECK_IDS)}")
-    p.add_argument("--family", choices=("t", "ct", "oct", "orct"))
+    p.add_argument("--family", choices=families)
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in the JSON output")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("counterexample", help="scan a family for the first violation of a named check")
     p.add_argument("--check", required=True, choices=CHECK_IDS)
-    p.add_argument("--family", choices=("t", "ct", "oct", "orct"))
+    p.add_argument("--family", choices=families)
     _add_common(p)
     p.set_defaults(func=cmd_counterexample)
 
@@ -138,36 +138,27 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies ---------------------------------------------------------
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     s = enumerate_family(args.family, args.n)
-    ids = idempotents(s)
-    reg = regular_elements(s)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "enumerate",
-                "family": args.family,
-                "n": args.n,
-                "count": s.size,
-                "idempotent_count": len(ids),
-                "regular_count": len(reg),
-                "elements": [list(m.images) for m in s.elements],
-            }
-        )
-    else:
-        id_set, reg_set = set(ids), set(reg)
-        _emit_csv(
-            [
-                {
-                    "word": map_to_text(m),
-                    "idempotent": int(m in id_set),
-                    "regular": int(m in reg_set),
-                }
-                for m in s.elements
-            ]
-        )
-    return 0
+    ids = set(idempotents(s))
+    reg = set(regular_elements(s))
+    payload = {
+        "family": args.family,
+        "n": args.n,
+        "count": s.size,
+        "idempotent_count": len(ids),
+        "regular_count": len(reg),
+        "elements": [list(m.images) for m in s.elements],
+    }
+    rows = (
+        {
+            "word": map_to_text(m),
+            "idempotent": int(m in ids),
+            "regular": int(m in reg),
+        }
+        for m in s.elements
+    )
+    return payload, rows, 0
 
 
 def _smallest_family(m) -> str:
@@ -177,7 +168,7 @@ def _smallest_family(m) -> str:
     return "t"
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     m = map_from_text(args.map_text, args.n)
     fam = _smallest_family(m)
     # Before the transversals, whose count grows exponentially with n.
@@ -193,10 +184,7 @@ def cmd_analyze(args) -> int:
         for t in transversals(k)
     ]
     contraction = is_contraction(m)
-    regular_oracle = is_regular_in(family_words(fam, args.n), m)
     payload = {
-        "schema": SCHEMA,
-        "command": "analyze",
         "map": map_to_text(m),
         "n": m.n,
         "family": fam,
@@ -216,7 +204,7 @@ def cmd_analyze(args) -> int:
             partition_to_text(max_convex_refinement(m)) if contraction else None
         ),
         "regular": {
-            "oracle": regular_oracle,
+            "oracle": is_regular_in(family_words(fam, args.n), m),
             "characterized": regular_char_ct(m) if contraction else None,
             "characterized_orct": (
                 regular_char_orct(m) if FamilyTag.ORCT.contains(m) else None
@@ -224,22 +212,18 @@ def cmd_analyze(args) -> int:
             "oracle_family": fam,
         },
     }
-    if args.output == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(
-            [
-                {
-                    "map": payload["map"],
-                    "family": fam,
-                    "height": payload["height"],
-                    "idempotent": int(payload["idempotent"]),
-                    "regular_oracle": int(regular_oracle),
-                    "kernel": payload["kernel_text"],
-                }
-            ]
-        )
-    return 0
+    rows = (
+        {
+            "map": p["map"],
+            "family": p["family"],
+            "height": p["height"],
+            "idempotent": int(p["idempotent"]),
+            "regular_oracle": int(p["regular"]["oracle"]),
+            "kernel": p["kernel_text"],
+        }
+        for p in (payload,)
+    )
+    return payload, rows, 0
 
 
 def _check_char_method(family: str, relation: str) -> None:
@@ -257,7 +241,7 @@ def _check_char_method(family: str, relation: str) -> None:
         )
 
 
-def cmd_relations(args) -> int:
+def cmd_relations(args):
     if args.method == "char":
         _check_char_method(args.family, args.relation)
     s = enumerate_family(args.family, args.n)
@@ -270,32 +254,23 @@ def cmd_relations(args) -> int:
     else:
         part = char_partition(s, args.relation)
     classes = [sorted(map_to_text(s.elements[i]) for i in c) for c in part.classes]
-    if args.output == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "relations",
-            "family": args.family,
-            "n": args.n,
-            "relation": args.relation,
-            "method": part.method,
-            "class_count": part.class_count,
-            "classes": classes,
-        }
-        if part.method == "char" and args.family == "orct" and args.relation in STARRED_KINDS:
-            payload["note"] = (
-                "characterization is empirical for this family; cross-check with --method oracle"
-            )
-        _emit_json(payload)
-    else:
-        rows = []
-        for ci, c in enumerate(classes):
-            for word in c:
-                rows.append({"class": ci, "word": word})
-        _emit_csv(rows)
-    return 0
+    payload = {
+        "family": args.family,
+        "n": args.n,
+        "relation": args.relation,
+        "method": part.method,
+        "class_count": part.class_count,
+        "classes": classes,
+    }
+    if part.method == "char" and args.family == "orct" and args.relation in STARRED_KINDS:
+        payload["note"] = (
+            "characterization is empirical for this family; cross-check with --method oracle"
+        )
+    rows = ({"class": ci, "word": word} for ci, c in enumerate(classes) for word in c)
+    return payload, rows, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     ids = [c.strip() for c in args.check.split(",") if c.strip()]
     if not ids:
         raise ValueError(f"no check id given; known: {', '.join(CHECK_IDS)}")
@@ -305,98 +280,83 @@ def cmd_verify(args) -> int:
         reports.extend(batch)
         print(f"# {check_id}: {sum(r.elapsed_ms for r in batch):.1f} ms", file=sys.stderr)
     payload = {
-        "schema": SCHEMA,
-        "command": "verify",
         "n": args.n,
         "reports": [r.as_dict(include_timing=args.timing) for r in reports],
     }
-    if args.output == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(
-            [
-                {
-                    "check": r.check,
-                    "family": r.family,
-                    "n": r.n,
-                    "verdict": r.verdict,
-                    "counterexample": json.dumps(r.counterexample, sort_keys=True)
-                    if r.counterexample
-                    else "",
-                }
-                for r in reports
-            ]
-        )
-    return 0 if all(r.passed for r in reports) else 1
+    rows = (
+        {
+            "check": r.check,
+            "family": r.family,
+            "n": r.n,
+            "verdict": r.verdict,
+            "counterexample": json.dumps(r.counterexample, sort_keys=True)
+            if r.counterexample
+            else "",
+        }
+        for r in reports
+    )
+    return payload, rows, 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_rees(args) -> int:
+def cmd_rees(args):
     q = rees_quotient(regular_subsemigroup(args.family, args.n), args.p)
     verification = verify_inverse(q)
-    ids = idempotent_indices(q)
     payload = {
-        "schema": SCHEMA,
-        "command": "rees",
         "family": args.family,
         "n": args.n,
         "p": args.p,
         "carrier_size": q.size,
         "carrier": [q.label(i) for i in range(q.size)],
-        "idempotents": [q.label(i) for i in ids],
+        "idempotents": [q.label(i) for i in idempotent_indices(q)],
         "inverse_verification": verification.as_dict(),
     }
-    if args.output == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(
-            [
-                {
-                    "family": args.family,
-                    "n": args.n,
-                    "p": args.p,
-                    "carrier_size": q.size,
-                    "inverse": int(verification.inverse),
-                    "consistent": int(verification.consistent),
-                }
-            ]
-        )
-    return 0
+    rows = (
+        {
+            "family": p["family"],
+            "n": p["n"],
+            "p": p["p"],
+            "carrier_size": p["carrier_size"],
+            "inverse": int(verification.inverse),
+            "consistent": int(verification.consistent),
+        }
+        for p in (payload,)
+    )
+    return payload, rows, 0
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args):
     witness = first_counterexample(args.check, args.n, args.family)
     payload = {
-        "schema": SCHEMA,
-        "command": "counterexample",
         "check": args.check,
         "family": args.family or CHECKS[args.check][1][0],
         "n": args.n,
         "witness": witness,
     }
-    if args.output == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(
-            [
-                {
-                    "check": args.check,
-                    "family": payload["family"],
-                    "n": args.n,
-                    "witness": json.dumps(witness, sort_keys=True) if witness else "none",
-                }
-            ]
-        )
-    return 1 if witness is not None else 0
+    rows = (
+        {
+            "check": p["check"],
+            "family": p["family"],
+            "n": p["n"],
+            "witness": json.dumps(p["witness"], sort_keys=True) if p["witness"] else "none",
+        }
+        for p in (payload,)
+    )
+    return payload, rows, 1 if witness is not None else 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, rows, code = args.func(args)
+        if args.output == "json":
+            _emit_json({"schema": SCHEMA, "command": args.command, **payload})
+        else:
+            _emit_csv(list(rows))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ ENV_VAR = "CONTRACTA_MAX_N"
 def _read_config(path: str | None = None) -> dict[str, int]:
     path = path or CONFIG_FILENAME
     values: dict[str, int] = {}
+    accepted = [f"max_n_{family}" for family in HARD_CEILINGS]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -35,10 +36,14 @@ def _read_config(path: str | None = None) -> dict[str, int]:
         if not line or "=" not in line:
             continue
         key, _, val = line.partition("=")
+        key = key.strip()
+        # A mistyped key would otherwise leave its guard at the ceiling.
+        if key not in accepted:
+            raise ValueError(f"unknown key {key!r} in {path}; accepted keys: {', '.join(accepted)}")
         try:
-            values[key.strip()] = int(val.strip())
+            values[key] = int(val.strip())
         except ValueError:
-            raise ValueError(f"bad value for {key.strip()!r} in {path}: {val.strip()!r}") from None
+            raise ValueError(f"bad value for {key!r} in {path}: {val.strip()!r}") from None
     return values
 
 

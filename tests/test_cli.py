@@ -190,12 +190,14 @@ class TestRelations:
         assert code == 2
         assert "no characterized" in err
 
-    def test_char_outside_ct_refused(self, capsys):
-        code, _, err = run_cli(
-            capsys, "relations", "--family", "t", "--n", "3", "--relation", "l", "--method", "char"
+    @pytest.mark.parametrize("family", ["t", "oct"])
+    def test_char_outside_ct_refused(self, capsys, family):
+        code, out, err = run_cli(
+            capsys, "relations", "--family", family, "--n", "3", "--relation", "l", "--method", "char"
         )
         assert code == 2
-        assert "family 'ct'" in err
+        assert out == ""
+        assert err == "error: characterized l is only available for family 'ct'; use --method oracle\n"
 
     def test_starred_char_on_t_refused(self, capsys):
         code, _, err = run_cli(
@@ -433,6 +435,30 @@ GOLDEN_STDOUT = [
         ("orct", "719b439e77c40cc0c9a10da37ee0f6eaffac93d8a8c7fc4443a1c63cb645e6e0"),
         ("oct", "636b73428b185ad892e08ef081c8445eeffa907501497d4260823c0385ea7b8c"),
     ]
+] + [
+    # The CSV projection of every subcommand, and the counterexample payload.
+    (("analyze", "--n", "6", "--map", "[1,2,2,3,4,3]", "--output", "csv"), 0,
+     "72126c6abd95993b611a2bdba350e9c2e63f060e8151d310db4abcdccffc5e53"),
+    (("relations", "--family", "ct", "--n", "4", "--relation", "l", "--output", "csv"), 0,
+     "9b72b12a520e9fcf4206b8dc3409c1cd462d88abd15417ccea3bac3e3dc2e2a0"),
+    (("relations", "--family", "ct", "--n", "4", "--relation", "d", "--method", "char",
+      "--output", "csv"), 0,
+     "045511c9d84bd89f7c3e2a820aa91a88767de4e53356c093c1bf406d4385c28b"),
+    (("verify", "--check", "abundance", "--family", "ct", "--n", "4", "--output", "csv"), 1,
+     "6649dcdb34aad5c9a907e59e83f304ced050bc7c6fb04438922bcc7bd8e93220"),
+    (("rees", "--family", "orct", "--n", "5", "--p", "3", "--output", "csv"), 0,
+     "6d168717fc841a0d71f42546883f2f9aba35d4052e8a924da8f5726221adee9c"),
+    (("counterexample", "--check", "abundance", "--family", "ct", "--n", "4"), 1,
+     "37edf7becedf4c5c1077b14382df64a0bbffb1271de203e15cf83867d1c51c99"),
+    (("counterexample", "--check", "abundance", "--family", "ct", "--n", "4",
+      "--output", "csv"), 1,
+     "45fc7aeb7b5dd5c4fafce53066cb6933a4bf6bccb94f6682671337631a97bac9"),
+    (("counterexample", "--check", "regularity-ct", "--family", "ct", "--n", "3",
+      "--output", "csv"), 0,
+     "3d433a3b90fcabe5930d19d514f99fa02cb8cd3e3c0cd92d023dae5630295f87"),
+    # The default family, orct, shows in the payload.
+    (("counterexample", "--check", "orthodox", "--n", "4"), 0,
+     "a0102cf14785de0787db987310b774acca5ed0d0aa23bcb71af5721576637006"),
 ]
 
 

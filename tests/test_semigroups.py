@@ -128,12 +128,22 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="guard"):
             enumerate_family("ct", 8)  # hard ceiling still applies
 
-    def test_config_guard(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("config,n,message", [
+        ("max_n_ct = 2\n", 3, "guard"),
+        # A mistyped key is refused, not ignored with the guard left at 7.
+        ("max_n_CT = 3\n", 5, "unknown key 'max_n_CT' in contracta.toml; accepted keys: "
+         "max_n_t, max_n_ct, max_n_oct, max_n_orct"),
+    ], ids=["lowered", "typo"])
+    def test_config_guard(self, monkeypatch, tmp_path, config, n, message):
+        (tmp_path / "contracta.toml").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=message):
+            enumerate_family("ct", n)
+
+    def test_config_guard_leaves_other_families(self, monkeypatch, tmp_path):
         (tmp_path / "contracta.toml").write_text("max_n_ct = 2\n")
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="guard"):
-            enumerate_family("ct", 3)
-        assert enumerate_family("oct", 3).size == 8  # other families untouched
+        assert enumerate_family("oct", 3).size == 8
 
 
 # A few maps of ct4 or ct5, as generators of a subsemigroup.
