@@ -20,6 +20,7 @@ from .semigroups import (
     _index_pair,
     _regular_mask,
     _unique_inverse_counts,
+    check_table_budget,
     idempotents_commute,
     is_orthodox,
 )
@@ -120,10 +121,12 @@ def rees_quotient(base: FiniteSemigroup, p: int) -> ReesQuotient:
     """
     if not 2 <= p <= base.n:
         raise ValueError(f"quotient height p={p} out of range 2..{base.n}")
+    layer = np.flatnonzero(base.rank == p)
+    # Before any product: the budget also keeps every index inside TABLE_DTYPE.
+    check_table_budget(layer.size + 1)
     if not _regular_mask(base).all():
         raise ValueError("base contains non-regular elements")
     height_ideal(base, p)  # asserts the ideal property
-    layer = np.flatnonzero(base.rank == p)
     if not layer.size:
         raise RuntimeError(f"height-{p} layer of {base!r} is empty")
     return ReesQuotient(base, p, layer)

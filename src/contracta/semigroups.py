@@ -7,12 +7,13 @@ and ``orct`` the ``oct`` walks together with those with steps in {-1, 0}.
 ``t`` is all n^n image words.  Every family's words are one lexicographic
 (count, n) int8 array, which ``is_regular_in`` scans without a carrier.  A
 ``FiniteSemigroup`` is built from such words and codes them in base n once.
-Construction walks the left Cayley graph: only generator rows are coded and
-looked up, and every other element t is found as g*k for a generator g and
-an element k found before it.  Closure is checked in full, since t*b =
-g*(k*b) is inside when the generator rows are; the walk fails loudly if a
-product escapes.  Every later product is coded from the stored arrays and
-looked up among the element codes, only as asked (``products``); no table is kept.
+One left walk builds every semigroup and every generated closure: only
+generator rows are coded and looked up, and every other element t is found
+as g*k for a generator g and an element k found before it.  From every
+element it checks closure in full, since t*b = g*(k*b) is inside when the
+generator rows are, and fails loudly if a product escapes.  Every later
+product is coded from the stored arrays and looked up among the element
+codes, only as asked (``products``); no table is kept.
 """
 
 from __future__ import annotations
@@ -176,14 +177,15 @@ class FiniteSemigroup(Carrier):
         for k in range(n):
             self._spread[np.arange(self.size), self._right[:, k]] += weights[k]
         self.rank = np.count_nonzero(self._spread, axis=1)  # image sizes
-        # The generator walk raises ClosureError on an escaping product.
-        self._gens, self._left = self._generator_walk()
+        # The left walk raises ClosureError on an escaping product.
+        _, self._gens, rows = _left_walk(self, np.ones(self.size, dtype=bool))
+        self._left = rows.T
 
     def __repr__(self):
         return f"FiniteSemigroup(family={self.family!r}, n={self.n}, size={self.size})"
 
     def generators(self) -> np.ndarray:
-        """Indices of a generating set: the rows the generator walk coded directly."""
+        """Indices of a generating set: the rows the left walk coded directly."""
         return self._gens
 
     def cayley(self, side: str) -> np.ndarray:
@@ -194,8 +196,8 @@ class FiniteSemigroup(Carrier):
 
     def products(self, x, y) -> np.ndarray:
         """Index of a*b for index arrays x and y of one ndim, broadcast together,
-        coded from the words a block of the leading axis at a time; the generator
-        walk proved closure, so codes are looked up without an escape check."""
+        coded from the words a block of the leading axis at a time; the left walk
+        proved closure, so codes are looked up without an escape check."""
         x, y = _index_pair(x, y)
         shape = np.broadcast_shapes(x.shape, y.shape)
         a, b = _gather(self._spread, x, shape), _gather(self._right, y, shape)
@@ -203,37 +205,6 @@ class FiniteSemigroup(Carrier):
         for ab, bb, ob in zip(*(row_blocks(v, prod(shape[1:])) for v in (a, b, out))):
             ob[...] = np.searchsorted(self._codes, np.einsum("...k,...k->...", ab, bb, order="C"))
         return out
-
-    def _generator_walk(self):
-        """Generators, in the order found, and the left successor array g*a."""
-        spread, right, codes, rank = self._spread, self._right, self._codes, self.rank
-        known = np.zeros(self.size, dtype=bool)
-        found, done = [], 0  # every generator has been multiplied onto found[:done]
-        gens, rows = [], []
-        while len(found) < self.size:
-            # Rank never rises along a product, so the widest unknown map is
-            # taken as the next generator; only its row is coded directly.
-            g = int(np.argmax(np.where(known, -1, rank)))
-            idx, bad = _direct_rows(spread, right, codes, [g])
-            if bad.any():
-                self._raise_first_escape()
-            known[g] = True
-            found.append(g)
-            gens.append(g)
-            rows.append(idx[0])
-            # Walk the left Cayley graph: k is found, so g*k is too.
-            succ, hs = np.array(rows), np.array([len(gens) - 1])
-            ks = np.array(found[:done], dtype=np.intp)
-            while True:
-                targets = succ[np.ix_(hs, ks)]
-                for t in targets[~known[targets]].tolist():
-                    if not known[t]:
-                        known[t] = True
-                        found.append(t)
-                if done == len(found):
-                    break
-                hs, ks, done = np.arange(len(gens)), np.array(found[done:]), len(found)
-        return np.array(gens, dtype=np.intp), np.array(rows, dtype=np.int32).T
 
     def _raise_first_escape(self):
         """ClosureError naming the first escaping product, row by row."""
@@ -257,6 +228,34 @@ def _direct_rows(spread, right, codes, rows):
     ccodes = spread[rows] @ right.T
     idx = np.searchsorted(codes, ccodes)
     return idx, codes[np.minimum(idx, len(codes) - 1)] != ccodes
+
+
+def _left_walk(s, candidates):
+    """The left Cayley graph of ``s`` walked from the candidates (a mask):
+    the widest unreached candidate becomes the next generator g, as rank never
+    rises along a product; its row g*x is coded for every x, g*k is
+    reached for every k reached so far, and each new element k yields h*k
+    for every generator h.  Returns the reached mask (the closure of the
+    candidates), the generators in the order found, and their rows as a
+    (generators, size) int32 array; ClosureError if a generator row escapes."""
+    reached = np.zeros(s.size, dtype=bool)
+    slot = np.empty(s.size, dtype=np.intp)
+    gens, rows = [], []
+    while (pending := candidates & ~reached).any():
+        g = int(np.argmax(np.where(pending, s.rank, -1)))
+        idx, bad = _direct_rows(s._spread, s._right, s._codes, [g])
+        if bad.any():
+            s._raise_first_escape()
+        gens.append(g)
+        rows.append(idx[0].astype(np.int32))
+        targets = np.append(rows[-1][reached], g)
+        while targets.size:
+            new = targets[~reached[targets]]
+            slot[new] = np.arange(len(new))  # one position per element survives
+            new = new[slot[new] == np.arange(len(new))]
+            reached[new] = True
+            targets = np.concatenate([row[new] for row in rows])
+    return reached, np.array(gens, dtype=np.intp), np.array(rows, dtype=np.int32)
 
 
 def _least_reaching(src, dst, size: int) -> np.ndarray:
@@ -440,21 +439,15 @@ def regular_subsemigroup(family, n: int) -> FiniteSemigroup:
 def generated_subsemigroup(s: FiniteSemigroup, gens) -> FiniteSemigroup:
     """Closure of ``gens`` under composition, as a semigroup.
 
-    Every product g1*...*gk is reached from g1 by right multiplication, so
-    each round multiplies only the newly reached elements by the generators.
+    The left walk over ``s`` takes the widest unreached map of ``gens`` as
+    its next generator, so it codes only the rows of the generators it
+    needs; the result's own construction proves closure once more.
     """
-    inside = np.zeros(s.size, dtype=bool)
-    inside[[s.index_of(m) for m in gens]] = True
-    frontier = np.flatnonzero(inside)
-    if not frontier.size:
+    candidates = np.zeros(s.size, dtype=bool)
+    candidates[[s.index_of(m) for m in gens]] = True
+    if not candidates.any():
         raise ValueError("at least one generator is required")
-    right = s.products(np.arange(s.size)[:, None], frontier[None, :])  # right[a, g] = a*g
-    while frontier.size:
-        reached = np.zeros(s.size, dtype=bool)
-        reached[right[frontier]] = True
-        frontier = np.flatnonzero(reached & ~inside)
-        inside[frontier] = True
-    return FiniteSemigroup(s.n, "custom", s.words[inside])
+    return FiniteSemigroup(s.n, "custom", s.words[_left_walk(s, candidates)[0]])
 
 
 def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:

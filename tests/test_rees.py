@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contracta.rees as rees
+import contracta.semigroups as semigroups
 from contracta import (
     ReesQuotient,
     compose,
@@ -114,6 +115,19 @@ class TestQuotientConstruction:
             rees_quotient(base, 1)
         with pytest.raises(ValueError, match="out of range"):
             rees_quotient(base, 5)
+
+    def test_layer_over_budget_fails_before_any_product(self, regular_base, monkeypatch):
+        # The height-3 layer of Reg(ORCT_5) has 18 maps: with the zero, its
+        # table needs 19^2 = 361 entries, one over this budget.
+        base = regular_base("orct", 5)
+        monkeypatch.setattr(semigroups, "DEFAULT_TABLE_BUDGET", 360)
+
+        def uncoded(x, y):
+            raise AssertionError("a product was coded")
+
+        monkeypatch.setattr(base, "products", uncoded)
+        with pytest.raises(ValueError, match=r"19 elements needs 361 entries \(722 bytes\)"):
+            rees_quotient(base, 3)
 
     def test_irregular_base_rejected_without_flag(self, family):
         s = family("ct", 4)

@@ -29,6 +29,7 @@ from contracta import (
     subsemigroup,
     verify_inverse,
 )
+import contracta.checks as checks
 import contracta.semigroups as semigroups
 from contracta.semigroups import ClosureError, is_regular_in
 
@@ -37,6 +38,7 @@ CT_SIZES = {1: 1, 2: 4, 3: 17, 4: 68, 5: 259, 6: 950, 7: 3387}
 OCT_SIZES = {1: 1, 2: 3, 3: 8, 4: 20, 5: 48, 6: 112, 7: 256}
 ORCT_SIZES = {1: 1, 2: 4, 3: 13, 4: 36, 5: 91, 6: 218, 7: 505}
 CT_IDEMPOTENT_COUNTS = {2: 3, 3: 8, 4: 21, 5: 56, 6: 149, 7: 395}
+CT_IDEMPOTENT_GENERATED_SIZES = {2: 3, 3: 10, 4: 51, 5: 152, 6: 523, 7: 2372}
 CT_REGULAR_COUNTS = {2: 4, 3: 17, 4: 64, 5: 221, 6: 730, 7: 2335}
 
 
@@ -172,13 +174,14 @@ NOT_CLOSED = {
 
 
 def _record_direct_rows(monkeypatch):
-    """Wrap the direct-product helper; returns the list of (rows, escaped) per call."""
+    """Wrap the direct-product helper; returns the list of (rows, escaped,
+    width) per call, where width is the size of the carrier coded against."""
     calls = []
     direct = semigroups._direct_rows
 
     def recorded(spread, right, codes, rows):
         idx, bad = direct(spread, right, codes, rows)
-        calls.append((len(rows), bool(bad.any())))
+        calls.append((len(rows), bool(bad.any()), len(codes)))
         return idx, bad
 
     monkeypatch.setattr(semigroups, "_direct_rows", recorded)
@@ -336,7 +339,7 @@ class TestClosure:
         # Only generator rows are coded and looked up; the rest are gathers.
         calls = _record_direct_rows(monkeypatch)
         s = enumerate_family("ct", 7)
-        assert sum(rows for rows, _ in calls) * s.size < 0.01 * s.size**2
+        assert sum(rows for rows, *_ in calls) * s.size < 0.01 * s.size**2
 
     @pytest.mark.parametrize("fam,n", GENERATOR_FAMILIES)
     def test_generators_generate(self, family, table_of, fam, n):
@@ -364,7 +367,7 @@ class TestClosure:
         assert s.table().tolist() == [list(range(15))] * 15
 
     def test_table_over_budget_raises(self, family, monkeypatch):
-        # Construction checks closure by the generator walk alone; the budget
+        # Construction checks closure by the left walk alone; the budget
         # applies whenever the table is read.
         s = family("ct", 3)
         monkeypatch.setattr(semigroups, "DEFAULT_TABLE_BUDGET", 100)
@@ -614,6 +617,51 @@ class TestGenerated:
     def test_closure_matches_compose(self, family, drawn):
         (fam, n), gens = drawn
         assert set(generated_subsemigroup(family(fam, n), gens).elements) == _compose_closure(gens)
+
+    def test_idempotent_generated_sizes(self, family):
+        for n, want in CT_IDEMPOTENT_GENERATED_SIZES.items():
+            s = family("ct", n)
+            assert generated_subsemigroup(s, idempotents(s)).size == want
+
+    def test_ct8_idempotent_products_witnesses(self, monkeypatch):
+        # Past the n <= 7 guard: the check runs on ct8 built directly.
+        monkeypatch.setattr(
+            checks, "enumerate_family", lambda fam, n: FiniteSemigroup(n, fam, semigroups.family_words(fam, n))
+        )
+        pair, generated = checks.check_idempotent_products("ct", 8)
+        assert pair.counterexample == {
+            "maps": ["[1,2,3,4,3,2,1,1]", "[6,5,5,4,5,6,5,4]"],
+            "product": "[6,5,5,4,5,5,6,6]",
+        }
+        assert generated.detail["generated_size"] == 7704
+        assert generated.counterexample["map"] == "[1,1,1,1,1,2,2,3]"
+
+    def test_ct8_closure_codes_generator_rows_only(self, monkeypatch):
+        # The closure codes the rows of the generators it takes, each
+        # against s, and no product through s.products; the construction of
+        # the result codes its own generators' rows.
+        s = FiniteSemigroup(8, "ct", semigroups.family_words("ct", 8))
+        ids = idempotents(s)
+        calls = _record_direct_rows(monkeypatch)
+
+        def uncoded(x, y):
+            raise AssertionError("the closure coded products through s.products")
+
+        monkeypatch.setattr(s, "products", uncoded)
+        gen = generated_subsemigroup(s, ids)
+        coded = sum(rows for rows, _, width in calls if width == s.size)
+        assert coded * s.size <= 2 * gen.size * len(gen.generators())
+
+    def test_ct8_closure_memory(self):
+        s = FiniteSemigroup(8, "ct", semigroups.family_words("ct", 8))
+        ids = idempotents(s)
+        tracemalloc.start()
+        try:
+            generated_subsemigroup(s, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_no_generators_rejected(self, family):
         with pytest.raises(ValueError, match="at least one generator"):
