@@ -15,7 +15,7 @@ import os
 # would need a 139.6M-entry product table, over the 64M-entry table budget.
 HARD_CEILINGS = {"t": 8, "ct": 7, "oct": 7, "orct": 7}
 
-# Refinement scans read a table of all Bell(n) set partitions of the chain.
+# Only the refinement enumerations read the table of all Bell(n) set partitions.
 REFINEMENT_SCAN_MAX_N = 7
 
 CONFIG_FILENAME = "contracta.toml"

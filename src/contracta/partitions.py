@@ -3,19 +3,16 @@
 The kernel of a map is its partition into fibers.  A transversal picks one
 point per block; it is *convex* when the picked points form a contiguous
 interval, and *admissible* when collapsing every block onto its picked point
-yields a contraction.  Refinement scans drive the characterized Green's
-relation predicates.
+yields a contraction.
 
 Internal paths read a partition as its word, a restricted growth string
-(see ``kernel_word``); ``KernelPartition`` objects are built by the public
-functions and for output.  Refinement scans read one table per chain size n
-of all Bell(n) set partitions of {1, ..., n} (877 rows at n = 7), built on
-first use.  A row holds a partition's word, its block count, its pairs
-x < y that share a block as a bitmask, and the starts of its convex windows
-and of its admissible ones, computed with the per-word window scans below.
-A partition refines another exactly when its pair bits are a subset of the
-other's, so the refinements of a kernel are the rows whose bits lie inside
-the kernel's, and each scan is a few numpy bit operations over them.
+(see ``kernel_word``).  The characterized Green's relation keys read
+``refinement_windows``, the admissible convex transversals of a kernel's
+refinements, each decided at any n by two bitmask sweeps over the word.
+Only the refinement enumerations read a table per chain size n of all
+Bell(n) set partitions (877 rows at n = 7, guarded at n <= 7): the
+refinements of a kernel are the rows whose pair bits, one per pair x < y
+that share a block, lie inside the kernel's.
 """
 
 from __future__ import annotations
@@ -242,14 +239,28 @@ def has_convex_transversal(k: KernelPartition) -> bool:
     return bool(convex_windows(_word(k)))
 
 
-def _admissible_windows(word) -> list[int]:
-    """The convex windows of ``word`` whose collapse, every point sent to the
-    window's point in its block, is a contraction."""
-    p, n = max(word) + 1, len(word)
-    return [
-        lo for lo in convex_windows(word)
-        if is_contraction(ChainMap(n, tuple(lo + word[lo - 1 : lo - 1 + p].index(g) for g in word)))
-    ]
+def _block_masks(word) -> list[int]:
+    """Entry x - 1 has bit y - 1 set for each point y in the block of x."""
+    block = [0] * (max(word) + 1)
+    for i, g in enumerate(word):
+        block[g] |= 1 << i
+    return [block[g] for g in word]
+
+
+def _admissible(masks: list[int], lo: int, p: int) -> bool:
+    """True iff some contraction f fixes T = [lo, lo + p) pointwise and sends
+    each point x into T inside its block, ``masks[x - 1]``: f's fibers are then
+    a refinement with T as an admissible convex transversal.  Adjacent steps
+    of f are at most 1, so two sweeps outward from the ends of T decide it,
+    ``values`` holding the points f may send the next point to."""
+    inside = ((1 << p) - 1) << (lo - 1)
+    for end, step, stop in ((lo - 1, -1, -1), (lo + p - 2, 1, len(masks))):
+        values = 1 << end
+        for x in range(end + step, stop, step):
+            values = (values | values << 1 | values >> 1) & inside & masks[x]
+            if not values:
+                return False
+    return True
 
 
 def _window_bits(starts) -> int:
@@ -267,7 +278,6 @@ class _PartitionTable(NamedTuple):
     order of their restricted growth strings."""
 
     labels: np.ndarray  # (rows, n) words
-    blocks: np.ndarray  # block count
     pairs: np.ndarray  # _pair_bits of the labels
     convex: np.ndarray  # bit lo - 1 set for each convex window start lo
     admissible: np.ndarray  # the convex window bits whose collapse is a contraction
@@ -287,11 +297,11 @@ def _partition_table(n: int) -> _PartitionTable:
     for _ in range(n):
         words = [w + (g,) for w in words for g in range(max(w, default=-1) + 2)]
     convex = [_window_bits(convex_windows(w)) for w in words]
-    admissible = [_window_bits(_admissible_windows(w)) for w in words]
+    admissible = [
+        _window_bits(lo for lo in convex_windows(w) if _admissible(_block_masks(w), lo, max(w) + 1)) for w in words
+    ]
     labels = np.array(words, dtype=np.int8)
-    return _PartitionTable(
-        labels, labels.max(axis=1) + 1, _pair_bits(labels), np.array(convex), np.array(admissible)
-    )
+    return _PartitionTable(labels, _pair_bits(labels), np.array(convex), np.array(admissible))
 
 
 def _refinement_rows(word) -> tuple[_PartitionTable, np.ndarray]:
@@ -362,23 +372,13 @@ def is_isometry_on(t: Transversal, a: ChainMap) -> bool:
     return all(abs(x - y) == abs(a(x) - a(y)) for x, y in combinations(pts, 2))
 
 
-@cache  # one entry per word; the n <= 7 guard bounds it by the 1,155 Bell(n) words
+@cache  # one entry per kernel word asked about: 9,842 at ct10, about 5.5 MB
 def refinement_windows(word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The intervals [lo, lo + p) that occur as an admissible convex
-    transversal of some refinement of the partition with word ``word``, as
-    pairs (lo, p) ordered by size p and then by least point lo.
-
-    These are the admissible windows of all refinements.  An interval T is
-    one exactly when some assignment f of every chain point to a point of T
-    inside its own block, fixing T pointwise, is a contraction: the fibers
-    of f are the refinement.
-    """
-    t, rows = _refinement_rows(word)
-    bits = np.zeros(len(word) + 1, dtype=np.int64)
-    np.bitwise_or.at(bits, t.blocks[rows], t.admissible[rows])
-    return tuple(
-        (lo, p) for p, b in enumerate(bits.tolist()) for lo in range(1, b.bit_length() + 1) if b >> (lo - 1) & 1
-    )
+    """The intervals [lo, lo + p) that pass ``_admissible`` for the partition
+    with word ``word``, the admissible convex transversals of its refinements,
+    as pairs (lo, p) ordered by size p and then by least point lo."""
+    n, masks = len(word), _block_masks(word)
+    return tuple((lo, p) for p in range(1, n + 1) for lo in range(1, n - p + 2) if _admissible(masks, lo, p))
 
 
 def convex_refinement_transversals(k: KernelPartition) -> tuple[tuple[int, ...], ...]:

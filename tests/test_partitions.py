@@ -1,10 +1,11 @@
 """Kernels, transversal classification, refinements, and the coarsest
 convex-collapsing refinement."""
 
-from functools import partial
+from functools import cache
 from itertools import product
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from contracta import (
@@ -23,6 +24,7 @@ from contracta import (
     is_relatively_convex,
     kernel,
     l_char,
+    limits,
     make_map,
     make_partition,
     max_convex_refinement,
@@ -34,7 +36,13 @@ from contracta import (
     run_check,
     transversals,
 )
-from contracta.partitions import _partition_table, coarsest_merely_convex_refinement
+from contracta.partitions import (
+    _partition_table,
+    _word,
+    coarsest_merely_convex_refinement,
+    convex_windows,
+    refinement_windows,
+)
 from contracta.relations import characterized_rows
 from contracta.semigroups import family_words
 
@@ -372,6 +380,53 @@ class TestRefinementScansByBruteForce:
         }
 
 
+def _collapse_windows(word):
+    """The convex windows of ``word`` whose collapse, every point sent to the
+    window's point in its block, is a contraction."""
+    p, n = max(word) + 1, len(word)
+    return [
+        lo for lo in convex_windows(word)
+        if is_contraction(ChainMap(n, tuple(lo + word[lo - 1 : lo - 1 + p].index(g) for g in word)))
+    ]
+
+
+@cache
+def _table_route(n):
+    """``refinement_windows`` of every set partition of [n], read off the
+    Bell(n) table: the OR of the collapse windows of every row that refines a
+    word, grouped by block count.  The table is built uncached, so a test
+    that lifts the refinement-scan guard leaves no n = 8 table behind."""
+    t = _partition_table.__wrapped__(n)
+    words = [tuple(w) for w in t.labels.tolist()]
+    admissible = np.array([sum(1 << (lo - 1) for lo in _collapse_windows(w)) for w in words])
+    blocks = t.labels.max(axis=1) + 1
+    routes = {}
+    for word, pairs in zip(words, t.pairs.tolist()):
+        rows = np.flatnonzero((t.pairs & ~pairs) == 0)
+        bits = np.zeros(n + 1, dtype=np.int64)
+        np.bitwise_or.at(bits, blocks[rows], admissible[rows])
+        routes[word] = tuple(
+            (lo, p) for p, b in enumerate(bits.tolist()) for lo in range(1, n + 1) if b >> (lo - 1) & 1
+        )
+    return routes
+
+
+class TestRefinementWindowsByTable:
+    """The window sweep against the Bell(n) table route it replaced, on every
+    set partition of [n] for n = 7 and 8."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_every_partition(self, n, monkeypatch):
+        monkeypatch.setattr(limits, "REFINEMENT_SCAN_MAX_N", 8)
+        routes = _table_route(n)
+        assert [refinement_windows(w) for w in routes] == list(routes.values())
+
+    def test_admissible_column(self):
+        t = _partition_table(7)
+        expected = [sum(1 << (lo - 1) for lo in _collapse_windows(tuple(w))) for w in t.labels.tolist()]
+        assert t.admissible.tolist() == expected
+
+
 class TestPartitionTable:
     def test_row_counts_are_bell_numbers(self):
         assert [len(_partition_table(n).labels) for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
@@ -388,20 +443,22 @@ class TestPartitionTable:
     def test_scans_guarded_beyond_seven(self):
         k = make_partition(8, [(1, 2), (3,), (4, 5, 6), (7, 8)])
         a = make_map(8, [1, 1, 2, 3, 3, 3, 4, 4])
-        # The characterized side reads only the elements, so a bare
-        # namespace stands in for a carrier the n = 8 guards would refuse.
-        stand_in = SimpleNamespace(n=8, size=1, elements=(a,))
-        for scan, arg in [
-            (refinements, k),
-            (max_convex_refinement, a),
-            (coarsest_merely_convex_refinement, k),
-            (convex_refinement_transversals, k),
-            (partial(l_char, a), a),
-            (partial(d_char, a), a),
-            *[(partial(characterized_rows, stand_in), kind) for kind in ("l", "h", "d")],
-        ]:
+        for scan, arg in [(refinements, k), (max_convex_refinement, a), (coarsest_merely_convex_refinement, k)]:
             with pytest.raises(ValueError, match="refinement scans are limited"):
                 scan(arg)
+
+    def test_characterized_side_unguarded_at_eight(self, monkeypatch):
+        k = make_partition(8, [(1, 2), (3,), (4, 5, 6), (7, 8)])
+        a = make_map(8, [1, 1, 2, 3, 3, 3, 4, 4])
+        # The characterized side reads only the elements, so a bare
+        # namespace stands in for a carrier the n = 8 family guard would refuse.
+        stand_in = SimpleNamespace(n=8, size=1, elements=(a,))
+        assert l_char(a, a) and d_char(a, a)
+        for kind in ("l", "h", "d"):
+            assert characterized_rows(stand_in, kind)(0).tolist() == [True]
+        monkeypatch.setattr(limits, "REFINEMENT_SCAN_MAX_N", 8)
+        windows = _table_route(8)[_word(k)]
+        assert convex_refinement_transversals(k) == tuple(tuple(range(lo, lo + p)) for lo, p in windows)
 
     def test_regularity_unguarded_at_eight(self):
         for word, regular in [([1, 1, 2, 3, 4, 4, 4, 4], True), ([1, 2, 2, 3, 4, 3, 3, 3], False)]:

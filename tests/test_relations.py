@@ -515,6 +515,7 @@ CT_CLASS_COUNTS = {
     "d": [1, 2, 3, 5, 8, 15, 29],
     "j": [1, 2, 3, 5, 8, 15, 29],
 }
+CT8_CHAR_CLASS_COUNTS = {"l": 449, "h": 7087, "d": 67}
 
 
 class TestCTSequences:
@@ -531,6 +532,14 @@ class TestCTSequences:
     def test_char_class_counts(self, family, kind):
         counts = [char_partition(family("ct", n), kind).class_count for n in range(1, 8)]
         assert counts == CT_CLASS_COUNTS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(CT8_CHAR_CLASS_COUNTS))
+    def test_char_matches_oracle_at_ct8(self, ct8, kind):
+        # Past the refinement-scan guard of 7: the refinement windows come
+        # from the sweep over each kernel word, not the Bell(n) table.
+        char = char_partition(ct8, kind)
+        assert np.array_equal(char.labels, green_oracle(ct8, kind).labels)
+        assert char.class_count == CT8_CHAR_CLASS_COUNTS[kind]
 
 
 @pytest.fixture(scope="module")
