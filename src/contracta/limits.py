@@ -15,7 +15,9 @@ import os
 # would need a 139.6M-entry product table, over the 64M-entry table budget.
 HARD_CEILINGS = {"t": 8, "ct": 7, "oct": 7, "orct": 7}
 
-# Only the refinement enumerations read the table of all Bell(n) set partitions.
+# Only the refinement enumerations are guarded: they generate every refinement
+# of a kernel, 877 for the one-block kernel at n = 7, and cache per word its
+# packed block masks and window facts.
 REFINEMENT_SCAN_MAX_N = 7
 
 CONFIG_FILENAME = "contracta.toml"

@@ -6,23 +6,22 @@ interval, and *admissible* when collapsing every block onto its picked point
 yields a contraction.
 
 Internal paths read a partition as its word, a restricted growth string
-(see ``kernel_word``).  The characterized Green's relation keys read
-``refinement_windows``, the admissible convex transversals of a kernel's
-refinements, each decided at any n by two bitmask sweeps over the word.
-Only the refinement enumerations read a table per chain size n of all
-Bell(n) set partitions (877 rows at n = 7, guarded at n <= 7): the
-refinements of a kernel are the rows whose pair bits, one per pair x < y
-that share a block, lie inside the kernel's.
+(see ``kernel_word``), or as its block masks: per point x, the bitmask of
+the block of x (see ``_block_masks``).  The characterized Green's relation
+keys read ``refinement_windows``, the admissible convex transversals of a
+kernel's refinements, each decided at any n by two bitmask sweeps over the
+masks.  The refinement enumerations (guarded at n <= 7) generate the words
+of a kernel's refinements and cache per word its masks, packed n bits per
+point, and whether it has a convex and an admissible window: a partition
+refines another exactly when its packed masks are a subset of the other's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, product
-from typing import NamedTuple
-
-import numpy as np
+from operator import and_, or_
 
 from .limits import check_refinement_scan
 from .maps import ChainMap, is_contraction
@@ -263,53 +262,38 @@ def _admissible(masks: list[int], lo: int, p: int) -> bool:
     return True
 
 
-def _window_bits(starts) -> int:
-    return sum(1 << (lo - 1) for lo in starts)
+def _from_word(word) -> KernelPartition:
+    """The partition with word ``word``."""
+    blocks = [[] for _ in range(max(word) + 1)]
+    for x, g in enumerate(word, start=1):
+        blocks[g].append(x)
+    return KernelPartition(len(word), blocks)
 
 
-def _pair_bits(labels: np.ndarray) -> np.ndarray:
-    """Per row of labels, one bit for each pair x < y that shares a block."""
-    i, j = np.triu_indices(labels.shape[1], 1)
-    return ((labels[:, i] == labels[:, j]).astype(np.int64) << np.arange(i.size)).sum(axis=1)
+def _refinement_words(word) -> list[tuple[int, ...]]:
+    """The words of the refinements of ``word``'s partition, in lexicographic
+    order: each point joins an earlier block that lies inside its own kernel
+    block, or opens the next block."""
+    check_refinement_scan(len(word))
+    grown = [((), ())]  # (word so far, kernel block of each of its blocks)
+    for g in word:
+        grown = [
+            (w + (b,), owners if b < len(owners) else owners + (g,))
+            for w, owners in grown
+            for b in [i for i, o in enumerate(owners) if o == g] + [len(owners)]
+        ]
+    return [w for w, _ in grown]
 
 
-class _PartitionTable(NamedTuple):
-    """Every set partition of {1, ..., n}, one row each, in the lexicographic
-    order of their restricted growth strings."""
-
-    labels: np.ndarray  # (rows, n) words
-    pairs: np.ndarray  # _pair_bits of the labels
-    convex: np.ndarray  # bit lo - 1 set for each convex window start lo
-    admissible: np.ndarray  # the convex window bits whose collapse is a contraction
-
-    def partition(self, row: int) -> KernelPartition:
-        word = self.labels[row].tolist()
-        blocks = [[] for _ in range(max(word) + 1)]
-        for x, g in enumerate(word, start=1):
-            blocks[g].append(x)
-        return KernelPartition(len(word), blocks)
-
-
-@cache
-def _partition_table(n: int) -> _PartitionTable:
-    check_refinement_scan(n)
-    words = [()]
-    for _ in range(n):
-        words = [w + (g,) for w in words for g in range(max(w, default=-1) + 2)]
-    convex = [_window_bits(convex_windows(w)) for w in words]
-    admissible = [
-        _window_bits(lo for lo in convex_windows(w) if _admissible(_block_masks(w), lo, max(w) + 1)) for w in words
-    ]
-    labels = np.array(words, dtype=np.int8)
-    return _PartitionTable(labels, _pair_bits(labels), np.array(convex), np.array(admissible))
-
-
-def _refinement_rows(word) -> tuple[_PartitionTable, np.ndarray]:
-    """The table for ``word``'s chain and its rows that refine ``word``: a
-    partition refines another exactly when its pairs are a subset of the other's."""
-    t = _partition_table(len(word))
-    mask = _pair_bits(np.array([word]))[0]
-    return t, np.flatnonzero((t.pairs & ~mask) == 0)
+@cache  # one entry per refinement word: at most Bell(7) = 877
+def _refinement_facts(word) -> tuple[int, bool, bool]:
+    """The word's ``_block_masks`` packed n bits per point, whether it has a
+    convex window, and whether one of those windows passes ``_admissible``.
+    A partition refines another exactly when its packed masks are a subset
+    of the other's."""
+    masks, windows = _block_masks(word), convex_windows(word)
+    packed = sum(m << len(word) * x for x, m in enumerate(masks))
+    return packed, bool(windows), any(_admissible(masks, lo, max(word) + 1) for lo in windows)
 
 
 def refinements(k: KernelPartition) -> list[KernelPartition]:
@@ -317,27 +301,26 @@ def refinements(k: KernelPartition) -> list[KernelPartition]:
 
     Includes ``k`` itself and the all-singleton partition, in the
     lexicographic order of their restricted growth strings.  The count is the
-    product of Bell numbers of the block sizes; the table behind it is only
-    built at desk scale (see limits).
+    product of Bell numbers of the block sizes, so scans are only run at desk
+    scale (see limits).
     """
-    t, rows = _refinement_rows(_word(k))
-    return [t.partition(r) for r in rows]
+    return [_from_word(w) for w in _refinement_words(_word(k))]
 
 
 def _coarsest(word, admissible: bool) -> KernelPartition:
     """The coarsest refinement of the word's partition with an admissible (or
     merely convex) window, else the meet of the maximal ones."""
-    t, rows = _refinement_rows(word)
-    windows = t.admissible if admissible else t.convex
+    n, column = len(word), 2 if admissible else 1
+    check_refinement_scan(n)
+    if _refinement_facts(word)[column]:
+        return _from_word(word)  # every refinement refines the word's own partition
     # The all-singleton partition always qualifies, so good is nonempty.
-    good = t.pairs[rows[windows[rows] != 0]]
-    top = np.bitwise_or.reduce(good)
-    if not (good == top).any():
-        # good[i] refines good[j] when its pairs are a subset; rows are
-        # distinct, so a maximal row refines only itself.
-        below = (good[:, None] & good[None, :]) == good[:, None]
-        top = np.bitwise_and.reduce(good[below.sum(axis=1) == 1])
-    return t.partition(np.flatnonzero(t.pairs == top)[0])
+    good = [f[0] for f in map(_refinement_facts, _refinement_words(word)) if f[column]]
+    top = reduce(or_, good)
+    if top not in good:
+        # Refinements are distinct, so a maximal one refines only itself.
+        top = reduce(and_, [g for g in good if sum(g & h == g for h in good) == 1])
+    return _from_word(kernel_word(top >> n * x & (1 << n) - 1 for x in range(n)))
 
 
 def max_convex_refinement(a: ChainMap) -> KernelPartition:

@@ -37,10 +37,13 @@ from contracta import (
     transversals,
 )
 from contracta.partitions import (
-    _partition_table,
+    _coarsest,
+    _refinement_facts,
+    _refinement_words,
     _word,
     coarsest_merely_convex_refinement,
     convex_windows,
+    kernel_word,
     refinement_windows,
 )
 from contracta.relations import characterized_rows
@@ -390,25 +393,69 @@ def _collapse_windows(word):
     ]
 
 
+def _bell_words(n):
+    """The words of every set partition of [n], in lexicographic order."""
+    words = [()]
+    for _ in range(n):
+        words = [w + (g,) for w in words for g in range(max(w, default=-1) + 2)]
+    return words
+
+
+@cache
+def _bell_table(n):
+    """The Bell(n) table the refinement scans once read: every set partition
+    of [n] as its word, and per word one bit for each pair x < y that shares
+    a block.  One partition refines another exactly when its pair bits are a
+    subset of the other's."""
+    words = _bell_words(n)
+    labels = np.array(words, dtype=np.int8)
+    i, j = np.triu_indices(n, 1)
+    return words, ((labels[:, i] == labels[:, j]).astype(np.int64) << np.arange(i.size)).sum(axis=1)
+
+
 @cache
 def _table_route(n):
     """``refinement_windows`` of every set partition of [n], read off the
     Bell(n) table: the OR of the collapse windows of every row that refines a
-    word, grouped by block count.  The table is built uncached, so a test
-    that lifts the refinement-scan guard leaves no n = 8 table behind."""
-    t = _partition_table.__wrapped__(n)
-    words = [tuple(w) for w in t.labels.tolist()]
+    word, grouped by block count."""
+    words, pairs = _bell_table(n)
     admissible = np.array([sum(1 << (lo - 1) for lo in _collapse_windows(w)) for w in words])
-    blocks = t.labels.max(axis=1) + 1
+    blocks = np.array([max(w) + 1 for w in words])
     routes = {}
-    for word, pairs in zip(words, t.pairs.tolist()):
-        rows = np.flatnonzero((t.pairs & ~pairs) == 0)
+    for word, mask in zip(words, pairs.tolist()):
+        rows = np.flatnonzero((pairs & ~mask) == 0)
         bits = np.zeros(n + 1, dtype=np.int64)
         np.bitwise_or.at(bits, blocks[rows], admissible[rows])
         routes[word] = tuple(
             (lo, p) for p, b in enumerate(bits.tolist()) for lo in range(1, n + 1) if b >> (lo - 1) & 1
         )
     return routes
+
+
+def _table_scans(n):
+    """Per set partition of [n], read off the Bell(n) table: the words of
+    its refinements in table order, and its coarsest merely convex and
+    coarsest admissible readings, each the good row whose pair bits are the
+    OR of all good rows', else the AND of the maximal ones'."""
+    words, pairs = _bell_table(n)
+    columns = [np.array([bool(f(w)) for w in words]) for f in (convex_windows, _collapse_windows)]
+    scans = {}
+    for word, mask in zip(words, pairs.tolist()):
+        rows = np.flatnonzero((pairs & ~mask) == 0)
+        readings = []
+        for column in columns:
+            good = pairs[rows[column[rows]]]
+            top = np.bitwise_or.reduce(good)
+            if not (good == top).any():
+                below = (good[:, None] & good[None, :]) == good[:, None]
+                top = np.bitwise_and.reduce(good[below.sum(axis=1) == 1])
+            readings.append(words[np.flatnonzero(pairs == top)[0]])
+        scans[word] = ([words[r] for r in rows], *readings)
+    return scans
+
+
+def _partition(word):
+    return make_partition(len(word), [[x for x, g in enumerate(word, 1) if g == b] for b in range(max(word) + 1)])
 
 
 class TestRefinementWindowsByTable:
@@ -421,15 +468,41 @@ class TestRefinementWindowsByTable:
         routes = _table_route(n)
         assert [refinement_windows(w) for w in routes] == list(routes.values())
 
-    def test_admissible_column(self):
-        t = _partition_table(7)
-        expected = [sum(1 << (lo - 1) for lo in _collapse_windows(tuple(w))) for w in t.labels.tolist()]
-        assert t.admissible.tolist() == expected
+    def test_refinement_facts(self):
+        for word in _bell_words(7):
+            packed, convex, admissible = _refinement_facts(word)
+            masks = [sum(1 << y for y, h in enumerate(word) if h == g) for g in word]
+            assert [packed >> 7 * x & 127 for x in range(7)] == masks
+            assert packed >> 49 == 0
+            assert convex == bool(convex_windows(word))
+            assert admissible == bool(_collapse_windows(word))
+
+
+class TestRefinementScansByTable:
+    """The generated refinement scans against the Bell(n) table route they
+    replaced, on every set partition of [n] for n = 7 and 8."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_every_partition(self, n, monkeypatch):
+        monkeypatch.setattr(limits, "REFINEMENT_SCAN_MAX_N", 8)
+        scans = _table_scans(n)
+        for word, (rows, convex, admissible) in scans.items():
+            assert _refinement_words(word) == rows, word
+            assert _word(coarsest_merely_convex_refinement(_partition(word))) == convex, word
+            assert _word(_coarsest(word, admissible=True)) == admissible, word
+        # refinements spells those words as partitions; every word of [n]
+        # refines the one-block partition.
+        assert [_word(p) for p in refinements(_partition((0,) * n))] == list(scans)
+        # One contraction per kernel, as the refinement-readings check scans.
+        by_kernel = {kernel_word(images): images for images in family_words("ct", n).tolist()}
+        for word, images in by_kernel.items():
+            assert _word(max_convex_refinement(ChainMap(n, tuple(images)))) == scans[word][2], images
 
 
 class TestPartitionTable:
     def test_row_counts_are_bell_numbers(self):
-        assert [len(_partition_table(n).labels) for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
+        counts = [len(refinements(make_partition(n, [range(1, n + 1)]))) for n in range(1, 8)]
+        assert counts == [1, 2, 5, 15, 52, 203, 877]
 
     def test_refinement_count_is_product_of_bell_numbers(self):
         bell = [len(independent_set_partitions(range(m))) for m in range(6)]

@@ -25,6 +25,7 @@ from contracta import (
     kernel,
     make_map,
     rees_quotient,
+    regular_char_ct,
     regular_elements,
     subsemigroup,
     verify_inverse,
@@ -566,6 +567,14 @@ class TestRegularElements:
             if any(compose(compose(a, b), a) == a for b in s.elements)
         }
         assert set(regular_elements(s)) == direct
+
+    def test_ct8_count_past_the_guard(self):
+        # The family guard stops CT_REGULAR_COUNTS at n = 7; the words of ct8
+        # build a carrier directly, and its R-classes need no product table.
+        s = FiniteSemigroup(8, "ct", semigroups.family_words("ct", 8))
+        mask = semigroups._regular_mask(s)
+        assert (s.size, int(mask.sum())) == (11814, 7316)
+        assert mask.tolist() == [regular_char_ct(a) for a in s.elements]
 
     @pytest.mark.parametrize("fam,n", [("ct", 5), ("orct", 5), ("t", 4)])
     def test_single_element_scan_agrees(self, family, fam, n):
