@@ -51,12 +51,11 @@ from .relations import (
 )
 from .rees import rees_quotient, verify_inverse
 from .semigroups import (
+    _regular_mask,
     enumerate_family,
     family_words,
     idempotent_indices,
-    idempotents,
     is_regular_in,
-    regular_elements,
     regular_subsemigroup,
 )
 
@@ -140,23 +139,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_enumerate(args):
     s = enumerate_family(args.family, args.n)
-    ids = set(idempotents(s))
-    reg = set(regular_elements(s))
+    ids = set(idempotent_indices(s).tolist())
+    reg = _regular_mask(s).tolist()
     payload = {
         "family": args.family,
         "n": args.n,
         "count": s.size,
         "idempotent_count": len(ids),
-        "regular_count": len(reg),
-        "elements": [list(m.images) for m in s.elements],
+        "regular_count": sum(reg),
+        "elements": s.words.tolist(),
     }
     rows = (
         {
             "word": map_to_text(m),
-            "idempotent": int(m in ids),
-            "regular": int(m in reg),
+            "idempotent": int(i in ids),
+            "regular": int(reg[i]),
         }
-        for m in s.elements
+        for i, m in enumerate(s.elements)
     )
     return payload, rows, 0
 

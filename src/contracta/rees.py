@@ -74,7 +74,7 @@ class ReesQuotient(Carrier):
 
     def __init__(self, base: FiniteSemigroup, p: int, layer):
         self.base, self.p, self.n, self._layer = base, p, base.n, layer
-        super().__init__((None, *(base.elements[i] for i in layer)))
+        self.elements = (None, *(base.elements[i] for i in layer))
         self.rank = np.r_[0, np.full(self.size - 1, p)]  # the zero below one layer
         self._table = self._build_table()
         if self.size - 1 <= _ASSOC_CHECK_MAX:

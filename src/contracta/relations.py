@@ -200,15 +200,44 @@ def _product_labels(s, kind: str) -> np.ndarray:
     if kind in _KERNEL_SIDE:
         green, side = _KERNEL_SIDE[kind]
         classes = _oracle_labels(s, green)
-        reps = _least_members(classes).astype(np.int32)
-        keys = (
-            key.tobytes()
-            for k in row_blocks(reps, s.size + 1)
-            for key in _kernel_keys(np.column_stack([s.product_rows(k, side), k]), s.size)
-        )
-        return _labels(keys)[classes]
+        return _starred_labels(s, _least_members(classes).astype(np.int32), side)[classes]
     combine, left, right = _TWO_SIDED[kind]
     return combine(_oracle_labels(s, left), _oracle_labels(s, right))
+
+
+def _row_keys(s, reps: np.ndarray, side: str):
+    """The kernel key of each rep's row of S^1 products, a row block at a time."""
+    for k in row_blocks(reps, s.size + 1):
+        yield from _kernel_keys(np.column_stack([s.product_rows(k, side), k]), s.size)
+
+
+def _digest(key: np.ndarray) -> int:
+    # The builtin hash: hashlib would load OpenSSL into every CLI process.
+    return hash(key.tobytes())
+
+
+def _starred_labels(s, reps: np.ndarray, side: str) -> np.ndarray:
+    """Per rep, the first-occurrence number of its row's kernel key.
+
+    Keys are numbered by digest and dropped.  On a repeated digest the first
+    holder's key is coded once more, kept, and compared in full, so labels
+    stay exact and a collision raises instead of merging two classes; only
+    keys of classes with a second rep are ever held.
+    """
+    by_digest: dict = {}  # digest -> [label, first holder, its key once coded again]
+    labels = np.empty(len(reps), dtype=np.int32)
+    for i, key in enumerate(_row_keys(s, reps, side)):
+        entry = by_digest.setdefault(_digest(key), [len(by_digest), reps[i], None])
+        if entry[1] != reps[i]:
+            if entry[2] is None:
+                entry[2] = next(_row_keys(s, np.array([entry[1]]), side))
+            if not np.array_equal(entry[2], key):
+                raise RuntimeError(
+                    f"elements {entry[1]} and {reps[i]} have different starred kernel keys "
+                    "with one digest; labels would merge two classes"
+                )
+        labels[i] = entry[0]
+    return labels
 
 
 def _oracle(s, kind: str, kinds: tuple[str, ...], name: str) -> RelationPartition:

@@ -13,11 +13,15 @@ as g*k for a generator g and an element k found before it.  From every
 element it checks closure in full, since t*b = g*(k*b) is inside when the
 generator rows are, and fails loudly if a product escapes.  Every later
 product is coded from the stored arrays and looked up among the element
-codes, only as asked (``products``); no table is kept.
+codes, only as asked (``products``); no table is kept.  The words are the
+store: ``elements`` spells each map from its word on access, and membership
+is a binary search among the sorted codes.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from math import prod
 
 import numpy as np
@@ -46,8 +50,9 @@ DEFAULT_TABLE_BUDGET = 64_000_000
 # Table entries are indices, and the budget caps a table at 8,000 elements.
 TABLE_DTYPE = np.int16
 
-# Row-blocked scans keep each temporary array near this many entries.
-_BLOCK_ENTRIES = 1 << 17
+# Row-blocked scans keep each temporary array near this many entries: an
+# int64 temporary of 1 << 15 entries is 256 KB.
+_BLOCK_ENTRIES = 1 << 15
 
 # A semigroup codes its image words in base n as int64, exact while
 # n^n < 2^63: 15^15 is about 4.4e17, 16^16 about 1.8e19.
@@ -92,11 +97,8 @@ def row_blocks(rows, width: int):
 class Carrier:
     """What every carrier shares: its elements in index order, and every
     product read from the subclass's ``products(x, y)``.  A subclass sets
-    ``rank``, per element a number that never rises along a product."""
-
-    def __init__(self, elements):
-        self.elements = tuple(elements)
-        self._index = {m: i for i, m in enumerate(self.elements)}
+    ``elements``, a sequence with ``index``, and ``rank``, per element a
+    number that never rises along a product."""
 
     @property
     def size(self) -> int:
@@ -109,12 +111,12 @@ class Carrier:
         return iter(self.elements)
 
     def __contains__(self, m):
-        return m in self._index
+        return m in self.elements
 
     def index_of(self, m) -> int:
         try:
-            return self._index[m]
-        except KeyError:
+            return self.elements.index(m)
+        except ValueError:
             raise ValueError(f"{m} is not an element of this carrier") from None
 
     def product(self, i: int, j: int) -> int:
@@ -136,6 +138,53 @@ class Carrier:
         return self.product_rows(np.arange(self.size), "r")
 
 
+class _WordMaps(Sequence):
+    """The maps spelled by sorted, distinct image words, each built on
+    access; ``index`` and ``in`` search the words' base-n codes."""
+
+    def __init__(self, words: np.ndarray, codes: np.ndarray):
+        self._words, self._codes = words, codes
+
+    def __len__(self):
+        return len(self._words)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return ChainMap(self._words.shape[1], tuple(self._words[operator.index(i)].tolist()))
+
+    def __iter__(self):
+        n = self._words.shape[1]
+        for block in row_blocks(self._words, n):
+            yield from (ChainMap(n, tuple(word)) for word in block.tolist())
+
+    def index(self, m) -> int:
+        n = self._words.shape[1]
+        if isinstance(m, ChainMap) and m.n == n:
+            code = 0
+            for v in m.images:
+                code = code * n + v - 1
+            i = int(np.searchsorted(self._codes, code))
+            if i < len(self) and self._codes[i] == code:
+                return i
+        raise ValueError(f"{m} is not in the sequence")
+
+    def __contains__(self, m):
+        try:
+            self.index(m)
+        except ValueError:
+            return False
+        return True
+
+    def __eq__(self, other):
+        # Two carriers' elements compare by their words; a tuple of the same maps is equal.
+        if isinstance(other, _WordMaps):
+            return np.array_equal(self._words, other._words)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+
 def _index_pair(x, y):
     """Index arrays x and y of one ndim, at least 1: they broadcast as meant."""
     x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
@@ -150,8 +199,9 @@ class FiniteSemigroup(Carrier):
     ``words`` is an integer array-like of shape (k, n) with values in 1..n.
     The words are sorted lexicographically and deduplicated, so that class
     numbering and reports are reproducible, and coded once: ``s.words`` is
-    the read-only int8 array, and ``elements`` the maps it spells.  Instances
-    are immutable after construction.
+    the read-only int8 array, and ``elements`` the read-only sequence of the
+    maps it spells, each built from its word on access.  Instances are
+    immutable after construction.
     """
 
     def __init__(self, n, family, words):
@@ -169,7 +219,7 @@ class FiniteSemigroup(Carrier):
         self._codes, first = np.unique((words.astype(np.int64) - 1) @ weights, return_index=True)
         self.words = words[first].astype(np.int8)
         self.words.flags.writeable = False
-        super().__init__(ChainMap(n, word) for word in self.words.tolist())
+        self.elements = _WordMaps(self.words, self._codes)
         # The code of a*b is sum_x right_b[x] * spread_a[x], where right_b[x] is
         # b(x) - 1 and spread_a[x] sums the weights of the positions k with a(k) = x.
         self._right = self.words.astype(np.int64) - 1

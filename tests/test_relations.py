@@ -656,12 +656,13 @@ class TestCT8PastTheGuards:
         holding = np.bincount(part.labels[rel.idempotent_indices(ct8)], minlength=part.class_count)
         assert np.count_nonzero(holding == 0) == 456
 
-    @pytest.mark.parametrize("kind,bound", [("j", 9e6), ("lstar", 10e6)])
+    @pytest.mark.parametrize("kind,bound", [("j", 9e6), ("lstar", 10e6), ("rstar", 8e6)])
     def test_peak_memory(self, kind, bound):
         # Each on a fresh carrier, so the peak includes the Green's labels a
         # starred kind reads.  A Python Tarjan over .tolist() of the Cayley
-        # graphs peaked at 11.9 MB for j, and holding every coded L*
-        # representative row at once at 22.3 MB for lstar.
+        # graphs peaked at 11.9 MB for j, holding every coded L*
+        # representative row at once at 22.3 MB for lstar, and holding the
+        # 1,094 distinct R* keys whole at 28.3 MB for rstar.
         s = _ct8()
         tracemalloc.start()
         try:
@@ -670,6 +671,41 @@ class TestCT8PastTheGuards:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+    def test_starred_equal_whole_keys(self, ct8):
+        left, right = (_whole_key_labels(ct8, kind) for kind in ("lstar", "rstar"))
+        reference = {
+            "lstar": left,
+            "rstar": right,
+            "hstar": rel._pair_labels(left, right),
+            "dstar": rel._labels(rel._join(left, right)),
+        }
+        for kind, labels in reference.items():
+            assert np.array_equal(starred_partition(ct8, kind).labels, labels), kind
+
+    def test_shared_digest_raises(self, monkeypatch):
+        # With every digest equal, the second R-class's key is compared in
+        # full with the first's, and they differ.
+        s = enumerate_family("ct", 4)
+        second = rel._least_members(green_oracle(s, "r").labels)[1]
+        monkeypatch.setattr(rel, "_digest", lambda key: 0)
+        with pytest.raises(RuntimeError, match=f"elements 0 and {second} have different .* one digest"):
+            starred_partition(s, "rstar")
+
+
+def _whole_key_labels(s, kind):
+    """Reference lstar or rstar labels with every distinct kernel key held
+    whole: per Green's class, the first positions of the values of its least
+    member's S^1 row, from np.unique."""
+    green, side = {"lstar": ("l", "r"), "rstar": ("r", "l")}[kind]
+    classes = green_oracle(s, green).labels
+    keys, labels = {}, []
+    for a in rel._least_members(classes):
+        row = np.append(s.product_rows([a], side)[0], a)
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        labels.append(keys.setdefault(first[inverse].astype(np.int32).tobytes(), len(keys)))
+    return rel._labels(np.array(labels)[classes])
 
 
 class TestStarredChar:

@@ -517,6 +517,36 @@ class TestWordInput:
         assert s.words.tolist() == [[1, 2, 3], [2, 2, 2]]
         assert s.elements == (identity_map(3), make_map(3, [2, 2, 2]))
 
+    def test_elements_spelled_on_demand(self, family):
+        s = family("ct", 4)
+        maps = [make_map(4, word) for word in s.words.tolist()]
+        assert len(s.elements) == len(s) == s.size == len(maps)
+        assert all(s.elements[i] == maps[i] for i in range(s.size))
+        assert s.elements[np.int64(3)] == maps[3] and s.elements[-1] == maps[-1]
+        assert list(s.elements) == list(s) == maps
+        assert s.elements[2:9:3] == tuple(maps[2:9:3]) and s.elements[::-1] == tuple(maps[::-1])
+        assert s.elements == tuple(maps) and s.elements != tuple(maps[:-1])
+        assert s.elements == FiniteSemigroup(4, "ct", s.words).elements
+        with pytest.raises(IndexError):
+            s.elements[s.size]
+        with pytest.raises(TypeError):
+            s.elements[1.0]
+
+    def test_membership_by_code(self, family):
+        s = family("ct", 4)
+        for i, m in enumerate(s.elements):
+            assert m in s and s.index_of(m) == i
+        # Two non-contractions, maps on other chains whose base-n codes are
+        # those of ct4 members, and objects that are no maps.
+        outside = [make_map(4, [1, 3, 3, 3]), make_map(4, [1, 1, 1, 3]), make_map(3, [1, 2, 3])]
+        outside += [make_map(5, [1] * 5), (1, 2, 3, 4), "[1,2,3,4]", None]
+        # A code past the last element's.
+        constant = FiniteSemigroup(3, "custom", [[1, 1, 1]])
+        for c, m in [(s, m) for m in outside] + [(constant, make_map(3, [3, 3, 3]))]:
+            assert m not in c and m not in c.elements
+            with pytest.raises(ValueError, match="not an element of this carrier"):
+                c.index_of(m)
+
     def test_words_are_read_only(self):
         words = semigroups.family_words("ct", 3)
         s = FiniteSemigroup(3, "ct", words)
