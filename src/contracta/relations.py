@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import ChainMap, FamilyTag, height, image, is_contraction
+from .maps import ChainMap, FamilyTag, _word_is_contraction
 from .partitions import convex_windows, kernel_word, refinement_windows
 from .semigroups import Carrier, FiniteSemigroup, _least_reaching, cayley_components
 from .semigroups import idempotent_indices, index_dtype, row_blocks
@@ -272,52 +272,51 @@ def starred_partition(s, kind: str) -> RelationPartition:
 # their probes meet.
 
 
-def _require_contraction(a: ChainMap) -> None:
-    if not is_contraction(a):
-        raise ValueError(f"{a} is not a contraction")
+def _require_contraction(word: tuple[int, ...]) -> None:
+    if not _word_is_contraction(word):
+        raise ValueError(f"[{','.join(map(str, word))}] is not a contraction")
 
 
-def _probes(kind: str, a: ChainMap) -> set:
-    """The keys of ``a`` for one characterized kind, closed under reflection.
+def _probes(kind: str, word: tuple[int, ...]) -> set:
+    """The keys of the map with image word ``word`` for one characterized kind.
 
     r and rstar key the kernel word, lstar the image, hstar both, dstar the
-    height.  l, h and d read the collapse profiles, the values of ``a`` along
-    every admissible convex refinement transversal of its kernel, with their
-    reversals: l keys the profiles, h each beside the kernel word, and d each
-    renumbered by first occurrence beside the height.  A profile renumbered
-    is the transversal's fiber-grouping pattern, "which kernel block holds
-    t_i": blocks and their images are in bijection.  Reflection is an
-    involution, so a key of b is a key of a or its reflection exactly when
-    the probes of a and b meet.
+    height.  l, h and d read the collapse profiles, the values of the map
+    along every admissible convex refinement transversal of its kernel, which
+    match under a translation or a reflection: each window gives one key, the
+    lesser of its profile and the reversal.  l keys that, h keys it beside the
+    kernel word, and d keys the lesser of the two renumbered by first
+    occurrence, beside the height.  A profile renumbered is the transversal's
+    fiber-grouping pattern, "which kernel block holds t_i": blocks and their
+    images are in bijection, so the renumbered reversal depends only on the
+    renumbered profile.  Two maps share a key exactly when a window of one
+    matches a window of the other.
     """
     if kind not in ("l", "r", "h", "d") + STARRED_KINDS:
         raise ValueError(f"no characterized procedure for relation kind {kind!r}")
-    if kind == "lstar":
-        return {image(a)}
-    if kind == "dstar":
-        return {height(a)}
     if kind not in STARRED_KINDS:
-        _require_contraction(a)
-    images = a.images
-    word = kernel_word(images)
+        _require_contraction(word)
+    points = tuple(sorted(set(word)))
+    if kind == "lstar":
+        return {points}
+    if kind == "dstar":
+        return {len(points)}
+    kernel = kernel_word(word)
     if kind in ("r", "rstar"):
-        return {word}
+        return {kernel}
     if kind == "hstar":
-        return {(image(a), word)}
-    profiles = {images[lo - 1 : lo - 1 + p] for lo, p in refinement_windows(word)}
-    profiles |= {t[::-1] for t in profiles}
-    if kind == "l":
-        return profiles
-    if kind == "h":
-        return {(word, t) for t in profiles}
-    h = height(a)
-    return {(h, kernel_word(t)) for t in profiles}
+        return {(points, kernel)}
+    profiles = [word[lo - 1 : lo - 1 + p] for lo, p in refinement_windows(kernel)]
+    if kind == "d":
+        return {(len(points), min(kernel_word(t), kernel_word(t[::-1]))) for t in profiles}
+    keys = {min(t, t[::-1]) for t in profiles}
+    return keys if kind == "l" else {(kernel, t) for t in keys}
 
 
 def _char_related(kind: str, a: ChainMap, b: ChainMap) -> bool:
     if a.n != b.n:
         raise ValueError(f"maps live on chains of size {a.n} and {b.n}")
-    return not _probes(kind, a).isdisjoint(_probes(kind, b))
+    return not _probes(kind, a.images).isdisjoint(_probes(kind, b.images))
 
 
 def starred_char(a: ChainMap, b: ChainMap, kind: str) -> bool:
@@ -365,7 +364,8 @@ def _probe_edges(s, kind: str) -> tuple[np.ndarray, np.ndarray]:
     kind = kind.lower()
     ids: dict = {}
     edges = np.array(
-        [(i, ids.setdefault(p, len(ids))) for i, a in enumerate(s.elements) for p in _probes(kind, a)],
+        [(i, ids.setdefault(p, len(ids)))
+         for i, word in enumerate(s.words.tolist()) for p in _probes(kind, tuple(word))],
         dtype=np.int64,
     ).reshape(-1, 2)
     return edges[:, 0], edges[:, 1]
@@ -472,7 +472,7 @@ def is_r_unipotent(c) -> bool:
 
 def regular_char_ct(a: ChainMap) -> bool:
     """A contraction is regular exactly when its kernel has a convex transversal."""
-    _require_contraction(a)
+    _require_contraction(a.images)
     return bool(convex_windows(kernel_word(a.images)))
 
 

@@ -44,8 +44,8 @@ __all__ = [
     "is_orthodox",
 ]
 
-# Product tables are built only while size^2 fits this entry budget; bigger
-# carriers fail fast instead of computing products one at a time.
+# A family is enumerated, and a whole product table built, only while size^2
+# fits this entry budget; bigger carriers fail fast with the estimate.
 DEFAULT_TABLE_BUDGET = 64_000_000
 # Table entries are indices, and the budget caps a table at 8,000 elements.
 TABLE_DTYPE = np.int16
@@ -348,17 +348,14 @@ def _strong_components(src, dst, size: int) -> np.ndarray:
 
 
 def cayley_components(s, sides: str) -> np.ndarray:
-    """Per element, a member of its strong component in the Cayley graphs of
-    ``sides`` (``s.cayley``; "lr" is both).  Nodes are numbered in rank
-    order: rank never rises along a product, so the least node reaching a
-    node mostly lies in its component, and the first round finishes most."""
+    """Per element, the least member of its strong component in the Cayley
+    graphs of ``sides`` (``s.cayley``; "lr" is both).  Rank never rises
+    along a product, so an edge that lowers it lies on no cycle: only the
+    edges between distinct elements of one rank are searched."""
     successors = np.hstack([s.cayley(side) for side in sides])
-    order = np.argsort(s.rank, kind="stable")
-    node = np.empty(s.size, dtype=np.int32)
-    node[order] = np.arange(s.size, dtype=np.int32)
-    src, dst = np.repeat(node, successors.shape[1]), node[successors].ravel()
-    moved = src != dst  # a loop a -> a joins nothing
-    return order[_strong_components(src[moved], dst[moved], s.size)[node]]
+    rank = s.rank.astype(np.int8)  # at most n <= 15
+    src, col = np.nonzero((rank[successors] == rank[:, None]) & (successors != np.arange(s.size)[:, None]))
+    return _strong_components(src, successors[src, col], s.size)
 
 
 def _walks(n: int, steps: tuple[int, ...]) -> np.ndarray:

@@ -327,6 +327,18 @@ GOLDEN_STDOUT = [
         ("orct", "rstar", "ab2e08b48bad737cb5b4c40d1bd13d07af49afbff694d2489c760f9c17a8a827"),
     ]
 ] + [
+    # The characterized L, H and D keys at the benchmark's chain sizes,
+    # recorded while each map kept its reflection-closed set of keys.
+    (("relations", "--method", "char", "--family", "ct", "--n", n, "--relation", relation), 0, digest)
+    for n, relation, digest in [
+        ("6", "l", "e32ddb6461a5f9d1ac4eb5e9ab3f72597d9190797ae2b389e2247b59f4f5c399"),
+        ("6", "h", "9620a169932e9ad08448e2f5f9a3000856b45286e9da8dc2ed5414c96482a9d1"),
+        ("6", "d", "07f3b05ab68f2227a0e1208ff9073219c55e351eadc1dd8e179e430c3469cce7"),
+        ("7", "l", "aff6ab6e59a944613db2c7829bcfac5e35f1fd81a8c7fc995670e653c0034f1c"),
+        ("7", "h", "9fe23e7dd8ce4dfb9d8cfd1012bf05a590fa1ae0de434b861c39f3f026542f80"),
+        ("7", "d", "e821f837b1df1bd0e3b86098457e921006a60c6e34a24ecdd6c93dcda6043191"),
+    ]
+] + [
     (("rees", "--family", family, "--n", "5", "--p", str(p)), 0, digest)
     for family, p, digest in [
         ("orct", 2, "d20d4d9e3ee00194a148fff84400fa6b072209cee279da90030f62640741a1da"),

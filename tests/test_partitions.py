@@ -523,9 +523,9 @@ class TestPartitionTable:
     def test_characterized_side_unguarded_at_eight(self, monkeypatch):
         k = make_partition(8, [(1, 2), (3,), (4, 5, 6), (7, 8)])
         a = make_map(8, [1, 1, 2, 3, 3, 3, 4, 4])
-        # The characterized side reads only the elements, so a bare
-        # namespace stands in for a carrier the n = 8 family guard would refuse.
-        stand_in = SimpleNamespace(n=8, size=1, elements=(a,))
+        # The characterized side reads only the words, so a bare namespace
+        # stands in for a carrier the n = 8 family guard would refuse.
+        stand_in = SimpleNamespace(n=8, size=1, words=np.array([a.images]))
         assert l_char(a, a) and d_char(a, a)
         for kind in ("l", "h", "d"):
             assert characterized_rows(stand_in, kind)(0).tolist() == [True]

@@ -41,9 +41,17 @@ from contracta import (
     subsemigroup,
     unipotence_witness,
 )
-from contracta.partitions import kernel_word
+from contracta.checks import _scan_pairs
+from contracta.partitions import kernel_word, refinement_windows
 from contracta.relations import RelationPartition, char_partition, characterized_rows
-from contracta.semigroups import FiniteSemigroup, _regular_mask, family_words, regular_subsemigroup, row_blocks
+from contracta.semigroups import (
+    FiniteSemigroup,
+    _WordMaps,
+    _regular_mask,
+    family_words,
+    regular_subsemigroup,
+    row_blocks,
+)
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
 BETA = make_map(6, [4, 3, 2, 2, 1, 2])
@@ -384,28 +392,57 @@ def _reference_kernel_patterns(a):
     )
 
 
+def _reflection_closed_probes(kind, a):
+    """The l, h and d keys of ``a`` as first characterized: every collapse
+    profile together with its reversal, alone (l), beside the kernel word
+    (h), or renumbered beside the height (d)."""
+    word = kernel_word(a.images)
+    profiles = {a.images[lo - 1 : lo - 1 + p] for lo, p in refinement_windows(word)}
+    profiles |= {t[::-1] for t in profiles}
+    if kind == "l":
+        return profiles
+    if kind == "h":
+        return {(word, t) for t in profiles}
+    return {(height(a), kernel_word(t)) for t in profiles}
+
+
+# The lesser of a key and its reflection.
+_CANONICAL = {
+    "l": lambda t: min(t, t[::-1]),
+    "h": lambda wt: (wt[0], min(wt[1], wt[1][::-1])),
+    "d": lambda hq: (hq[0], min(hq[1], kernel_word(hq[1][::-1]))),
+}
+
+
 class TestDKeys:
     @pytest.mark.parametrize("n", [5, 6])
     def test_match_kernel_pattern_reference(self, family, n):
         # d probes renumber the collapse profiles instead of the kernel blocks
         # of each transversal; blocks and their images are in bijection.
         for a in family("ct", n).elements:
-            patterns = _reference_kernel_patterns(a)
-            patterns |= {kernel_word(q[::-1]) for q in patterns}
-            assert rel._probes("d", a) == {(height(a), q) for q in patterns}, a
+            patterns = {(height(a), q) for q in _reference_kernel_patterns(a)}
+            assert rel._probes("d", a.images) == {_CANONICAL["d"](p) for p in patterns}, a
 
 
 class TestProbes:
-    def test_closed_under_reflection_on_ct5(self, family):
-        reflect = {
-            "l": lambda t: t[::-1],
-            "h": lambda wt: (wt[0], wt[1][::-1]),
-            "d": lambda hq: (hq[0], kernel_word(hq[1][::-1])),
-        }
+    def test_one_key_per_reflection_pair_on_ct5(self, family):
+        # Each window keys the lesser of its profile and the reversal, so no
+        # key is kept beside its reflection.
         for a in family("ct", 5).elements:
-            for kind, fn in reflect.items():
-                probes = rel._probes(kind, a)
-                assert {fn(p) for p in probes} == probes, (kind, a)
+            for kind, canonical in _CANONICAL.items():
+                probes = rel._probes(kind, a.images)
+                assert probes == {canonical(p) for p in _reflection_closed_probes(kind, a)}, (kind, a)
+
+    @pytest.mark.parametrize("fam,n", [("ct", 5), ("oct", 6), ("orct", 5)])
+    def test_rows_match_reflection_closed_reference(self, family, fam, n):
+        # A key of a reflection is the reflection of a key, so two maps share
+        # a canonical key exactly when their reflection-closed keys meet.
+        s = family(fam, n)
+        for kind in _CANONICAL:
+            closed = [_reflection_closed_probes(kind, a) for a in s.elements]
+            rows = characterized_rows(s, kind)
+            for i, keys in enumerate(closed):
+                assert rows(i).tolist() == [not keys.isdisjoint(other) for other in closed], (kind, i)
 
 
 class TestStarredOracles:
@@ -970,9 +1007,10 @@ class TestCharacterizedRows:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(CT7_MAPS, min_size=2, max_size=6))
     def test_agree_with_scalar_predicate_on_random_ct7_maps(self, maps):
-        # Characterized rows read only the maps, so a stand-in needs no table.
+        # Characterized rows read only the words, so a stand-in needs no table.
         elements = tuple(sorted(set(maps)))
-        s = SimpleNamespace(n=7, elements=elements, size=len(elements))
+        words = np.array([m.images for m in elements], dtype=np.int8)
+        s = SimpleNamespace(n=7, elements=elements, size=len(elements), words=words)
         for kind in KEYED_KINDS:
             _assert_rows_match_scalar(s, kind)
 
@@ -983,7 +1021,7 @@ class TestCharacterizedRows:
             assert (h(i) == (l(i) & r(i))).all()
 
     def test_rejects_non_contraction(self):
-        s = SimpleNamespace(n=3, elements=(make_map(3, [3, 1, 3]),), size=1)
+        s = SimpleNamespace(n=3, elements=(make_map(3, [3, 1, 3]),), size=1, words=np.array([[3, 1, 3]]))
         for kind in ("l", "r", "d", "h"):
             with pytest.raises(ValueError, match="not a contraction"):
                 characterized_rows(s, kind)
@@ -998,7 +1036,7 @@ class TestCharacterizedRows:
         # the oracle; the row scan must count and order the disagreements
         # exactly as a plain loop over the pairs does.
         probes = rel._probes
-        monkeypatch.setattr(rel, "_probes", lambda k, a: {a.images[0]} if k == kind else probes(k, a))
+        monkeypatch.setattr(rel, "_probes", lambda k, word: {word[0]} if k == kind else probes(k, word))
         s = family("ct", 4)
         part = green_oracle(s, kind) if kind in rel.GREEN_KINDS else starred_partition(s, kind)
         pred = _scalar(kind)
@@ -1021,3 +1059,51 @@ class TestCharacterizedRows:
         assert report.verdict == "fail"
         assert report.detail["pairs_disagreeing"] == disagreements
         assert report.counterexample == witness
+
+
+class TestOctOrctCharacterized:
+    # The paper characterizes Green's relations on CT_n only.  On its
+    # subsemigroups OCT_n and ORCT_n the ct keys agree with the oracles,
+    # except D on OCT_n from n = 5, which holds no order-reversing map; the
+    # pinned counts and first witnesses guard the keys row by row.
+    @pytest.mark.parametrize("fam", ["oct", "orct"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_agreeing_kinds(self, family, fam, n):
+        s = family(fam, n)
+        for kind in ("l", "r") if fam == "oct" else ("l", "r", "d"):
+            assert _scan_pairs(s, green_oracle(s, kind), characterized_rows(s, kind)) == (0, None), kind
+
+    @pytest.mark.parametrize(
+        "n,count,first",
+        [
+            (2, 0, None),
+            (3, 0, None),
+            (4, 0, None),
+            (5, 4, ["[1,2,2,3,4]", "[1,2,3,3,4]"]),
+            (6, 49, ["[1,1,2,2,3,4]", "[1,1,2,3,3,4]"]),
+            (7, 302, ["[1,1,1,2,2,3,4]", "[1,1,1,2,3,3,4]"]),
+        ],
+    )
+    def test_oct_d_disagreements(self, family, n, count, first):
+        s = family("oct", n)
+        disagreements, witness = _scan_pairs(s, green_oracle(s, "d"), characterized_rows(s, "d"))
+        assert disagreements == count
+        if first is None:
+            assert witness is None
+        else:
+            assert witness == {"maps": first, "oracle": False, "characterized": True}
+
+
+class TestCharacterizedCarrierSpellsNoMap:
+    @pytest.mark.parametrize("kind", ("l", "r", "h", "d") + rel.STARRED_KINDS)
+    def test_ct6(self, family, monkeypatch, kind):
+        # The keys read the carrier's words; no ChainMap is built per element.
+        s = family("ct", 6)
+
+        def spelled(*args):
+            raise AssertionError("a map was spelled from its word")
+
+        monkeypatch.setattr(_WordMaps, "__getitem__", spelled)
+        monkeypatch.setattr(_WordMaps, "__iter__", spelled)
+        assert char_partition(s, kind).class_count > 0
+        assert characterized_rows(s, kind)(0)[0]

@@ -991,10 +991,44 @@ class TestStrongComponents:
 
     @pytest.mark.parametrize("quotient", [False, True])
     def test_rank_never_rises_along_a_product(self, family, regular_base, table_of, quotient):
-        # cayley_components numbers the nodes by rank, so the Cayley graphs'
-        # edges mostly run down the numbering.
+        # cayley_components searches only the edges within one rank, which
+        # leaves every strong component whole only if rank never rises.
         s = rees_quotient(regular_base("ct", 5), 3) if quotient else family("ct", 5)
         table = table_of(s)
         assert (s.rank[table] <= np.minimum.outer(s.rank, s.rank)).all()
         if not quotient:
             assert s.rank.tolist() == [len(set(m.images)) for m in s.elements]
+
+
+def _rank_numbered_components(s, sides):
+    """Strong components over every Cayley edge, rank-lowering ones too, with
+    the nodes numbered in rank order and each component labelled by its
+    least member; the reference for ``cayley_components``."""
+    successors = np.hstack([s.cayley(side) for side in sides])
+    order = np.argsort(s.rank, kind="stable")
+    node = np.empty(s.size, dtype=np.int32)
+    node[order] = np.arange(s.size, dtype=np.int32)
+    src, dst = np.repeat(node, successors.shape[1]), node[successors].ravel()
+    moved = src != dst
+    return order[semigroups._strong_components(src[moved], dst[moved], s.size)[node]]
+
+
+CAYLEY_REFERENCE_CARRIERS = (
+    [(fam, n) for fam in ("ct", "oct", "orct") for n in range(1, 7)] + [("reg-ct", 5), ("rees-orct", 5)]
+)
+
+
+class TestCayleyComponents:
+    @pytest.mark.parametrize(
+        "fam,n", CAYLEY_REFERENCE_CARRIERS, ids=[f"{f}{n}" for f, n in CAYLEY_REFERENCE_CARRIERS]
+    )
+    def test_match_every_edge_reference(self, family, regular_base, fam, n):
+        if fam == "reg-ct":
+            s = regular_base("ct", n)
+        elif fam == "rees-orct":
+            s = rees_quotient(regular_base("orct", n), 3)
+        else:
+            s = family(fam, n)
+        for sides in ("l", "r", "lr"):
+            got = semigroups.cayley_components(s, sides)
+            assert np.array_equal(got, _rank_numbered_components(s, sides)), sides
