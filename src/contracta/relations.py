@@ -1,15 +1,14 @@
-"""Green's relations and their starred variants: oracles and fast paths.
+"""Green's relations and their starred variants: oracles and characterizations.
 
-Every characterized predicate here ships next to a brute-force oracle, and
-the verify suite treats any disagreement between the two as a hard failure.
-Oracles work purely from products; characterized predicates work from kernel
-and image data of the two maps alone.  L, R and J are the strongly connected
-components of the left, right and two-sided Cayley graphs, read as successor
-arrays from ``cayley(side)`` on either carrier type, so they build no product
-table.  The starred kinds key the kernel of one row of S^1 products per
-Green's class, from ``product_rows`` over the carrier's ``products``.
-
-Relation kinds are the strings ``l r h d j lstar rstar hstar dstar``.
+Every characterization ships next to a brute-force oracle, and the verify
+suite treats any disagreement between the two as a hard failure.  Oracles
+work from products: L, R and J are the strong components of the Cayley graphs
+``cayley(side)``, and the starred kinds key the kernel of one row of S^1
+products per Green's class.  Characterizations read each map's kernel and
+image alone: one array route keys every word of an (m, n) word array at once,
+a carrier's ``words`` or one pair's two words, and each regularity criterion
+is a mask over such an array.  Relation kinds are ``l r h d j lstar rstar
+hstar dstar``.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import ChainMap, FamilyTag, _word_is_contraction
-from .partitions import convex_windows, kernel_word, refinement_windows
+from .maps import ChainMap, FamilyTag
+from .partitions import kernel_word, refinement_windows
 from .semigroups import Carrier, FiniteSemigroup, _least_reaching, cayley_components
 from .semigroups import idempotent_indices, index_dtype, row_blocks
 
@@ -132,14 +131,13 @@ def _join(*labelings: np.ndarray) -> np.ndarray:
 
 
 def _kernel_keys(rows: np.ndarray, size: int) -> np.ndarray:
-    # Which positions of each row share a value: every entry replaced by the
-    # position where its value first occurs.  Offsetting each row in place
-    # keeps the rows' values apart in one flat buffer; minimum.at is
-    # unbuffered and min is order-free, so every slot ends at its value's
-    # least position however repeats are applied.  Positions and the fill
-    # value, the row width, are int16 while the width fits and int32 beyond.
-    width = size + 1
-    rows += (np.arange(len(rows), dtype=np.int32) * size)[:, None]
+    # Every entry of each row, of values in 0..size-1, replaced by the
+    # position where its value first occurs.  Offset rows keep their values
+    # apart in one flat buffer; minimum.at is unbuffered and order-free, so
+    # each slot ends at its value's least position.  Positions and the fill,
+    # the row width, are int16 while the width fits and int32 beyond.
+    width = rows.shape[1]
+    rows = rows + (np.arange(len(rows), dtype=np.int32) * size)[:, None]
     first = np.full(len(rows) * size, width, dtype=index_dtype(width + 1))
     np.minimum.at(first, rows.ravel(), np.tile(np.arange(width, dtype=first.dtype), len(rows)))
     return first[rows]
@@ -265,58 +263,67 @@ def starred_partition(s, kind: str) -> RelationPartition:
     return _oracle(s, kind, STARRED_KINDS, "starred")
 
 
-# -- characterized relations as per-element keys -------------------------------
-#
-# Every characterization reads the kernel and image of each map alone, so it is
-# a set of per-element keys, the probes below; a and b are related exactly when
-# their probes meet.
+# -- characterized relations: a and b are related exactly when their probes meet
 
 
-def _require_contraction(word: tuple[int, ...]) -> None:
-    if not _word_is_contraction(word):
-        raise ValueError(f"[{','.join(map(str, word))}] is not a contraction")
+def _code(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of digits below ``base`` as one int64, most significant first."""
+    return digits.astype(np.int64) @ base ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def _probes(kind: str, word: tuple[int, ...]) -> set:
-    """The keys of the map with image word ``word`` for one characterized kind.
+def _ids(codes: np.ndarray) -> np.ndarray:
+    return np.unique(codes, return_inverse=True)[1]  # numbered in increasing order
 
-    r and rstar key the kernel word, lstar the image, hstar both, dstar the
-    height.  l, h and d read the collapse profiles, the values of the map
-    along every admissible convex refinement transversal of its kernel, which
-    match under a translation or a reflection: each window gives one key, the
-    lesser of its profile and the reversal.  l keys that, h keys it beside the
-    kernel word, and d keys the lesser of the two renumbered by first
-    occurrence, beside the height.  A profile renumbered is the transversal's
-    fiber-grouping pattern, "which kernel block holds t_i": blocks and their
-    images are in bijection, so the renumbered reversal depends only on the
-    renumbered profile.  Two maps share a key exactly when a window of one
-    matches a window of the other.
-    """
+
+def _probe_edges(words, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every (element, probe) pair of the maps with image words ``words``, an
+    (m, n) array, in element order, probes numbered from 0.  r and rstar key
+    the kernel, lstar the image, hstar both, dstar the height.  l, h and d key
+    each admissible convex refinement transversal of the kernel by the lesser
+    of the map's values on it and their reversal: alone (l), beside the
+    kernel (h), or renumbered by first occurrence (d), the fiber-grouping
+    pattern, which fixes the height as the window meets every kernel block."""
+    kind = kind.lower()
     if kind not in ("l", "r", "h", "d") + STARRED_KINDS:
         raise ValueError(f"no characterized procedure for relation kind {kind!r}")
-    if kind not in STARRED_KINDS:
-        _require_contraction(word)
-    points = tuple(sorted(set(word)))
-    if kind == "lstar":
-        return {points}
-    if kind == "dstar":
-        return {len(points)}
-    kernel = kernel_word(word)
-    if kind in ("r", "rstar"):
-        return {kernel}
-    if kind == "hstar":
-        return {(points, kernel)}
-    profiles = [word[lo - 1 : lo - 1 + p] for lo, p in refinement_windows(kernel)]
-    if kind == "d":
-        return {(len(points), min(kernel_word(t), kernel_word(t[::-1]))) for t in profiles}
-    keys = {min(t, t[::-1]) for t in profiles}
-    return keys if kind == "l" else {(kernel, t) for t in keys}
+    words = np.asarray(words)
+    elements, n = np.arange(len(words)), words.shape[1]
+    bad = np.flatnonzero((np.abs(np.diff(words.astype(np.int32), axis=1)) > 1).any(axis=1))
+    if bad.size and kind not in STARRED_KINDS:
+        raise ValueError(f"[{','.join(map(str, words[bad[0]].tolist()))}] is not a contraction")
+    if kind in ("lstar", "hstar", "dstar"):
+        image = np.bitwise_or.reduce(1 << (words.astype(np.int64) - 1), axis=1)  # as a bit set
+        if kind != "hstar":
+            return elements, _ids(np.bitwise_count(image) if kind == "dstar" else image)
+    first = _kernel_keys(words - 1, n)
+    _, reps, kernels = np.unique(_code(first, n), return_index=True, return_inverse=True)
+    if kind in ("r", "rstar", "hstar"):
+        return elements, kernels if kind != "hstar" else _ids(kernels.astype(np.int64) << n | image)
+    # each element takes the windows of its kernel, found once per kernel
+    windows = [refinement_windows(kernel_word(row)) for row in first[reps].tolist()]
+    starts = np.cumsum([0] + [len(w) for w in windows])
+    count = np.diff(starts)[kernels]
+    elements = np.repeat(elements, count)
+    at = np.arange(len(elements)) + np.repeat(starts[kernels] - np.cumsum(count) + count, count)
+    lo, p = np.array([lp for w in windows for lp in w])[at].T
+    codes = np.empty(len(elements), dtype=np.int64)
+    for size in set(p.tolist()):
+        sel = np.flatnonzero(p == size)
+        t = words[elements[sel, None], lo[sel, None] - 1 + np.arange(size)]
+        t = np.concatenate([t, t[:, ::-1]])
+        # digits from 1, also for positions, keep codes of different sizes apart
+        t = _code(_kernel_keys(t - 1, n) + 1 if kind == "d" else t, n + 1)
+        codes[sel] = np.minimum(t[: len(sel)], t[len(sel) :])
+    if kind == "h":
+        codes = kernels[elements].astype(np.int64) * len(codes) + _ids(codes)
+    return elements, _ids(codes)
 
 
-def _char_related(kind: str, a: ChainMap, b: ChainMap) -> bool:
+def _related(kind: str, a: ChainMap, b: ChainMap) -> bool:
     if a.n != b.n:
         raise ValueError(f"maps live on chains of size {a.n} and {b.n}")
-    return not _probes(kind, a.images).isdisjoint(_probes(kind, b.images))
+    elements, probes = _probe_edges(np.array([a.images, b.images]), kind)
+    return not set(probes[elements == 0].tolist()).isdisjoint(probes[elements == 1].tolist())
 
 
 def starred_char(a: ChainMap, b: ChainMap, kind: str) -> bool:
@@ -324,12 +331,12 @@ def starred_char(a: ChainMap, b: ChainMap, kind: str) -> bool:
     kind = kind.lower()
     if kind not in STARRED_KINDS:
         raise ValueError(f"unknown starred relation kind {kind!r}")
-    return _char_related(kind, a, b)
+    return _related(kind, a, b)
 
 
 def r_char(a: ChainMap, b: ChainMap) -> bool:
     """Contractions are R-related exactly when their kernels coincide."""
-    return _char_related("r", a, b)
+    return _related("r", a, b)
 
 
 def l_char(a: ChainMap, b: ChainMap) -> bool:
@@ -341,7 +348,7 @@ def l_char(a: ChainMap, b: ChainMap) -> bool:
     a(t_i) = b(u_i) for all i (translation pairing) or
     a(t_i) = b(u_{s-i+1}) for all i (reflection pairing).
     """
-    return _char_related("l", a, b)
+    return _related("l", a, b)
 
 
 def d_char(a: ChainMap, b: ChainMap) -> bool:
@@ -355,33 +362,17 @@ def d_char(a: ChainMap, b: ChainMap) -> bool:
     is the composition of an R-step (kernel preserved) with an L-step.  The
     verify suite compares this verdict against the ideal-based D oracle.
     """
-    return _char_related("d", a, b)
-
-
-def _probe_edges(s, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every (element, probe) pair of a carrier: a and b are related exactly
-    when they hold a common probe."""
-    kind = kind.lower()
-    ids: dict = {}
-    edges = np.array(
-        [(i, ids.setdefault(p, len(ids)))
-         for i, word in enumerate(s.words.tolist()) for p in _probes(kind, tuple(word))],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    return edges[:, 0], edges[:, 1]
+    return _related("d", a, b)
 
 
 def characterized_rows(s, kind: str):
     """A characterized relation on a carrier, as a row function.
 
     ``rows(i)`` is a boolean array over the carrier's indices marking every j
-    with ``char(element_i, element_j)``: the elements holding a probe of
-    element i.  Probes are computed once per element, so a row is O(size)
-    numpy work and scanning every pair does no pairwise Python work.
+    with ``char(element_i, element_j)``: the elements holding a probe of i.
     """
-    elements, probes = _probe_edges(s, kind)
-    by_probe = np.argsort(probes, kind="stable")
-    holders = np.split(elements[by_probe], np.cumsum(np.bincount(probes))[:-1])
+    elements, probes = _probe_edges(s.words, kind)
+    holders = np.split(elements[np.argsort(probes, kind="stable")], np.cumsum(np.bincount(probes))[:-1])
     # edges come element by element, so each element's probes are one slice
     probes_of = np.split(probes, np.cumsum(np.bincount(elements, minlength=s.size))[:-1])
 
@@ -400,7 +391,7 @@ def char_partition(s, kind: str) -> RelationPartition:
     Even a non-transitive characterization yields a partition; the verify
     suites compare rows with the oracles pair by pair instead.
     """
-    return RelationPartition(s, kind.lower(), _components(s.size, *_probe_edges(s, kind)), "char")
+    return RelationPartition(s, kind.lower(), _components(s.size, *_probe_edges(s.words, kind)), "char")
 
 
 # -- abundance and unipotence -------------------------------------------------
@@ -467,44 +458,52 @@ def is_r_unipotent(c) -> bool:
     return _non_unipotent_class(c, "r") is None
 
 
-# -- characterized regularity --------------------------------------------------
+# -- characterized regularity: per criterion, a mask over image words ---------
+
+
+def _convex_window_mask(words: np.ndarray) -> np.ndarray:
+    """Per contraction, whether its kernel has a convex transversal: some rank
+    consecutive points take rank values.  Values on a run form an interval, so
+    that run holds the least and the greatest value, which a contraction takes
+    at least max - min = rank - 1 points apart: the mask asks for exactly that."""
+    n = words.shape[1]
+    least, most = words.min(axis=1, keepdims=True), words.max(axis=1, keepdims=True)
+    padded = np.pad(words, ((0, 0), (n, n)))  # zeros, never the greatest value
+    far = [np.take_along_axis(padded, n + np.arange(n) + sign * (most - least), axis=1) for sign in (1, -1)]
+    return ((words == least) & ((far[0] == most) | (far[1] == most))).any(axis=1)
+
+
+def _arithmetic_mask(words: np.ndarray) -> np.ndarray:
+    """``regular_char_orct`` per word; a monotone map's blocks are intervals."""
+    x = np.arange(1, words.shape[1] + 1)
+    first_end = (words == words[:, :1]).sum(axis=1, keepdims=True)
+    outside = (x < first_end) | (x > len(x) + 1 - (words == words[:, -1:]).sum(axis=1, keepdims=True))
+    d = np.stack([x - words, x + words])
+    steady = ((d == np.take_along_axis(d, first_end[None] - 1, axis=2)) | outside).all(axis=2)
+    return (first_end[:, 0] == len(x)) | steady.any(axis=0)
+
+
+def _regular_char(a: ChainMap, family: str, members: str) -> bool:
+    if not FamilyTag(family).contains(a):
+        raise ValueError(f"{a} is not {members}")
+    return bool(REGULAR_MASKS[family](np.array([a.images]))[0])
 
 
 def regular_char_ct(a: ChainMap) -> bool:
     """A contraction is regular exactly when its kernel has a convex transversal."""
-    _require_contraction(a.images)
-    return bool(convex_windows(kernel_word(a.images)))
-
-
-def _monotone_regular(a: ChainMap, reflected: bool) -> bool:
-    """The arithmetic test below on the blocks of a monotone map, numbered as
-    in its kernel word, with their image points in order or reflected."""
-    word = kernel_word(a.images)
-    blocks = [[x for x, b in enumerate(word, start=1) if b == i] for i in range(max(word) + 1)]
-    xs = [a.images[block[0] - 1] for block in blocks]
-    for ys in (xs, xs[::-1]) if reflected else (xs,):
-        d = blocks[0][-1] - ys[0]
-        if blocks[-1][0] - ys[-1] == d and all(blocks[i] == [ys[i] + d] for i in range(1, len(blocks) - 1)):
-            return True
-    return len(blocks) == 1  # constant maps
+    return _regular_char(a, "ct", "a contraction")
 
 
 def regular_char_orct(a: ChainMap) -> bool:
-    """Arithmetic regularity test for order-preserving or -reversing contractions.
-
-    With blocks A_1 < ... < A_p and image points x_1, ..., x_p, the map is
-    regular exactly when, for some common offset d, either
-    max A_1 - x_1 = min A_p - x_p = d with A_i = {x_i + d} for interior i,
-    or the reflected variant max A_1 - x_p = min A_p - x_1 = d with
-    A_i = {x_(p-i+1) + d}.  Constant maps are regular outright.
-    """
-    if not FamilyTag.ORCT.contains(a):
-        raise ValueError(f"{a} is not an order-preserving or order-reversing contraction")
-    return _monotone_regular(a, reflected=True)
+    """Arithmetic regularity test for order-preserving or -reversing
+    contractions with blocks A_1 < ... < A_p: constant, or x - a(x) or x + a(x)
+    constant from max A_1 to min A_p, so interior blocks are {image + offset}."""
+    return _regular_char(a, "orct", "an order-preserving or order-reversing contraction")
 
 
 def regular_char_oct(a: ChainMap) -> bool:
-    """Arithmetic regularity test for order-preserving contractions: no reflected variant."""
-    if not FamilyTag.OCT.contains(a):
-        raise ValueError(f"{a} is not an order-preserving contraction")
-    return _monotone_regular(a, reflected=False)
+    """The same test for order-preserving contractions, where only x - a(x) can hold."""
+    return _regular_char(a, "oct", "an order-preserving contraction")
+
+
+REGULAR_MASKS = {"ct": _convex_window_mask, "oct": _arithmetic_mask, "orct": _arithmetic_mask}

@@ -557,13 +557,24 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 3
 
-    def test_idempotent_products_leaves_numpy_ma_unimported(self):
-        # np.unique imports numpy.ma (about 1.7 MB of RSS) on first use.
+    @pytest.mark.parametrize(
+        "check,family",
+        [
+            ("idempotent-products", "ct"),
+            ("green-l,green-d,starred", "ct"),
+            ("regularity-ct", "ct"),
+            ("regularity-orct", "orct"),
+        ],
+    )
+    def test_idempotent_products_leaves_numpy_ma_unimported(self, check, family):
+        # A plain np.unique, np.unique(axis=0) or np.intersect1d imports
+        # numpy.ma (about 1.7 MB of RSS); its return_index and return_inverse
+        # forms do not.
         code = (
             "import contextlib, io, sys\n"
             "from contracta.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    main(['verify', '--check', 'idempotent-products', '--family', 'ct', '--n', '4'])\n"
+            f"    main(['verify', '--check', {check!r}, '--family', {family!r}, '--n', '4'])\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())

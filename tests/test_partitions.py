@@ -3,7 +3,6 @@ convex-collapsing refinement."""
 
 from functools import cache
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from contracta import (
     partition_to_text,
     refinements,
     regular_char_ct,
+    relations,
     run_check,
     transversals,
 )
@@ -46,7 +46,6 @@ from contracta.partitions import (
     kernel_word,
     refinement_windows,
 )
-from contracta.relations import characterized_rows
 from contracta.semigroups import family_words
 
 ALPHA = make_map(6, [1, 2, 2, 3, 4, 3])
@@ -523,12 +522,12 @@ class TestPartitionTable:
     def test_characterized_side_unguarded_at_eight(self, monkeypatch):
         k = make_partition(8, [(1, 2), (3,), (4, 5, 6), (7, 8)])
         a = make_map(8, [1, 1, 2, 3, 3, 3, 4, 4])
-        # The characterized side reads only the words, so a bare namespace
-        # stands in for a carrier the n = 8 family guard would refuse.
-        stand_in = SimpleNamespace(n=8, size=1, words=np.array([a.images]))
+        # The characterized side reads only a word array, so it keys a word
+        # of a family the n = 8 family guard would refuse.
         assert l_char(a, a) and d_char(a, a)
         for kind in ("l", "h", "d"):
-            assert characterized_rows(stand_in, kind)(0).tolist() == [True]
+            elements, probes = relations._probe_edges(np.array([a.images]), kind)
+            assert elements.size and not elements.any()
         monkeypatch.setattr(limits, "REFINEMENT_SCAN_MAX_N", 8)
         windows = _table_route(8)[_word(k)]
         assert convex_refinement_transversals(k) == tuple(tuple(range(lo, lo + p)) for lo, p in windows)

@@ -1,7 +1,6 @@
 """Green's relation oracles, characterized predicates, abundance, unipotence."""
 
 import tracemalloc
-from types import SimpleNamespace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -22,6 +21,7 @@ from contracta import (
     idempotents,
     image,
     is_idempotent,
+    is_contraction,
     is_l_unipotent,
     is_left_abundant,
     is_r_unipotent,
@@ -42,7 +42,7 @@ from contracta import (
     unipotence_witness,
 )
 from contracta.checks import _scan_pairs
-from contracta.partitions import kernel_word, refinement_windows
+from contracta.partitions import convex_windows, kernel_word, refinement_windows
 from contracta.relations import RelationPartition, char_partition, characterized_rows
 from contracta.semigroups import (
     FiniteSemigroup,
@@ -406,6 +406,8 @@ def _reflection_closed_probes(kind, a):
     return {(height(a), kernel_word(t)) for t in profiles}
 
 
+KEYED_KINDS_ALL = ("l", "r", "h", "d") + rel.STARRED_KINDS
+
 # The lesser of a key and its reflection.
 _CANONICAL = {
     "l": lambda t: min(t, t[::-1]),
@@ -414,24 +416,113 @@ _CANONICAL = {
 }
 
 
+def _reference_probes(kind, word):
+    """The keys of the map with image word ``word``, one map at a time, as
+    the characterized route first computed them: r and rstar the kernel
+    word, lstar the image, hstar both, dstar the height, and l, h and d one
+    canonical key per refinement window, the lesser of the profile and its
+    reversal, alone (l), beside the kernel word (h), or renumbered beside
+    the height (d)."""
+    if kind not in rel.STARRED_KINDS and not is_contraction(make_map(len(word), word)):
+        raise ValueError(f"[{','.join(map(str, word))}] is not a contraction")
+    points = tuple(sorted(set(word)))
+    if kind == "lstar":
+        return {points}
+    if kind == "dstar":
+        return {len(points)}
+    kernel = kernel_word(word)
+    if kind in ("r", "rstar"):
+        return {kernel}
+    if kind == "hstar":
+        return {(points, kernel)}
+    profiles = [word[lo - 1 : lo - 1 + p] for lo, p in refinement_windows(kernel)]
+    if kind == "d":
+        return {(len(points), min(kernel_word(t), kernel_word(t[::-1]))) for t in profiles}
+    keys = {min(t, t[::-1]) for t in profiles}
+    return keys if kind == "l" else {(kernel, t) for t in keys}
+
+
+def _holder_sets(elements, probes):
+    """The element-probe relation up to the naming of probes: the sorted
+    holder sets, one per probe."""
+    holders = {}
+    for e, p in zip(elements, probes):
+        holders.setdefault(p, set()).add(int(e))
+    return sorted(sorted(h) for h in holders.values())
+
+
+def _key_holder_sets(keys):
+    """``_holder_sets`` of one set of keys per element."""
+    return _holder_sets(*zip(*[(i, k) for i, ks in enumerate(keys) for k in ks]))
+
+
+def _assert_route_matches_reference(words, kinds=KEYED_KINDS_ALL):
+    words = np.asarray(words)
+    for kind in kinds:
+        reference = [_reference_probes(kind, tuple(w)) for w in words.tolist()]
+        got = _holder_sets(*rel._probe_edges(words, kind))
+        assert got == _key_holder_sets(reference), kind
+
+
+def _walk_word(n, start, steps):
+    """A contraction word on 1..n: adjacent steps in {-1, 0, 1}, clipped to the chain."""
+    word = [start]
+    for step in steps:
+        word.append(min(n, max(1, word[-1] + step)))
+    return tuple(word)
+
+
+CONTRACTION_WORDS = st.integers(8, 10).flatmap(
+    lambda n: st.lists(
+        st.builds(
+            _walk_word, st.just(n), st.integers(1, n),
+            st.lists(st.sampled_from((-1, 0, 1)), min_size=n - 1, max_size=n - 1),
+        ),
+        min_size=1, max_size=12,
+    )
+)
+
+
+class TestProbeRoute:
+    """The array route keys every element as the per-word reference does:
+    each probe of one has the holders of a probe of the other."""
+
+    @pytest.mark.parametrize("fam", ["ct", "oct", "orct"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_reference(self, family, fam, n):
+        _assert_route_matches_reference(family(fam, n).words)
+
+    @settings(max_examples=30, deadline=None)
+    @given(CONTRACTION_WORDS)
+    def test_matches_reference_on_drawn_words_past_the_guards(self, words):
+        _assert_route_matches_reference(sorted(set(words)))
+
+
 class TestDKeys:
     @pytest.mark.parametrize("n", [5, 6])
     def test_match_kernel_pattern_reference(self, family, n):
         # d probes renumber the collapse profiles instead of the kernel blocks
         # of each transversal; blocks and their images are in bijection.
-        for a in family("ct", n).elements:
+        s = family("ct", n)
+        for a in s.elements:
             patterns = {(height(a), q) for q in _reference_kernel_patterns(a)}
-            assert rel._probes("d", a.images) == {_CANONICAL["d"](p) for p in patterns}, a
+            assert _reference_probes("d", a.images) == {_CANONICAL["d"](p) for p in patterns}, a
+        patterns = [
+            {_CANONICAL["d"]((height(a), q)) for q in _reference_kernel_patterns(a)} for a in s.elements
+        ]
+        assert _holder_sets(*rel._probe_edges(s.words, "d")) == _key_holder_sets(patterns)
 
 
 class TestProbes:
     def test_one_key_per_reflection_pair_on_ct5(self, family):
         # Each window keys the lesser of its profile and the reversal, so no
         # key is kept beside its reflection.
-        for a in family("ct", 5).elements:
-            for kind, canonical in _CANONICAL.items():
-                probes = rel._probes(kind, a.images)
-                assert probes == {canonical(p) for p in _reflection_closed_probes(kind, a)}, (kind, a)
+        s = family("ct", 5)
+        for kind, canonical in _CANONICAL.items():
+            keys = [{canonical(p) for p in _reflection_closed_probes(kind, a)} for a in s.elements]
+            for a, k in zip(s.elements, keys):
+                assert _reference_probes(kind, a.images) == k, (kind, a)
+            assert _holder_sets(*rel._probe_edges(s.words, kind)) == _key_holder_sets(keys), kind
 
     @pytest.mark.parametrize("fam,n", [("ct", 5), ("oct", 6), ("orct", 5)])
     def test_rows_match_reflection_closed_reference(self, family, fam, n):
@@ -875,7 +966,33 @@ class TestRegularMask:
         assert (len(regular), len(ids), reg.size) == (2335, 395, 189)
 
 
+def _monotone_regular(word, reflected):
+    """The arithmetic test one map at a time, as first written: the blocks of
+    a monotone map, numbered as in its kernel word, with their image points
+    in order or also reflected."""
+    kernel = kernel_word(word)
+    blocks = [[x for x, b in enumerate(kernel, start=1) if b == i] for i in range(max(kernel) + 1)]
+    xs = [word[block[0] - 1] for block in blocks]
+    for ys in (xs, xs[::-1]) if reflected else (xs,):
+        d = blocks[0][-1] - ys[0]
+        if blocks[-1][0] - ys[-1] == d and all(blocks[i] == [ys[i] + d] for i in range(1, len(blocks) - 1)):
+            return True
+    return len(blocks) == 1  # constant maps
+
+
 class TestRegularityCharacterizations:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_masks_match_per_map_references(self, n):
+        # ct: a window of rank points in pairwise distinct blocks; oct and
+        # orct: the arithmetic test, reflected on orct.
+        words = family_words("ct", n)
+        reference = [bool(convex_windows(kernel_word(w))) for w in words.tolist()]
+        assert rel.REGULAR_MASKS["ct"](words).tolist() == reference
+        for fam in ("oct", "orct"):
+            words = family_words(fam, n)
+            reference = [_monotone_regular(w, fam == "orct") for w in words.tolist()]
+            assert rel.REGULAR_MASKS[fam](words).tolist() == reference, fam
+
     def test_alpha_not_regular(self):
         assert not regular_char_ct(ALPHA)
 
@@ -903,6 +1020,23 @@ class TestRegularityCharacterizations:
             oracle = set(regular_elements(s))
             for m in s.elements:
                 assert regular_char_oct(m) == (m in oracle)
+
+    @pytest.mark.parametrize("fam", ["ct", "oct", "orct"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_mask_matches_oracle(self, family, fam, n):
+        s = family(fam, n) if n <= 7 else FiniteSemigroup(n, fam, family_words(fam, n))
+        assert np.array_equal(rel.REGULAR_MASKS[fam](s.words), _regular_mask(s))
+
+    @pytest.mark.parametrize("check_id,fam", [("regularity-ct", "ct"), ("regularity-orct", "orct")])
+    def test_check_spells_no_map(self, monkeypatch, check_id, fam):
+        # Two masks are compared; a map is spelled only for a witness.
+        def spelled(*args):
+            raise AssertionError("a map was spelled from its word")
+
+        monkeypatch.setattr(_WordMaps, "__getitem__", spelled)
+        monkeypatch.setattr(_WordMaps, "__iter__", spelled)
+        [report] = run_check(check_id, 6, fam)
+        assert report.verdict == "pass"
 
     def test_constants_regular(self):
         assert regular_char_orct(make_map(5, [3] * 5))
@@ -997,8 +1131,18 @@ class TestCharPartition:
 
 class TestCharacterizedRows:
     @pytest.mark.parametrize("kind", KEYED_KINDS)
-    def test_agree_with_scalar_predicate_on_ct5(self, family, kind):
-        _assert_rows_match_scalar(family("ct", 5), kind)
+    def test_agree_with_scalar_predicate_on_ct4(self, family, kind):
+        # Each scalar call runs the route on its pair's two rows.
+        _assert_rows_match_scalar(family("ct", 4), kind)
+
+    @pytest.mark.parametrize("kind", KEYED_KINDS_ALL)
+    def test_rows_match_reference_on_ct5(self, family, kind):
+        # i and j are related exactly when their per-word reference keys meet.
+        s = family("ct", 5)
+        keys = [_reference_probes(kind, tuple(w)) for w in s.words.tolist()]
+        rows = characterized_rows(s, kind)
+        for i, key in enumerate(keys):
+            assert rows(i).tolist() == [not key.isdisjoint(other) for other in keys], (kind, i)
 
     @pytest.mark.parametrize("kind", rel.STARRED_KINDS)
     def test_starred_agree_with_scalar_predicate_on_orct5(self, family, kind):
@@ -1007,12 +1151,16 @@ class TestCharacterizedRows:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(CT7_MAPS, min_size=2, max_size=6))
     def test_agree_with_scalar_predicate_on_random_ct7_maps(self, maps):
-        # Characterized rows read only the words, so a stand-in needs no table.
+        # The route reads only a word array, so any set of words is keyed
+        # as a carrier's are, with no carrier built.
         elements = tuple(sorted(set(maps)))
         words = np.array([m.images for m in elements], dtype=np.int8)
-        s = SimpleNamespace(n=7, elements=elements, size=len(elements), words=words)
         for kind in KEYED_KINDS:
-            _assert_rows_match_scalar(s, kind)
+            held, probes = rel._probe_edges(words, kind)
+            held = [set(probes[held == i].tolist()) for i in range(len(elements))]
+            pred = _scalar(kind)
+            for i, a in enumerate(elements):
+                assert [not held[i].isdisjoint(h) for h in held] == [pred(a, b) for b in elements], (kind, a)
 
     def test_h_is_l_and_r(self, family):
         s = family("ct", 4)
@@ -1021,10 +1169,10 @@ class TestCharacterizedRows:
             assert (h(i) == (l(i) & r(i))).all()
 
     def test_rejects_non_contraction(self):
-        s = SimpleNamespace(n=3, elements=(make_map(3, [3, 1, 3]),), size=1, words=np.array([[3, 1, 3]]))
+        words = np.array([[1, 2, 3], [3, 1, 3]])
         for kind in ("l", "r", "d", "h"):
-            with pytest.raises(ValueError, match="not a contraction"):
-                characterized_rows(s, kind)
+            with pytest.raises(ValueError, match=r"\[3,1,3\] is not a contraction"):
+                rel._probe_edges(words, kind)
 
     def test_unknown_kind(self, family):
         with pytest.raises(ValueError, match="no characterized"):
@@ -1035,8 +1183,15 @@ class TestCharacterizedRows:
         # A deliberately wrong key makes the characterization disagree with
         # the oracle; the row scan must count and order the disagreements
         # exactly as a plain loop over the pairs does.
-        probes = rel._probes
-        monkeypatch.setattr(rel, "_probes", lambda k, word: {word[0]} if k == kind else probes(k, word))
+        probe_edges = rel._probe_edges
+
+        def first_image(words, k):
+            if k != kind:
+                return probe_edges(words, k)
+            words = np.asarray(words)
+            return np.arange(len(words)), words[:, 0].astype(np.intp) - 1
+
+        monkeypatch.setattr(rel, "_probe_edges", first_image)
         s = family("ct", 4)
         part = green_oracle(s, kind) if kind in rel.GREEN_KINDS else starred_partition(s, kind)
         pred = _scalar(kind)
