@@ -19,7 +19,7 @@ import numpy as np
 
 from .maps import ChainMap, FamilyTag
 from .partitions import kernel_word, refinement_windows
-from .semigroups import Carrier, FiniteSemigroup, _least_reaching, cayley_components
+from .semigroups import _MAX_CODED_N, Carrier, FiniteSemigroup, _least_reaching, cayley_components
 from .semigroups import idempotent_indices, index_dtype, row_blocks
 
 __all__ = [
@@ -276,25 +276,28 @@ def _ids(codes: np.ndarray) -> np.ndarray:
 
 
 def _probe_edges(words, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every (element, probe) pair of the maps with image words ``words``, an
-    (m, n) array, in element order, probes numbered from 0.  r and rstar key
-    the kernel, lstar the image, hstar both, dstar the height.  l, h and d key
-    each admissible convex refinement transversal of the kernel by the lesser
-    of the map's values on it and their reversal: alone (l), beside the
-    kernel (h), or renumbered by first occurrence (d), the fiber-grouping
-    pattern, which fixes the height as the window meets every kernel block."""
+    """Every distinct (element, probe) pair of the maps with image words
+    ``words``, an (m, n) array with n <= 15 (keys are int64 codes), in element
+    order, probes numbered from 0.  r and rstar key the kernel, lstar the
+    image, hstar both, dstar the height.  l, h and d key each admissible
+    convex refinement transversal of the kernel by the lesser of the map's
+    values on it and their reversal: alone (l), beside the kernel (h), or
+    renumbered by first occurrence (d), the fiber-grouping pattern, which
+    fixes the height as the window meets every kernel block."""
     kind = kind.lower()
     if kind not in ("l", "r", "h", "d") + STARRED_KINDS:
         raise ValueError(f"no characterized procedure for relation kind {kind!r}")
     words = np.asarray(words)
     elements, n = np.arange(len(words)), words.shape[1]
-    bad = np.flatnonzero((np.abs(np.diff(words.astype(np.int32), axis=1)) > 1).any(axis=1))
-    if bad.size and kind not in STARRED_KINDS:
-        raise ValueError(f"[{','.join(map(str, words[bad[0]].tolist()))}] is not a contraction")
+    if n > _MAX_CODED_N:
+        raise ValueError(f"characterized keys are coded for chains of size n <= {_MAX_CODED_N}, got n={n}")
     if kind in ("lstar", "hstar", "dstar"):
         image = np.bitwise_or.reduce(1 << (words.astype(np.int64) - 1), axis=1)  # as a bit set
         if kind != "hstar":
             return elements, _ids(np.bitwise_count(image) if kind == "dstar" else image)
+    bad = np.flatnonzero((np.abs(np.diff(words.astype(np.int32), axis=1)) > 1).any(axis=1))
+    if bad.size and kind not in STARRED_KINDS:
+        raise ValueError(f"[{','.join(map(str, words[bad[0]].tolist()))}] is not a contraction")
     first = _kernel_keys(words - 1, n)
     _, reps, kernels = np.unique(_code(first, n), return_index=True, return_inverse=True)
     if kind in ("r", "rstar", "hstar"):
@@ -305,18 +308,21 @@ def _probe_edges(words, kind: str) -> tuple[np.ndarray, np.ndarray]:
     count = np.diff(starts)[kernels]
     elements = np.repeat(elements, count)
     at = np.arange(len(elements)) + np.repeat(starts[kernels] - np.cumsum(count) + count, count)
-    lo, p = np.array([lp for w in windows for lp in w])[at].T
+    lo, p = np.array([lp for w in windows for lp in w])[at, :, None].transpose(1, 0, 2)
+    # each profile and its reversal, padded to n points with its first value
+    # and coded with digit 0 there: digits start from 1, so sizes stay apart
     codes = np.empty(len(elements), dtype=np.int64)
-    for size in set(p.tolist()):
-        sel = np.flatnonzero(p == size)
-        t = words[elements[sel, None], lo[sel, None] - 1 + np.arange(size)]
-        t = np.concatenate([t, t[:, ::-1]])
-        # digits from 1, also for positions, keep codes of different sizes apart
-        t = _code(_kernel_keys(t - 1, n) + 1 if kind == "d" else t, n + 1)
-        codes[sel] = np.minimum(t[: len(sel)], t[len(sel) :])
+    for b in row_blocks(np.arange(len(elements)), 2 * n):
+        inside = np.arange(n) < p[b]
+        start, step = elements[b, None] * n + lo[b] - 1, np.arange(n) * inside
+        t = words.ravel()[np.concatenate([start + step, start + p[b] - 1 - step])]
+        t = (_kernel_keys(t - 1, n) + 1 if kind == "d" else t) * np.concatenate([inside, inside])
+        codes[b] = np.minimum(*_code(t, n + 1).reshape(2, -1))
     if kind == "h":
         codes = kernels[elements].astype(np.int64) * len(codes) + _ids(codes)
-    return elements, _ids(codes)
+    probes = _ids(codes)  # windows of one map can share a key: one pair each
+    keep = np.unique(elements * len(codes) + probes, return_index=True)[1]
+    return elements[keep], probes[keep]
 
 
 def _related(kind: str, a: ChainMap, b: ChainMap) -> bool:
@@ -432,30 +438,24 @@ def is_right_abundant(s: FiniteSemigroup) -> bool:
     return abundance_witness(s, "right") is None
 
 
-def _non_unipotent_class(carrier, side: str):
-    """Sorted members of the first L- (side "l") or R-class (side "r") of a
-    carrier whose idempotent count is not 1, or None."""
-    return _first_class_by_idempotents(green_oracle(carrier, side), lambda k: k != 1)
-
-
 def unipotence_witness(s: Carrier, side: str):
     """A Green's class with idempotent count != 1, as a tuple of maps, or None.
 
     ``side`` "l" scans L-classes, "r" scans R-classes.  The regular part of
     a family is asked about as ``regular_subsemigroup(family, n)``.
     """
-    c = _non_unipotent_class(s, side)
+    c = _first_class_by_idempotents(green_oracle(s, side), lambda k: k != 1)
     return None if c is None else tuple(s.elements[i] for i in c)
 
 
 def is_l_unipotent(c) -> bool:
     """True iff each L-class of the carrier holds exactly one idempotent."""
-    return _non_unipotent_class(c, "l") is None
+    return unipotence_witness(c, "l") is None
 
 
 def is_r_unipotent(c) -> bool:
     """True iff each R-class of the carrier holds exactly one idempotent."""
-    return _non_unipotent_class(c, "r") is None
+    return unipotence_witness(c, "r") is None
 
 
 # -- characterized regularity: per criterion, a mask over image words ---------

@@ -497,6 +497,31 @@ class TestProbeRoute:
     def test_matches_reference_on_drawn_words_past_the_guards(self, words):
         _assert_route_matches_reference(sorted(set(words)))
 
+    def test_matches_reference_on_15_points(self):
+        # The widest chain whose keys fit int64 codes.
+        words = [
+            tuple(range(1, 16)), tuple(range(15, 0, -1)), (8,) * 15,
+            (1, 2, 3, 2, 1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3),
+            (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8),
+            (15, 15, 14, 13, 13, 12, 11, 10, 10, 9, 8, 7, 7, 6, 5),
+        ]
+        _assert_route_matches_reference(words)
+
+    @pytest.mark.parametrize("kind,n", [("l", 17), ("d", 16), ("lstar", 66), ("hstar", 66), ("dstar", 66)])
+    def test_past_15_points_raises(self, kind, n):
+        a, b = make_map(n, [n - 1] * n), make_map(n, [n] * n)
+        with pytest.raises(ValueError, match=f"n <= 15, got n={n}"):
+            _scalar(kind)(a, b)
+
+    def test_pairs_are_distinct_in_element_order(self, family):
+        # [1,2,1]'s two windows of two points both key (1, 2): one pair is kept.
+        assert [a.tolist() for a in rel._probe_edges(np.array([[1, 2, 1]]), "l")] == [[0, 0], [0, 1]]
+        for fam in ("ct", "orct"):
+            for kind in KEYED_KINDS_ALL:
+                elements, probes = rel._probe_edges(family(fam, 5).words, kind)
+                pairs = elements * (int(probes.max()) + 1) + probes
+                assert (np.diff(pairs) > 0).all(), (fam, kind)
+
 
 class TestDKeys:
     @pytest.mark.parametrize("n", [5, 6])
@@ -1070,8 +1095,9 @@ def _scalar(kind):
 def _assert_rows_match_scalar(s, kind):
     rows = characterized_rows(s, kind)
     pred = _scalar(kind)
-    for i, a in enumerate(s.elements):
-        assert rows(i).tolist() == [pred(a, b) for b in s.elements], (kind, a)
+    elements = list(s.elements)  # each spelled once
+    for i, a in enumerate(elements):
+        assert rows(i).tolist() == [pred(a, b) for b in elements], (kind, a)
 
 
 def _walk_map(start, steps):
@@ -1085,6 +1111,7 @@ def _walk_map(start, steps):
 CT7_MAPS = st.builds(
     _walk_map, st.integers(1, 7), st.lists(st.sampled_from((-1, 0, 1)), min_size=6, max_size=6)
 )
+_CT7_ROWS: dict = {}  # kind -> characterized rows of ct7, built once per run
 
 
 def _row_sweep_classes(s, kind):
@@ -1131,9 +1158,8 @@ class TestCharPartition:
 
 class TestCharacterizedRows:
     @pytest.mark.parametrize("kind", KEYED_KINDS)
-    def test_agree_with_scalar_predicate_on_ct4(self, family, kind):
-        # Each scalar call runs the route on its pair's two rows.
-        _assert_rows_match_scalar(family("ct", 4), kind)
+    def test_agree_with_scalar_predicate_on_ct5(self, family, kind):
+        _assert_rows_match_scalar(family("ct", 5), kind)
 
     @pytest.mark.parametrize("kind", KEYED_KINDS_ALL)
     def test_rows_match_reference_on_ct5(self, family, kind):
@@ -1150,17 +1176,24 @@ class TestCharacterizedRows:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(CT7_MAPS, min_size=2, max_size=6))
-    def test_agree_with_scalar_predicate_on_random_ct7_maps(self, maps):
-        # The route reads only a word array, so any set of words is keyed
-        # as a carrier's are, with no carrier built.
+    def test_agree_with_scalar_predicate_on_random_ct7_maps(self, family, maps):
+        # The route reads only a word array, so the drawn words alone are
+        # keyed as a carrier's are; ct7's characterized rows agree as well.
         elements = tuple(sorted(set(maps)))
         words = np.array([m.images for m in elements], dtype=np.int8)
+        ct7 = family("ct", 7)
+        at = [ct7.index_of(m) for m in elements]
         for kind in KEYED_KINDS:
             held, probes = rel._probe_edges(words, kind)
             held = [set(probes[held == i].tolist()) for i in range(len(elements))]
+            if kind not in _CT7_ROWS:
+                _CT7_ROWS[kind] = characterized_rows(ct7, kind)
+            rows = _CT7_ROWS[kind]
             pred = _scalar(kind)
             for i, a in enumerate(elements):
-                assert [not held[i].isdisjoint(h) for h in held] == [pred(a, b) for b in elements], (kind, a)
+                expected = [pred(a, b) for b in elements]
+                assert [not held[i].isdisjoint(h) for h in held] == expected, (kind, a)
+                assert rows(at[i])[at].tolist() == expected, (kind, a)
 
     def test_h_is_l_and_r(self, family):
         s = family("ct", 4)
