@@ -26,7 +26,6 @@ from .partitions import (
 from .relations import (
     STARRED_KINDS,
     abundance_witness,
-    characterized_rows,
     green_oracle,
     starred_partition,
     unipotence_witness,
@@ -97,19 +96,37 @@ def _check_regularity(check_id: str, family: str, n: int):
     yield VerifyReport(check_id, family, n, "pass", detail=detail)
 
 
-def _scan_pairs(s, oracle_partition, rows) -> tuple[int, dict | None]:
-    """Compare an oracle partition with characterized rows on every pair.
+def _scan_pairs(s, labels, edges) -> tuple[int, dict | None]:
+    """Compare oracle class labels with a characterized relation on every pair.
 
-    Pairs (i, j) with i <= j are visited in ``combinations_with_replacement``
-    order, one numpy row comparison per i.  Returns the number of disagreeing
-    pairs and the first one as a witness, or None.
+    ``edges`` must be the relation's distinct (element, probe) pairs in
+    element order, as ``relations._probe_edges`` returns them: i and j are
+    related exactly when they hold a common probe.  Each (probe, class) cell
+    then counts the class members holding the probe, and row i agrees with
+    the oracle when some probe is held by every member of i's class and no
+    probe of i is held outside it.  Only the other rows are built, from the edges
+    sorted by probe, and compared in ascending i on the pairs (i, j), j >= i,
+    of ``combinations_with_replacement`` order.  Returns the number of
+    disagreeing pairs and the first one as a witness, or None.
     """
-    labels = oracle_partition.labels
+    elements, probes = edges
+    size = len(labels)
+    cells, held = np.unique(probes.astype(np.int64) * size + labels[elements], return_counts=True)
+    cell_probe, cell_class = np.divmod(cells, size)
+    exact = np.isin(labels, cell_class[held == np.bincount(labels)[cell_class]])
+    crossing = np.bincount(cell_probe) > 1
+    exact[elements[crossing[probes]]] = False
+    starts = np.searchsorted(elements, np.arange(size + 1))
+    order = np.argsort(probes, kind="stable")
+    holders, bounds = elements[order], np.searchsorted(probes[order], np.arange(len(crossing) + 1))
     disagreements = 0
     witness = None
-    for i in range(s.size):
+    for i in np.flatnonzero(~exact).tolist():
+        row = np.zeros(size, dtype=bool)
+        for p in probes[starts[i] : starts[i + 1]].tolist():
+            row[holders[bounds[p] : bounds[p + 1]]] = True
         oracle = labels[i:] == labels[i]
-        char = rows(i)[i:]
+        char = row[i:]
         bad = np.flatnonzero(oracle != char)
         if bad.size:
             disagreements += int(bad.size)
@@ -127,7 +144,7 @@ def _check_green(kind: str, family: str, n: int):
     check_id = f"green-{kind}"
     s = enumerate_family(family, n)
     part = green_oracle(s, kind)
-    disagreements, witness = _scan_pairs(s, part, characterized_rows(s, kind))
+    disagreements, witness = _scan_pairs(s, part.labels, relations._probe_edges(s.words, kind))
     detail = {"elements": s.size, "classes": part.class_count, "pairs_disagreeing": disagreements}
     yield VerifyReport(check_id, family, n, "pass" if witness is None else "fail", witness, detail)
 
@@ -137,7 +154,7 @@ def check_starred(family: str, n: int):
     empirical = family == "orct"  # characterizations are only claimed for ct and oct
     for kind in STARRED_KINDS:
         part = starred_partition(s, kind)
-        disagreements, witness = _scan_pairs(s, part, characterized_rows(s, kind))
+        disagreements, witness = _scan_pairs(s, part.labels, relations._probe_edges(s.words, kind))
         if witness is not None:
             witness["kind"] = kind
         detail = {"kind": kind, "elements": s.size, "pairs_disagreeing": disagreements}

@@ -25,7 +25,6 @@ from .semigroups import idempotent_indices, index_dtype, row_blocks
 __all__ = [
     "RelationPartition",
     "green_oracle",
-    "characterized_rows",
     "char_partition",
     "starred_partition",
     "r_char",
@@ -371,31 +370,11 @@ def d_char(a: ChainMap, b: ChainMap) -> bool:
     return _related("d", a, b)
 
 
-def characterized_rows(s, kind: str):
-    """A characterized relation on a carrier, as a row function.
-
-    ``rows(i)`` is a boolean array over the carrier's indices marking every j
-    with ``char(element_i, element_j)``: the elements holding a probe of i.
-    """
-    elements, probes = _probe_edges(s.words, kind)
-    holders = np.split(elements[np.argsort(probes, kind="stable")], np.cumsum(np.bincount(probes))[:-1])
-    # edges come element by element, so each element's probes are one slice
-    probes_of = np.split(probes, np.cumsum(np.bincount(elements, minlength=s.size))[:-1])
-
-    def rows(i: int) -> np.ndarray:
-        row = np.zeros(s.size, dtype=bool)
-        for p in probes_of[i]:
-            row[holders[p]] = True
-        return row
-
-    return rows
-
-
 def char_partition(s, kind: str) -> RelationPartition:
     """Classes of a characterized relation: elements joined through shared probes.
 
     Even a non-transitive characterization yields a partition; the verify
-    suites compare rows with the oracles pair by pair instead.
+    suites compare the probe edges with the oracles on every pair instead.
     """
     return RelationPartition(s, kind.lower(), _components(s.size, *_probe_edges(s.words, kind)), "char")
 

@@ -44,8 +44,9 @@ __all__ = [
     "is_orthodox",
 ]
 
-# A family is enumerated, and a whole product table built, only while size^2
-# fits this entry budget; bigger carriers fail fast with the estimate.
+# Enumeration, ``Carrier.table`` and the Rees layer table proceed only while
+# size^2 fits this entry budget, though enumeration builds no table; bigger
+# carriers fail fast with the estimate.
 DEFAULT_TABLE_BUDGET = 64_000_000
 # Table entries are indices, and the budget caps a table at 8,000 elements.
 TABLE_DTYPE = np.int16

@@ -1,4 +1,5 @@
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -49,6 +50,26 @@ def table_of():
         return _tables[s]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def pair_loop():
+    """``checks._scan_pairs`` by its definition: every pair (i, j) of
+    ``combinations_with_replacement`` order where the oracle ``labels`` and
+    the characterized ``related(i, j)`` disagree, counted, and the first as
+    a witness."""
+
+    def scan(s, labels, related):
+        disagreements, witness = 0, None
+        for i, j in combinations_with_replacement(range(len(labels)), 2):
+            o, c = bool(labels[i] == labels[j]), bool(related(i, j))
+            if o != c:
+                disagreements += 1
+                if witness is None:
+                    witness = {"maps": [str(s.elements[i]), str(s.elements[j])], "oracle": o, "characterized": c}
+        return disagreements, witness
+
+    return scan
 
 
 @pytest.fixture

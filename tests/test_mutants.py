@@ -3,7 +3,7 @@ by where the oracle comparison first catches it.
 
 A mutant is a deliberately broken characterization.  Key mutants stand in
 for the route's probes of one kind, ``relations._probe_edges``, and are
-compared with the oracle by ``_scan_pairs`` over ``characterized_rows``, as
+compared with the oracle by ``_scan_pairs`` over those probe edges, as
 ``verify`` compares them; mask mutants stand in for a family's entry of
 ``relations.REGULAR_MASKS`` and run through ``verify``'s regularity check.
 Each mutant pins, per family, the least n <= 8 at which the comparison
@@ -140,15 +140,22 @@ def _first_caught(disagreements):
 
 @pytest.mark.parametrize("fam", ["ct", "oct", "orct"])
 @pytest.mark.parametrize("name", list(KEY_MUTANTS))
-def test_key_mutant_pinned(family, monkeypatch, name, fam):
+def test_key_mutant_pinned(family, monkeypatch, pair_loop, name, fam):
     kind, keys_of = KEY_MUTANTS[name]
     monkeypatch.setattr(rel, "_probe_edges", _keyed_route(kind, keys_of))
 
-    def disagreements(n):
-        s = _carrier(family, fam, n)
-        return _scan_pairs(s, green_oracle(s, kind), rel.characterized_rows(s, kind))[0]
+    def scan(s):
+        return _scan_pairs(s, green_oracle(s, kind).labels, rel._probe_edges(s.words, kind))
 
-    assert _first_caught(disagreements) == KEY_PINS[name][fam]
+    caught = _first_caught(lambda n: scan(_carrier(family, fam, n))[0])
+    assert caught == KEY_PINS[name][fam]
+    if caught is not None:
+        # The rows built where the keys fail count and order the pairs as a
+        # plain loop over the mutant's keys does.
+        s = family(fam, caught[0])
+        keys = [keys_of(tuple(w)) for w in s.words.tolist()]
+        expected = pair_loop(s, green_oracle(s, kind).labels, lambda i, j: not keys[i].isdisjoint(keys[j]))
+        assert scan(s) == expected
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 import tracemalloc
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import contracta.relations as rel
 from contracta import (
@@ -43,7 +44,7 @@ from contracta import (
 )
 from contracta.checks import _scan_pairs
 from contracta.partitions import convex_windows, kernel_word, refinement_windows
-from contracta.relations import RelationPartition, char_partition, characterized_rows
+from contracta.relations import RelationPartition, char_partition
 from contracta.semigroups import (
     FiniteSemigroup,
     _WordMaps,
@@ -456,6 +457,19 @@ def _key_holder_sets(keys):
     return _holder_sets(*zip(*[(i, k) for i, ks in enumerate(keys) for k in ks]))
 
 
+def _char_rows(s, kind):
+    """A characterized relation on a carrier as reference rows: ``rows(i)``
+    marks the holders of i's probes, read from ``rel._probe_edges``."""
+    elements, probes = rel._probe_edges(s.words, kind)
+
+    def rows(i):
+        row = np.zeros(s.size, dtype=bool)
+        row[elements[np.isin(probes, probes[elements == i])]] = True
+        return row
+
+    return rows
+
+
 def _assert_route_matches_reference(words, kinds=KEYED_KINDS_ALL):
     words = np.asarray(words)
     for kind in kinds:
@@ -556,7 +570,7 @@ class TestProbes:
         s = family(fam, n)
         for kind in _CANONICAL:
             closed = [_reflection_closed_probes(kind, a) for a in s.elements]
-            rows = characterized_rows(s, kind)
+            rows = _char_rows(s, kind)
             for i, keys in enumerate(closed):
                 assert rows(i).tolist() == [not keys.isdisjoint(other) for other in closed], (kind, i)
 
@@ -1093,7 +1107,7 @@ def _scalar(kind):
 
 
 def _assert_rows_match_scalar(s, kind):
-    rows = characterized_rows(s, kind)
+    rows = _char_rows(s, kind)
     pred = _scalar(kind)
     elements = list(s.elements)  # each spelled once
     for i, a in enumerate(elements):
@@ -1118,12 +1132,12 @@ def _row_sweep_classes(s, kind):
     """Components of the characterized rows, grown one row at a time from
     each still unassigned element; h rows are l rows and r rows."""
     if kind == "h":
-        l_rows, r_rows = characterized_rows(s, "l"), characterized_rows(s, "r")
+        l_rows, r_rows = _char_rows(s, "l"), _char_rows(s, "r")
 
         def rows(i):
             return l_rows(i) & r_rows(i)
     else:
-        rows = characterized_rows(s, kind)
+        rows = _char_rows(s, kind)
     unassigned = np.ones(s.size, dtype=bool)
     classes = []
     for start in range(s.size):
@@ -1166,7 +1180,7 @@ class TestCharacterizedRows:
         # i and j are related exactly when their per-word reference keys meet.
         s = family("ct", 5)
         keys = [_reference_probes(kind, tuple(w)) for w in s.words.tolist()]
-        rows = characterized_rows(s, kind)
+        rows = _char_rows(s, kind)
         for i, key in enumerate(keys):
             assert rows(i).tolist() == [not key.isdisjoint(other) for other in keys], (kind, i)
 
@@ -1187,7 +1201,7 @@ class TestCharacterizedRows:
             held, probes = rel._probe_edges(words, kind)
             held = [set(probes[held == i].tolist()) for i in range(len(elements))]
             if kind not in _CT7_ROWS:
-                _CT7_ROWS[kind] = characterized_rows(ct7, kind)
+                _CT7_ROWS[kind] = _char_rows(ct7, kind)
             rows = _CT7_ROWS[kind]
             pred = _scalar(kind)
             for i, a in enumerate(elements):
@@ -1197,7 +1211,7 @@ class TestCharacterizedRows:
 
     def test_h_is_l_and_r(self, family):
         s = family("ct", 4)
-        h, l, r = (characterized_rows(s, k) for k in ("h", "l", "r"))
+        h, l, r = (_char_rows(s, k) for k in ("h", "l", "r"))
         for i in range(s.size):
             assert (h(i) == (l(i) & r(i))).all()
 
@@ -1209,7 +1223,7 @@ class TestCharacterizedRows:
 
     def test_unknown_kind(self, family):
         with pytest.raises(ValueError, match="no characterized"):
-            characterized_rows(family("ct", 2), "j")
+            _char_rows(family("ct", 2), "j")
 
     @pytest.mark.parametrize("check_id,kind", [("green-r", "r"), ("starred", "dstar")])
     def test_scan_matches_reference_pair_loop(self, family, monkeypatch, check_id, kind):
@@ -1249,6 +1263,63 @@ class TestCharacterizedRows:
         assert report.counterexample == witness
 
 
+# Oracle labels and each element's set of probes: some elements hold no
+# probe, some probes cross two classes, some classes share none.
+LABELLED_PROBES = st.integers(1, 8).flatmap(
+    lambda size: st.tuples(
+        st.lists(st.integers(0, size - 1), min_size=size, max_size=size),
+        st.lists(st.sets(st.integers(0, 5), max_size=3), min_size=size, max_size=size),
+    )
+)
+
+
+class TestScanPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(LABELLED_PROBES)
+    @example(([0, 0, 1], [{0}, {0}, {0}]))  # a probe held in two classes
+    @example(([0, 0, 1, 1], [{0}, {1}, {1}, set()]))  # a class sharing no probe; a bare element
+    @example(([0, 1, 1, 2], [{0}, {1, 2}, {2}, {3}]))  # agreeing: every class has a probe all members hold
+    def test_matches_pair_loop_on_drawn_edges(self, pair_loop, drawn):
+        labels, held = drawn
+        size = len(labels)
+        s = SimpleNamespace(elements=[make_map(size, [k + 1] * size) for k in range(size)])
+        pairs = [(i, p) for i, probes in enumerate(held) for p in sorted(probes)]
+        edges = tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+        expected = pair_loop(s, labels, lambda i, j: not held[i].isdisjoint(held[j]))
+        assert _scan_pairs(s, np.array(labels, dtype=np.int32), edges) == expected
+
+
+@pytest.fixture(scope="module")
+def ct9():
+    # 40,503 elements, built from the words directly.
+    return FiniteSemigroup(9, "ct", family_words("ct", 9))
+
+
+def _assert_no_row_built(s, part):
+    """Each probe's holders lie in one oracle class and every class has a
+    probe all its members hold, so ``_scan_pairs`` compares no row."""
+    elements, probes = edges = rel._probe_edges(s.words, part.kind)
+    probe_class = np.zeros(int(probes.max()) + 1, dtype=np.int32)
+    probe_class[probes] = part.labels[elements]
+    assert np.array_equal(probe_class[probes], part.labels[elements])
+    whole = np.bincount(probes) == np.bincount(part.labels)[probe_class]
+    assert np.unique(probe_class[whole]).size == part.class_count
+    assert _scan_pairs(s, part.labels, edges) == (0, None)
+
+
+class TestClassPremise:
+    """Where the keys match the oracle, they match it class by class: an
+    empirical fact at ct9 for L, R, H and D and at ct8 for the starred kinds."""
+
+    @pytest.mark.parametrize("kind", ["l", "r", "h", "d"])
+    def test_green_at_ct9(self, ct9, kind):
+        _assert_no_row_built(ct9, green_oracle(ct9, kind))
+
+    @pytest.mark.parametrize("kind", rel.STARRED_KINDS)
+    def test_starred_at_ct8(self, ct8, kind):
+        _assert_no_row_built(ct8, starred_partition(ct8, kind))
+
+
 class TestOctOrctCharacterized:
     # The paper characterizes Green's relations on CT_n only.  On its
     # subsemigroups OCT_n and ORCT_n the ct keys agree with the oracles,
@@ -1259,7 +1330,7 @@ class TestOctOrctCharacterized:
     def test_agreeing_kinds(self, family, fam, n):
         s = family(fam, n)
         for kind in ("l", "r") if fam == "oct" else ("l", "r", "d"):
-            assert _scan_pairs(s, green_oracle(s, kind), characterized_rows(s, kind)) == (0, None), kind
+            assert _scan_pairs(s, green_oracle(s, kind).labels, rel._probe_edges(s.words, kind)) == (0, None), kind
 
     @pytest.mark.parametrize(
         "n,count,first",
@@ -1272,14 +1343,17 @@ class TestOctOrctCharacterized:
             (7, 302, ["[1,1,1,2,2,3,4]", "[1,1,1,2,3,3,4]"]),
         ],
     )
-    def test_oct_d_disagreements(self, family, n, count, first):
+    def test_oct_d_disagreements(self, family, pair_loop, n, count, first):
         s = family("oct", n)
-        disagreements, witness = _scan_pairs(s, green_oracle(s, "d"), characterized_rows(s, "d"))
+        labels = green_oracle(s, "d").labels
+        disagreements, witness = _scan_pairs(s, labels, rel._probe_edges(s.words, "d"))
         assert disagreements == count
         if first is None:
             assert witness is None
         else:
             assert witness == {"maps": first, "oracle": False, "characterized": True}
+        rows = list(map(_char_rows(s, "d"), range(s.size)))
+        assert pair_loop(s, labels, lambda i, j: rows[i][j]) == (disagreements, witness)
 
 
 class TestCharacterizedCarrierSpellsNoMap:
@@ -1293,5 +1367,6 @@ class TestCharacterizedCarrierSpellsNoMap:
 
         monkeypatch.setattr(_WordMaps, "__getitem__", spelled)
         monkeypatch.setattr(_WordMaps, "__iter__", spelled)
+        part = green_oracle(s, kind) if kind in rel.GREEN_KINDS else starred_partition(s, kind)
         assert char_partition(s, kind).class_count > 0
-        assert characterized_rows(s, kind)(0)[0]
+        assert _scan_pairs(s, part.labels, rel._probe_edges(s.words, kind)) == (0, None)

@@ -109,7 +109,8 @@ class TestEnumerate:
             assert words.shape[1] == n
 
     def test_t_budget_before_building_maps(self):
-        # enumerate_family builds every carrier's table, and T_6's is over budget.
+        # enumerate_family builds no table, yet checks the table budget
+        # before coding the words, and T_6's size^2 is over it.
         with pytest.raises(ValueError, match="46,656 elements"):
             enumerate_family("t", 6)
 
