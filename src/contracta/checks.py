@@ -1,8 +1,9 @@
 """Named verification suites: oracle-versus-characterization scans.
 
 Every suite compares a characterized predicate with its brute-force oracle on
-a whole family, or scans a family for a structural property.  A failed
-verdict always carries a replayable counterexample payload.
+a whole family, or scans a family for a structural property; each check reads
+the family's carrier, which ``run_checks`` builds once for every check on it.
+A failed verdict always carries a replayable counterexample payload.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .partitions import (
     partition_to_text,
 )
 from .relations import (
+    CHAR_SUPPORT,
     STARRED_KINDS,
     abundance_witness,
     green_oracle,
@@ -35,14 +37,14 @@ from .semigroups import (
     _first_idempotent_pair,
     _regular_mask,
     enumerate_family,
-    family_words,
     generated_subsemigroup,
     idempotents,
     orthodox_witness,
-    regular_subsemigroup,
+    regular_elements,
+    subsemigroup,
 )
 
-__all__ = ["VerifyReport", "CHECK_IDS", "run_check", "first_counterexample"]
+__all__ = ["VerifyReport", "CHECK_IDS", "run_check", "run_checks", "first_counterexample"]
 
 
 @dataclass
@@ -56,7 +58,8 @@ class VerifyReport:
     counterexample: dict | None = None
     detail: dict = field(default_factory=dict)
     # Time from the previous report of the same check (or from the check's
-    # start, so the first report also carries the check's shared setup).
+    # start, so the first report also carries the check's shared setup and,
+    # in the first check run on a family, the family's build).
     elapsed_ms: float = 0.0
 
     @property
@@ -79,21 +82,24 @@ class VerifyReport:
         return obj
 
 
-# -- individual checks ---------------------------------------------------------
+# -- individual checks: each reads the carrier of its family ------------------
 
 
-def _check_regularity(check_id: str, family: str, n: int):
+def _report(check_id: str, s, witness: dict | None, detail: dict | None = None) -> VerifyReport:
+    """The verdict of one check on carrier s: a pass when ``witness`` is None."""
+    return VerifyReport(check_id, s.family, s.n, "pass" if witness is None else "fail", witness, detail or {})
+
+
+def _check_regularity(check_id: str, s):
     """Compare the regular elements with the family's characterization, as two masks."""
-    s = enumerate_family(family, n)
-    oracle, char = _regular_mask(s), relations.REGULAR_MASKS[family](s.words)
+    oracle, char = _regular_mask(s), relations.REGULAR_MASKS[s.family](s.words)
     bad = np.flatnonzero(oracle != char)
     if bad.size:
         i = bad[0]
         witness = {"map": str(s.elements[i]), "oracle": bool(oracle[i]), "characterized": bool(char[i])}
-        yield VerifyReport(check_id, family, n, "fail", witness)
-        return
-    detail = {"elements": s.size, "regular": int(np.count_nonzero(oracle))}
-    yield VerifyReport(check_id, family, n, "pass", detail=detail)
+        yield _report(check_id, s, witness)
+    else:
+        yield _report(check_id, s, None, {"elements": s.size, "regular": int(np.count_nonzero(oracle))})
 
 
 def _scan_pairs(s, labels, edges) -> tuple[int, dict | None]:
@@ -140,61 +146,51 @@ def _scan_pairs(s, labels, edges) -> tuple[int, dict | None]:
     return disagreements, witness
 
 
-def _check_green(kind: str, family: str, n: int):
-    check_id = f"green-{kind}"
-    s = enumerate_family(family, n)
-    part = green_oracle(s, kind)
+def _compared(check_id: str, s, kind: str, part, detail: dict) -> VerifyReport:
+    """The report of the characterized ``kind`` against its oracle partition on s."""
     disagreements, witness = _scan_pairs(s, part.labels, relations._probe_edges(s.words, kind))
-    detail = {"elements": s.size, "classes": part.class_count, "pairs_disagreeing": disagreements}
-    yield VerifyReport(check_id, family, n, "pass" if witness is None else "fail", witness, detail)
+    detail.update(elements=s.size, pairs_disagreeing=disagreements)
+    if CHAR_SUPPORT[kind][s.family] == "empirical":
+        detail["note"] = "empirical comparison; no claim backs this family"
+    return _report(check_id, s, witness, detail)
 
 
-def check_starred(family: str, n: int):
-    s = enumerate_family(family, n)
-    empirical = family == "orct"  # characterizations are only claimed for ct and oct
+def _check_green(kind: str, s):
+    part = green_oracle(s, kind)
+    yield _compared(f"green-{kind}", s, kind, part, {"classes": part.class_count})
+
+
+def check_starred(s):
     for kind in STARRED_KINDS:
-        part = starred_partition(s, kind)
-        disagreements, witness = _scan_pairs(s, part.labels, relations._probe_edges(s.words, kind))
-        if witness is not None:
-            witness["kind"] = kind
-        detail = {"kind": kind, "elements": s.size, "pairs_disagreeing": disagreements}
-        if empirical:
-            detail["note"] = "empirical comparison; no claim backs this family"
-        yield VerifyReport("starred", family, n, "pass" if witness is None else "fail", witness, detail)
+        report = _compared("starred", s, kind, starred_partition(s, kind), {"kind": kind})
+        if report.counterexample is not None:
+            report.counterexample["kind"] = kind
+        yield report
 
 
-def check_abundance(family: str, n: int):
-    s = enumerate_family(family, n)
-    for side, check_id in (("left", "abundance-left"), ("right", "abundance-right")):
+def check_abundance(s):
+    for side in ("left", "right"):
         witness = abundance_witness(s, side)
         if witness is None:
-            yield VerifyReport(check_id, family, n, "pass", detail={"elements": s.size})
+            yield _report(f"abundance-{side}", s, None, {"elements": s.size})
         else:
-            yield VerifyReport(
-                check_id, family, n, "fail",
-                {
-                    "maps": [map_to_text(m) for m in witness],
-                    "reason": f"this {side[0]}-starred class contains no idempotent",
-                },
-            )
+            reason = f"this {side[0]}-starred class contains no idempotent"
+            yield _report(f"abundance-{side}", s, {"maps": [map_to_text(m) for m in witness], "reason": reason})
 
 
-def check_unipotence(family: str, n: int):
-    reg = regular_subsemigroup(family, n)
-    for side, check_id in (("l", "unipotence-l"), ("r", "unipotence-r")):
+def check_unipotence(s):
+    reg = subsemigroup(s, regular_elements(s))
+    for side in ("l", "r"):
         witness = unipotence_witness(reg, side)
         if witness is None:
-            yield VerifyReport(check_id, family, n, "pass", detail={"regular_elements": reg.size})
+            yield _report(f"unipotence-{side}", s, None, {"regular_elements": reg.size})
         else:
             ids = [map_to_text(m) for m in witness if is_idempotent(m)]
-            yield VerifyReport(
-                check_id, family, n, "fail",
-                {
-                    "maps": [map_to_text(m) for m in witness],
-                    "idempotents_in_class": ids,
-                    "reason": f"{side}-class of the regular elements with {len(ids)} idempotents",
-                },
-            )
+            yield _report(f"unipotence-{side}", s, {
+                "maps": [map_to_text(m) for m in witness],
+                "idempotents_in_class": ids,
+                "reason": f"{side}-class of the regular elements with {len(ids)} idempotents",
+            })
 
 
 def _pair_payload(pair) -> dict | None:
@@ -205,70 +201,57 @@ def _pair_payload(pair) -> dict | None:
     return {"maps": [e, f], "product": product}
 
 
-def check_orthodox(family: str, n: int):
+def check_orthodox(s):
     try:
-        reg = regular_subsemigroup(family, n)
+        reg = subsemigroup(s, regular_elements(s))
     except ClosureError as exc:
         a, b = exc.pair
-        witness = {"reason": f"subset is not closed: {a} * {b} escapes"}
-        yield VerifyReport("orthodox", family, n, "fail", witness)
+        yield _report("orthodox", s, {"reason": f"subset is not closed: {a} * {b} escapes"})
         return
     found = orthodox_witness(reg)
     if found is None:
-        yield VerifyReport("orthodox", family, n, "pass", detail={"regular_elements": reg.size})
-        return
-    if len(found) == 3:
-        witness = {**_pair_payload(found), "reason": "product of idempotents is not idempotent"}
+        yield _report("orthodox", s, None, {"regular_elements": reg.size})
+    elif len(found) == 3:
+        reason = "product of idempotents is not idempotent"
+        yield _report("orthodox", s, {**_pair_payload(found), "reason": reason})
     else:
-        witness = {"maps": [map_to_text(found[0])], "reason": "not regular within the regular elements"}
-    yield VerifyReport("orthodox", family, n, "fail", witness)
+        reason = "not regular within the regular elements"
+        yield _report("orthodox", s, {"maps": [map_to_text(found[0])], "reason": reason})
 
 
-def check_idempotent_products(family: str, n: int):
-    s = enumerate_family(family, n)
+def check_idempotent_products(s):
     ids = idempotents(s)
-    if family == "ct":
-        witness = _pair_payload(_first_idempotent_pair(s, ~_regular_mask(s)))
-        yield VerifyReport(
-            "idempotent-products", family, n,
-            "pass" if witness is None else "fail", witness,
-            {"claim": "products of idempotents are regular", "idempotents": len(ids)},
-        )
-        gen = generated_subsemigroup(s, ids)
-        irregular = np.flatnonzero(~_regular_mask(gen))  # elements are sorted: the first is least
-        bad = None
-        if irregular.size:
-            first = map_to_text(gen.elements[irregular[0]])
-            bad = {"map": first, "reason": "not regular inside the idempotent-generated subsemigroup"}
-        yield VerifyReport(
-            "idempotent-products", family, n, "pass" if bad is None else "fail", bad,
-            {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size},
-        )
-    else:
-        witness = _pair_payload(_first_idempotent_pair(s))
-        yield VerifyReport(
-            "idempotent-products", family, n,
-            "pass" if witness is None else "fail", witness,
-            {"claim": "idempotents are closed under product", "idempotents": len(ids)},
-        )
+    if s.family != "ct":
+        detail = {"claim": "idempotents are closed under product", "idempotents": len(ids)}
+        yield _report("idempotent-products", s, _pair_payload(_first_idempotent_pair(s)), detail)
+        return
+    witness = _pair_payload(_first_idempotent_pair(s, ~_regular_mask(s)))
+    detail = {"claim": "products of idempotents are regular", "idempotents": len(ids)}
+    yield _report("idempotent-products", s, witness, detail)
+    gen = generated_subsemigroup(s, ids)
+    irregular = np.flatnonzero(~_regular_mask(gen))  # elements are sorted: the first is least
+    bad = None
+    if irregular.size:
+        first = map_to_text(gen.elements[irregular[0]])
+        bad = {"map": first, "reason": "not regular inside the idempotent-generated subsemigroup"}
+    detail = {"claim": "idempotent-generated subsemigroup is regular", "generated_size": gen.size}
+    yield _report("idempotent-products", s, bad, detail)
 
 
-def check_refinement_readings(family: str, n: int):
+def check_refinement_readings(s):
     """Informational: compare the two readings of the coarsest convex refinement.
 
     The primary reading requires refinements to collapse through a contraction
     (admissible transversal); the alternative accepts any convex transversal.
     Reported, never asserted: this check always passes and carries counts.
     """
-    # Only the maps are read, so no carrier or product table is built.
-    check_family_size(family, n)
     firsts: dict = {}  # kernel word -> the first map with that kernel
-    for word in family_words(family, n).tolist():
+    for word in s.words.tolist():
         firsts.setdefault(kernel_word(word), word)
     differing = 0
     example = None
     for word in firsts.values():
-        a = ChainMap(n, word)
+        a = ChainMap(s.n, word)
         primary = max_convex_refinement(a)
         alternative = coarsest_merely_convex_refinement(kernel(a))
         if primary != alternative:
@@ -282,17 +265,15 @@ def check_refinement_readings(family: str, n: int):
     detail = {"kernels_scanned": len(firsts), "readings_differ_on": differing}
     if example is not None:
         detail["example"] = example
-    yield VerifyReport("refinement-readings", family, n, "pass", detail=detail)
+    yield _report("refinement-readings", s, None, detail)
 
 
 # check id -> (check, the families it supports, the default first)
 CHECKS = {
     "regularity-ct": (partial(_check_regularity, "regularity-ct"), ("ct",)),
     "regularity-orct": (partial(_check_regularity, "regularity-orct"), ("orct", "oct")),
-    "green-l": (partial(_check_green, "l"), ("ct",)),
-    "green-r": (partial(_check_green, "r"), ("ct",)),
-    "green-d": (partial(_check_green, "d"), ("ct",)),
-    "starred": (check_starred, ("ct", "oct", "orct")),
+    **{f"green-{kind}": (partial(_check_green, kind), tuple(CHAR_SUPPORT[kind])) for kind in "lrd"},
+    "starred": (check_starred, tuple(CHAR_SUPPORT["lstar"])),
     "abundance": (check_abundance, ("ct", "oct", "orct")),
     "unipotence": (check_unipotence, ("orct", "oct")),
     "orthodox": (check_orthodox, ("orct", "oct", "ct")),
@@ -303,28 +284,46 @@ CHECKS = {
 CHECK_IDS = tuple(CHECKS)
 
 
-def run_check(check_id: str, n: int, family: str | None = None) -> list[VerifyReport]:
-    """Run one named check; ``family`` defaults per check."""
+def _family_of(check_id: str, family: str | None) -> str:
+    """The family a check runs on: ``family``, or the check's default."""
     try:
-        fn, families = CHECKS[check_id]
+        families = CHECKS[check_id][1]
     except KeyError:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}") from None
     family = family or families[0]
     if family not in families:
         raise ValueError(f"check {check_id!r} supports families {', '.join(families)}; got {family!r}")
-    reports = []
-    start = time.perf_counter()
-    for report in fn(family, n):
-        now = time.perf_counter()
-        report.elapsed_ms = (now - start) * 1000.0
-        reports.append(report)
-        start = now
+    return family
+
+
+def run_checks(check_ids, n: int, family: str | None = None):
+    """Yield (check id, its reports) for each named check in turn, once every
+    id, family and family guard has passed; ``family`` defaults per check.
+    Each family is built once, inside the first check run on it, so that
+    check's first report carries the build."""
+    plan = [(check_id, _family_of(check_id, family)) for check_id in check_ids]
+    carriers = dict.fromkeys(fam for _, fam in plan)
+    for fam in carriers:
+        check_family_size(fam, n)
+    for check_id, fam in plan:
+        reports = []
+        start = time.perf_counter()
+        if carriers[fam] is None:
+            carriers[fam] = enumerate_family(fam, n)
+        for report in CHECKS[check_id][0](carriers[fam]):
+            now = time.perf_counter()
+            report.elapsed_ms = (now - start) * 1000.0
+            reports.append(report)
+            start = now
+        yield check_id, reports
+
+
+def run_check(check_id: str, n: int, family: str | None = None) -> list[VerifyReport]:
+    """Run one named check; ``family`` defaults per check."""
+    [(_, reports)] = run_checks([check_id], n, family)
     return reports
 
 
 def first_counterexample(check_id: str, n: int, family: str | None = None) -> dict | None:
     """The first failing report's payload for a named check, or None."""
-    for report in run_check(check_id, n, family):
-        if not report.passed and report.counterexample is not None:
-            return report.counterexample
-    return None
+    return next((r.counterexample for r in run_check(check_id, n, family) if not r.passed), None)

@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from .checks import CHECK_IDS, CHECKS, first_counterexample, run_check
+from .checks import CHECK_IDS, CHECKS, first_counterexample, run_checks
 from .limits import check_family_size
 from .maps import (
     FamilyTag,
@@ -41,6 +41,7 @@ from .partitions import (
     transversals,
 )
 from .relations import (
+    CHAR_SUPPORT,
     GREEN_KINDS,
     STARRED_KINDS,
     char_partition,
@@ -226,18 +227,13 @@ def cmd_analyze(args):
 
 
 def _check_char_method(family: str, relation: str) -> None:
-    if relation in STARRED_KINDS:
-        if family not in ("ct", "oct", "orct"):
-            raise ValueError(
-                "characterized starred relations are available for the contraction "
-                "families only; use --method oracle"
-            )
-    elif relation == "j":
-        raise ValueError("no characterized procedure exists for the j relation; use --method oracle")
-    elif family != "ct":
-        raise ValueError(
-            f"characterized {relation} is only available for family 'ct'; use --method oracle"
-        )
+    support = CHAR_SUPPORT.get(relation)
+    if support is None:
+        raise ValueError(f"no characterized procedure exists for the {relation} relation; use --method oracle")
+    if family not in support:
+        names = " or ".join(map(repr, support))
+        where = f"family {names}" if len(support) == 1 else f"the contraction families {names}"
+        raise ValueError(f"characterized {relation} is only available for {where}; use --method oracle")
 
 
 def cmd_relations(args):
@@ -245,11 +241,7 @@ def cmd_relations(args):
         _check_char_method(args.family, args.relation)
     s = enumerate_family(args.family, args.n)
     if args.method == "oracle":
-        part = (
-            green_oracle(s, args.relation)
-            if args.relation in GREEN_KINDS
-            else starred_partition(s, args.relation)
-        )
+        part = (green_oracle if args.relation in GREEN_KINDS else starred_partition)(s, args.relation)
     else:
         part = char_partition(s, args.relation)
     classes = [sorted(map_to_text(s.elements[i]) for i in c) for c in part.classes]
@@ -261,10 +253,8 @@ def cmd_relations(args):
         "class_count": part.class_count,
         "classes": classes,
     }
-    if part.method == "char" and args.family == "orct" and args.relation in STARRED_KINDS:
-        payload["note"] = (
-            "characterization is empirical for this family; cross-check with --method oracle"
-        )
+    if args.method == "char" and CHAR_SUPPORT[args.relation][args.family] == "empirical":
+        payload["note"] = "characterization is empirical for this family; cross-check with --method oracle"
     rows = ({"class": ci, "word": word} for ci, c in enumerate(classes) for word in c)
     return payload, rows, 0
 
@@ -274,8 +264,7 @@ def cmd_verify(args):
     if not ids:
         raise ValueError(f"no check id given; known: {', '.join(CHECK_IDS)}")
     reports = []
-    for check_id in ids:
-        batch = run_check(check_id, args.n, args.family)
+    for check_id, batch in run_checks(ids, args.n, args.family):
         reports.extend(batch)
         print(f"# {check_id}: {sum(r.elapsed_ms for r in batch):.1f} ms", file=sys.stderr)
     payload = {

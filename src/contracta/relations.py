@@ -45,6 +45,14 @@ __all__ = [
 GREEN_KINDS = ("l", "r", "h", "d", "j")
 STARRED_KINDS = ("lstar", "rstar", "hstar", "dstar")
 
+# Per characterized kind, the families its procedure is offered on, the
+# default first: "claimed" where a claim backs the characterization there,
+# "empirical" where only the comparison with the oracle does.
+CHAR_SUPPORT = {
+    **{kind: {"ct": "claimed"} for kind in ("l", "r", "h", "d")},
+    **{kind: {"ct": "claimed", "oct": "claimed", "orct": "empirical"} for kind in STARRED_KINDS},
+}
+
 @dataclass(frozen=True, eq=False)
 class RelationPartition:
     """A partition of a carrier's element indices under one relation kind.
@@ -284,7 +292,7 @@ def _probe_edges(words, kind: str) -> tuple[np.ndarray, np.ndarray]:
     renumbered by first occurrence (d), the fiber-grouping pattern, which
     fixes the height as the window meets every kernel block."""
     kind = kind.lower()
-    if kind not in ("l", "r", "h", "d") + STARRED_KINDS:
+    if kind not in CHAR_SUPPORT:
         raise ValueError(f"no characterized procedure for relation kind {kind!r}")
     words = np.asarray(words)
     elements, n = np.arange(len(words)), words.shape[1]

@@ -134,7 +134,9 @@ class Carrier:
         return self.products(np.arange(self.size), np.arange(self.size))
 
     def table(self) -> np.ndarray:
-        """The full product table; ValueError when it exceeds the entry budget."""
+        """The full product table; ValueError when it exceeds the entry budget.
+        Nothing in the package reads it: it stays because the benchmark's
+        tracer binds it, so deleting it waits for a change to the benchmark."""
         check_table_budget(self.size)
         return self.product_rows(np.arange(self.size), "r")
 

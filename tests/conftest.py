@@ -1,6 +1,7 @@
 import weakref
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from contracta import enumerate_family, regular_elements, subsemigroup
@@ -41,12 +42,11 @@ def regular_base(family):
 @pytest.fixture(scope="session")
 def table_of():
     """A carrier's full product table, the reference the tests compare
-    against, taken once per live carrier: ``table()`` reads every product
-    through the carrier's ``products`` anew on every call."""
+    against, read once per live carrier as every row a*x of its products."""
 
     def get(s):
         if s not in _tables:
-            _tables[s] = s.table()
+            _tables[s] = s.product_rows(np.arange(s.size), "r")
         return _tables[s]
 
     return get

@@ -284,6 +284,48 @@ class TestVerify:
         assert [r["elapsed_ms"] for r in json.loads(out)["reports"]] == [1000.0, 2000.0, 3000.0, 4000.0]
         assert err == "# starred: 10000.0 ms\n"
 
+    @pytest.mark.parametrize("check_ids,message", [
+        ("green-l,bogus", "unknown check id 'bogus'"),
+        ("green-l,unipotence", "check 'unipotence' supports families orct, oct; got 'ct'"),
+    ], ids=["unknown-id", "unsupported-family"])
+    def test_bad_id_or_family_fails_before_any_check(self, capsys, check_ids, message):
+        code, out, err = run_cli(capsys, "verify", "--check", check_ids, "--family", "ct", "--n", "6")
+        assert code == 2
+        assert out == ""
+        assert "# green-l" not in err
+        assert message in err
+
+    def test_family_guard_fails_before_any_check(self, capsys, monkeypatch, tmp_path):
+        # green-l runs on ct; unipotence defaults to orct, whose guard is lower.
+        (tmp_path / "contracta.toml").write_text("max_n_orct = 3\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "verify", "--check", "green-l,unipotence", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "# green-l" not in err
+        assert "guard for family 'orct'" in err
+
+    @pytest.mark.parametrize("check_ids,family", [
+        ("green-l,green-r,green-d,starred,abundance", "ct"),
+        ("regularity-orct,unipotence,orthodox,idempotent-products", "orct"),
+        ("green-l,unipotence,abundance", None),
+    ])
+    def test_one_build_per_family(self, capsys, monkeypatch, check_ids, family):
+        # Every check on a family reads the one carrier built for it, and
+        # reports as it does when run alone.
+        built = []
+
+        def enumerate_family(fam, n):
+            built.append(fam)
+            return semigroups.enumerate_family(fam, n)
+
+        monkeypatch.setattr(checks, "enumerate_family", enumerate_family)
+        argv = ("verify", "--check", check_ids, "--n", "5") + (("--family", family) if family else ())
+        _, out, _ = run_cli(capsys, *argv)
+        assert built == ([family] if family else ["ct", "orct"])
+        alone = [r.as_dict() for c in check_ids.split(",") for r in checks.run_check(c, 5, family)]
+        assert json.loads(out)["reports"] == alone
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--check", "abundance", "--family", "ct", "--n", "4")
         _, second, _ = run_cli(capsys, "verify", "--check", "abundance", "--family", "ct", "--n", "4")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import contracta.relations as rel
-from contracta import green_oracle, run_check
+from contracta import green_oracle, run_check, starred_partition
 from contracta.checks import _scan_pairs
 from contracta.partitions import kernel_word, refinement_windows
 from contracta.semigroups import FiniteSemigroup, _regular_mask, family_words
@@ -42,6 +42,10 @@ def _image(word):
     return {tuple(sorted(set(word)))}
 
 
+def _height(word):
+    return {len(set(word))}
+
+
 # name -> (kind, the keys of one image word)
 KEY_MUTANTS = {
     "l without the reversal": ("l", lambda w: set(_refinement_profiles(w))),
@@ -50,8 +54,15 @@ KEY_MUTANTS = {
     ),
     "l keyed by the image set": ("l", _image),
     "d without the reversal": ("d", lambda w: {kernel_word(t) for t in _refinement_profiles(w)}),
-    "d keyed by height alone": ("d", lambda w: {len(set(w))}),
+    "d keyed by height alone": ("d", _height),
+    "h without the reversal": ("h", lambda w: {(kernel_word(w), t) for t in _refinement_profiles(w)}),
+    "h keyed by the kernel and the image set": ("h", lambda w: {(kernel_word(w), *_image(w))}),
     "r keyed by the image set": ("r", _image),
+    "r keyed by the height": ("r", _height),
+    "lstar keyed by the height": ("lstar", _height),
+    "rstar keyed by the image set": ("rstar", _image),
+    "hstar keyed by the image set alone": ("hstar", _image),
+    "dstar keyed by the image set": ("dstar", _image),
 }
 
 # name -> (family -> (least n caught, disagreeing pairs there), or None when
@@ -64,7 +75,16 @@ KEY_PINS = {
     "l keyed by the image set": {"ct": (4, 32), "oct": (4, 4), "orct": (4, 16)},
     "d without the reversal": {"ct": (5, 16), "oct": None, "orct": (5, 16)},
     "d keyed by height alone": {"ct": (4, 64), "oct": (4, 8), "orct": (4, 32)},
+    "h without the reversal": {"ct": (2, 1), "oct": None, "orct": (2, 1)},
+    # On OCT_n, n <= 8, two maps are H-related exactly when they share
+    # their kernel and their image.
+    "h keyed by the kernel and the image set": {"ct": (5, 4), "oct": None, "orct": (5, 4)},
     "r keyed by the image set": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
+    "r keyed by the height": {"ct": (3, 48), "oct": (3, 4), "orct": (3, 16)},
+    "lstar keyed by the height": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
+    "rstar keyed by the image set": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
+    "hstar keyed by the image set alone": {"ct": (3, 24), "oct": (3, 2), "orct": (3, 8)},
+    "dstar keyed by the image set": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
 }
 
 
@@ -129,6 +149,10 @@ def _keyed_route(kind, keys_of):
     return probe_edges
 
 
+def _oracle(s, kind):
+    return (green_oracle if kind in rel.GREEN_KINDS else starred_partition)(s, kind)
+
+
 def _first_caught(disagreements):
     """(least n, count there) over n = 1..MAX_N of ``disagreements(n)``, or None."""
     for n in range(1, MAX_N + 1):
@@ -145,7 +169,7 @@ def test_key_mutant_pinned(family, monkeypatch, pair_loop, name, fam):
     monkeypatch.setattr(rel, "_probe_edges", _keyed_route(kind, keys_of))
 
     def scan(s):
-        return _scan_pairs(s, green_oracle(s, kind).labels, rel._probe_edges(s.words, kind))
+        return _scan_pairs(s, _oracle(s, kind).labels, rel._probe_edges(s.words, kind))
 
     caught = _first_caught(lambda n: scan(_carrier(family, fam, n))[0])
     assert caught == KEY_PINS[name][fam]
@@ -154,7 +178,7 @@ def test_key_mutant_pinned(family, monkeypatch, pair_loop, name, fam):
         # plain loop over the mutant's keys does.
         s = family(fam, caught[0])
         keys = [keys_of(tuple(w)) for w in s.words.tolist()]
-        expected = pair_loop(s, green_oracle(s, kind).labels, lambda i, j: not keys[i].isdisjoint(keys[j]))
+        expected = pair_loop(s, _oracle(s, kind).labels, lambda i, j: not keys[i].isdisjoint(keys[j]))
         assert scan(s) == expected
 
 

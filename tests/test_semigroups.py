@@ -663,12 +663,10 @@ class TestGenerated:
             s = family("ct", n)
             assert generated_subsemigroup(s, idempotents(s)).size == want
 
-    def test_ct8_idempotent_products_witnesses(self, monkeypatch):
+    def test_ct8_idempotent_products_witnesses(self):
         # Past the n <= 7 guard: the check runs on ct8 built directly.
-        monkeypatch.setattr(
-            checks, "enumerate_family", lambda fam, n: FiniteSemigroup(n, fam, semigroups.family_words(fam, n))
-        )
-        pair, generated = checks.check_idempotent_products("ct", 8)
+        ct8 = FiniteSemigroup(8, "ct", semigroups.family_words("ct", 8))
+        pair, generated = checks.check_idempotent_products(ct8)
         assert pair.counterexample == {
             "maps": ["[1,2,3,4,3,2,1,1]", "[6,5,5,4,5,6,5,4]"],
             "product": "[6,5,5,4,5,5,6,6]",
