@@ -1,9 +1,8 @@
 """Size guards for enumeration and refinement scans.
 
-Hard ceilings keep every operation at desk scale.  Users may lower (never
-raise) the effective limits, either through a ``contracta.toml`` key-value
-file in the working directory or through the ``CONTRACTA_MAX_N`` environment
-variable.
+Hard ceilings keep every operation at desk scale.  The ``CONTRACTA_MAX_N``
+environment variable lowers (never raises) every family's guard; it is the
+only override, and no guard check reads a file.
 """
 
 from __future__ import annotations
@@ -20,43 +19,15 @@ HARD_CEILINGS = {"t": 8, "ct": 7, "oct": 7, "orct": 7}
 # packed block masks and window facts.
 REFINEMENT_SCAN_MAX_N = 7
 
-CONFIG_FILENAME = "contracta.toml"
 ENV_VAR = "CONTRACTA_MAX_N"
 
 
-def _read_config(path: str | None = None) -> dict[str, int]:
-    path = path or CONFIG_FILENAME
-    values: dict[str, int] = {}
-    accepted = [f"max_n_{family}" for family in HARD_CEILINGS]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError:
-        return values
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line or "=" not in line:
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        # A mistyped key would otherwise leave its guard at the ceiling.
-        if key not in accepted:
-            raise ValueError(f"unknown key {key!r} in {path}; accepted keys: {', '.join(accepted)}")
-        try:
-            values[key] = int(val.strip())
-        except ValueError:
-            raise ValueError(f"bad value for {key!r} in {path}: {val.strip()!r}") from None
-    return values
-
-
 def family_guard(family: str) -> int:
-    """Effective maximum chain size for a family, after overrides."""
+    """Effective maximum chain size for a family: its ceiling, lowered by
+    ``CONTRACTA_MAX_N`` when that is set."""
     if family not in HARD_CEILINGS:
         raise ValueError(f"unknown family {family!r}")
     guard = HARD_CEILINGS[family]
-    cfg = _read_config().get(f"max_n_{family}")
-    if cfg is not None:
-        guard = min(guard, cfg)
     env = os.environ.get(ENV_VAR)
     if env:
         try:

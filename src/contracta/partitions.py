@@ -14,8 +14,7 @@ masks.  The refinement enumerations (guarded at n <= 7) generate the words
 of a kernel's refinements and cache per word its masks, packed n bits per
 point, and whether it has a convex and an admissible window: a partition
 refines another exactly when its packed masks are a subset of the other's.
-Both coarsest readings of a kernel come from one generation of its
-refinement words.
+Each coarsest reading is computed per call from those cached facts.
 """
 
 from __future__ import annotations
@@ -312,32 +311,17 @@ def refinements(k: KernelPartition) -> list[KernelPartition]:
 def _coarsest(word, admissible: bool) -> KernelPartition:
     """The coarsest refinement of the word's partition with an admissible (or
     merely convex) window, else the meet of the maximal ones."""
-    check_refinement_scan(len(word))  # before the cache, so a lowered guard holds
-    return _coarsest_readings(word)[0 if admissible else 1]
-
-
-@cache  # one entry per kernel word asked about: at most 1,155, every word of n <= 7
-def _coarsest_readings(word) -> tuple[KernelPartition, KernelPartition]:
-    """``_coarsest`` of the word, admissible and merely convex, from one
-    generation of its refinement words."""
-    n = len(word)
-    own = _refinement_facts(word)
-    if own[2]:  # an admissible window is convex
-        return (_from_word(word),) * 2  # every refinement refines the word's own partition
-    facts = [_refinement_facts(w) for w in _refinement_words(word)]
-    readings = []
-    for column in (2, 1):
-        if own[column]:
-            readings.append(_from_word(word))
-            continue
-        # The all-singleton partition always qualifies, so good is nonempty.
-        good = [f[0] for f in facts if f[column]]
-        top = reduce(or_, good)
-        if top not in good:
-            # Refinements are distinct, so a maximal one refines only itself.
-            top = reduce(and_, [g for g in good if sum(g & h == g for h in good) == 1])
-        readings.append(_from_word(kernel_word(top >> n * x & (1 << n) - 1 for x in range(n))))
-    return tuple(readings)
+    check_refinement_scan(len(word))
+    n, column = len(word), 2 if admissible else 1
+    if _refinement_facts(word)[column]:
+        return _from_word(word)  # every refinement refines the word's own partition
+    # The all-singleton partition always qualifies, so good is nonempty.
+    good = [f[0] for f in map(_refinement_facts, _refinement_words(word)) if f[column]]
+    top = reduce(or_, good)
+    if top not in good:
+        # Refinements are distinct, so a maximal one refines only itself.
+        top = reduce(and_, [g for g in good if sum(g & h == g for h in good) == 1])
+    return _from_word(kernel_word(top >> n * x & (1 << n) - 1 for x in range(n)))
 
 
 def max_convex_refinement(a: ChainMap) -> KernelPartition:

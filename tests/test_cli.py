@@ -12,6 +12,7 @@ import pytest
 import contracta
 import contracta.checks as checks
 import contracta.cli as cli
+import contracta.limits as limits
 import contracta.semigroups as semigroups
 from contracta.cli import main
 from contracta.semigroups import FiniteSemigroup
@@ -84,6 +85,13 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--family", "ct", "--n", "4")
         assert code == 2
         assert "guard" in err
+
+    def test_env_guard_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONTRACTA_MAX_N", "abc")
+        code, out, err = run_cli(capsys, "enumerate", "--family", "ct", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "CONTRACTA_MAX_N must be an integer, got 'abc'" in err
 
 
 class TestAnalyze:
@@ -295,10 +303,9 @@ class TestVerify:
         assert "# green-l" not in err
         assert message in err
 
-    def test_family_guard_fails_before_any_check(self, capsys, monkeypatch, tmp_path):
+    def test_family_guard_fails_before_any_check(self, capsys, monkeypatch):
         # green-l runs on ct; unipotence defaults to orct, whose guard is lower.
-        (tmp_path / "contracta.toml").write_text("max_n_orct = 3\n")
-        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(limits.HARD_CEILINGS, "orct", 3)
         code, out, err = run_cli(capsys, "verify", "--check", "green-l,unipotence", "--n", "4")
         assert code == 2
         assert out == ""
@@ -440,6 +447,16 @@ GOLDEN_STDOUT = [
         ("[1,2,2,3,3,2,2]", "e24f7e29a5d49d7e08a3732ebb7481ee1fcddba477a884434924ce53ce40f47f"),
         ("[1,1,1,1,1,1,1]", "502f630f177c2d48cd08a3fb4d75aad28e550fc0cc15799af8b0617b177a7d2d"),
     ]
+] + [
+    # Recorded while both coarsest readings of a kernel were still cached
+    # together; at n = 7 the digest is the benchmark's.  The two readings of
+    # [1,1,1,2,2,3,2] differ.
+    (("verify", "--check", "refinement-readings", "--family", "ct", "--n", "6"), 0,
+     "026061d062e9d59b8e37029b683f1c21362b3c9f4763b5ca84c0a5d918a65c38"),
+    (("verify", "--check", "refinement-readings", "--family", "ct", "--n", "7"), 0,
+     "fac227e41f2a6689974dde4896dd23c3730f6dc36345628eabd04e0029263369"),
+    (("analyze", "--n", "7", "--map", "[1,1,1,2,2,3,2]"), 0,
+     "29c396ce6ef45eb578cee11f9198cd6bfd255f472dd4222148b317fff0b3145b"),
 ] + [
     (
         ("enumerate", "--family", "t", "--n", "4"),

@@ -46,6 +46,20 @@ def _height(word):
     return {len(set(word))}
 
 
+def _least(word):
+    return {min(word)}
+
+
+def _kernel(word):
+    return {kernel_word(word)}
+
+
+def _block_sizes(word):
+    # the kernel's block sizes, blocks ordered by least point
+    kernel = kernel_word(word)
+    return {tuple(kernel.count(b) for b in range(max(kernel) + 1))}
+
+
 # name -> (kind, the keys of one image word)
 KEY_MUTANTS = {
     "l without the reversal": ("l", lambda w: set(_refinement_profiles(w))),
@@ -60,9 +74,13 @@ KEY_MUTANTS = {
     "r keyed by the image set": ("r", _image),
     "r keyed by the height": ("r", _height),
     "lstar keyed by the height": ("lstar", _height),
+    "lstar keyed by the image's least point": ("lstar", _least),
     "rstar keyed by the image set": ("rstar", _image),
+    "rstar keyed by the kernel's block sizes": ("rstar", _block_sizes),
     "hstar keyed by the image set alone": ("hstar", _image),
+    "hstar keyed by the kernel alone": ("hstar", _kernel),
     "dstar keyed by the image set": ("dstar", _image),
+    "dstar keyed by the image's least point": ("dstar", _least),
 }
 
 # name -> (family -> (least n caught, disagreeing pairs there), or None when
@@ -82,15 +100,31 @@ KEY_PINS = {
     "r keyed by the image set": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
     "r keyed by the height": {"ct": (3, 48), "oct": (3, 4), "orct": (3, 16)},
     "lstar keyed by the height": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
+    "lstar keyed by the image's least point": {"ct": (2, 2), "oct": (2, 1), "orct": (2, 2)},
     "rstar keyed by the image set": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
+    # A monotone map's kernel blocks are intervals, which their sizes in
+    # order fix.
+    "rstar keyed by the kernel's block sizes": {"ct": (3, 16), "oct": None, "orct": None},
     "hstar keyed by the image set alone": {"ct": (3, 24), "oct": (3, 2), "orct": (3, 8)},
+    "hstar keyed by the kernel alone": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
     "dstar keyed by the image set": {"ct": (2, 1), "oct": (2, 1), "orct": (2, 1)},
+    "dstar keyed by the image's least point": {"ct": (2, 3), "oct": (2, 2), "orct": (2, 3)},
 }
 
 
 def _ct_first_window_mask(words):
     # Only the window at point 1: the first rank points take distinct values.
     return np.array([len(set(w[: len(set(w))])) == len(set(w)) for w in words.tolist()])
+
+
+def _ct_least_first_mask(words):
+    # ``relations._convex_window_mask`` with the greatest value looked for
+    # only after the least, rank - 1 points on
+    n = words.shape[1]
+    least, most = words.min(axis=1, keepdims=True), words.max(axis=1, keepdims=True)
+    padded = np.pad(words, ((0, 0), (0, n)))
+    far = np.take_along_axis(padded, np.arange(n) + most - least, axis=1)
+    return ((words == least) & (far == most)).any(axis=1)
 
 
 def _one_branch_mask(sign):
@@ -114,6 +148,7 @@ def _one_branch_mask(sign):
 # name -> (check id, the mask over image words)
 MASK_MUTANTS = {
     "ct: the window at point 1 only": ("regularity-ct", _ct_first_window_mask),
+    "ct: without the greatest value before the least": ("regularity-ct", _ct_least_first_mask),
     "oct/orct: without the x + a(x) branch": ("regularity-orct", _one_branch_mask(-1)),
     "oct/orct: without the x - a(x) branch": ("regularity-orct", _one_branch_mask(+1)),
 }
@@ -121,6 +156,7 @@ MASK_MUTANTS = {
 # name -> (family -> (least n caught, disagreeing maps there), or None)
 MASK_PINS = {
     "ct: the window at point 1 only": {"ct": (3, 4)},
+    "ct: without the greatest value before the least": {"ct": (2, 1)},
     # x + a(x) is constant on no two points of an order-preserving map
     "oct/orct: without the x + a(x) branch": {"oct": None, "orct": (2, 1)},
     "oct/orct: without the x - a(x) branch": {"oct": (2, 1), "orct": (2, 1)},

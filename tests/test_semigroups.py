@@ -1,5 +1,6 @@
 """Family enumeration, closure, and the algebraic predicates."""
 
+import json
 import re
 import tracemalloc
 from itertools import product
@@ -32,6 +33,7 @@ from contracta import (
 )
 import contracta.checks as checks
 import contracta.semigroups as semigroups
+from contracta.cli import main
 from contracta.semigroups import ClosureError, is_regular_in
 
 # Computed once by the brute-force filters below and pinned.
@@ -132,22 +134,14 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="guard"):
             enumerate_family("ct", 8)  # hard ceiling still applies
 
-    @pytest.mark.parametrize("config,n,message", [
-        ("max_n_ct = 2\n", 3, "guard"),
-        # A mistyped key is refused, not ignored with the guard left at 7.
-        ("max_n_CT = 3\n", 5, "unknown key 'max_n_CT' in contracta.toml; accepted keys: "
-         "max_n_t, max_n_ct, max_n_oct, max_n_orct"),
-    ], ids=["lowered", "typo"])
-    def test_config_guard(self, monkeypatch, tmp_path, config, n, message):
-        (tmp_path / "contracta.toml").write_text(config)
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match=message):
-            enumerate_family("ct", n)
-
-    def test_config_guard_leaves_other_families(self, monkeypatch, tmp_path):
+    def test_config_guard_leaves_other_families(self, capsys, monkeypatch, tmp_path):
+        # Only CONTRACTA_MAX_N lowers a guard: no guard check reads a file, so
+        # a contracta.toml leaves every family, its own included, at its ceiling.
         (tmp_path / "contracta.toml").write_text("max_n_ct = 2\n")
         monkeypatch.chdir(tmp_path)
-        assert enumerate_family("oct", 3).size == 8
+        assert enumerate_family("ct", 3).size == CT_SIZES[3]
+        assert main(["verify", "--check", "green-l", "--family", "ct", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["verdict"] == "pass"
 
 
 # A few maps of ct4 or ct5, as generators of a subsemigroup.
