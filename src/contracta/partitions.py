@@ -7,14 +7,15 @@ yields a contraction.
 
 Internal paths read a partition as its word, a restricted growth string
 (see ``kernel_word``), or as its block masks: per point x, the bitmask of
-the block of x (see ``_block_masks``).  The characterized Green's relation
-keys read ``refinement_windows``, the admissible convex transversals of a
-kernel's refinements, each decided at any n by two bitmask sweeps over the
-masks.  The refinement enumerations (guarded at n <= 7) generate the words
-of a kernel's refinements and cache per word its masks, packed n bits per
-point, and whether it has a convex and an admissible window: a partition
-refines another exactly when its packed masks are a subset of the other's.
-Each coarsest reading is computed per call from those cached facts.
+the block of x.  The characterized Green's relation keys read
+``refinement_windows``, the admissible convex transversals of the
+refinements of every partition in a word array, decided at any n by two
+bitmask sweeps per interval run as array steps over the rows.  The
+refinement enumerations (guarded at n <= 7) generate the words of a
+kernel's refinements and cache per word its masks, packed n bits per point,
+and whether it has a convex window and one whose collapse is a contraction:
+a partition refines another exactly when its packed masks are a subset of
+the other's.  Each coarsest reading is computed per call from those facts.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from functools import cache, reduce
 from itertools import combinations, product
 from operator import and_, or_
 
+import numpy as np
+
 from .limits import check_refinement_scan
-from .maps import ChainMap, is_contraction
+from .maps import ChainMap, _word_is_contraction, is_contraction
+from .semigroups import row_blocks
 
 __all__ = [
     "KernelPartition",
@@ -239,30 +243,6 @@ def has_convex_transversal(k: KernelPartition) -> bool:
     return bool(convex_windows(_word(k)))
 
 
-def _block_masks(word) -> list[int]:
-    """Entry x - 1 has bit y - 1 set for each point y in the block of x."""
-    block = [0] * (max(word) + 1)
-    for i, g in enumerate(word):
-        block[g] |= 1 << i
-    return [block[g] for g in word]
-
-
-def _admissible(masks: list[int], lo: int, p: int) -> bool:
-    """True iff some contraction f fixes T = [lo, lo + p) pointwise and sends
-    each point x into T inside its block, ``masks[x - 1]``: f's fibers are then
-    a refinement with T as an admissible convex transversal.  Adjacent steps
-    of f are at most 1, so two sweeps outward from the ends of T decide it,
-    ``values`` holding the points f may send the next point to."""
-    inside = ((1 << p) - 1) << (lo - 1)
-    for end, step, stop in ((lo - 1, -1, -1), (lo + p - 2, 1, len(masks))):
-        values = 1 << end
-        for x in range(end + step, stop, step):
-            values = (values | values << 1 | values >> 1) & inside & masks[x]
-            if not values:
-                return False
-    return True
-
-
 def _from_word(word) -> KernelPartition:
     """The partition with word ``word``."""
     blocks = [[] for _ in range(max(word) + 1)]
@@ -288,13 +268,14 @@ def _refinement_words(word) -> list[tuple[int, ...]]:
 
 @cache  # one entry per refinement word: at most Bell(7) = 877
 def _refinement_facts(word) -> tuple[int, bool, bool]:
-    """The word's ``_block_masks`` packed n bits per point, whether it has a
-    convex window, and whether one of those windows passes ``_admissible``.
-    A partition refines another exactly when its packed masks are a subset
-    of the other's."""
-    masks, windows = _block_masks(word), convex_windows(word)
-    packed = sum(m << len(word) * x for x, m in enumerate(masks))
-    return packed, bool(windows), any(_admissible(masks, lo, max(word) + 1) for lo in windows)
+    """The word's block masks packed n bits per point (bit n * x + y when points
+    x + 1 and y + 1 share a block), whether it has a convex window, and whether
+    collapsing each block onto its point of one is a contraction.  A partition
+    refines another exactly when its packed masks are a subset of the other's."""
+    n, p, windows = len(word), max(word) + 1, convex_windows(word)
+    packed = sum(1 << (n * x + y) for x, g in enumerate(word) for y, h in enumerate(word) if g == h)
+    collapses = (tuple(lo + word[lo - 1 : lo - 1 + p].index(g) for g in word) for lo in windows)
+    return packed, bool(windows), any(map(_word_is_contraction, collapses))
 
 
 def refinements(k: KernelPartition) -> list[KernelPartition]:
@@ -356,18 +337,45 @@ def is_isometry_on(t: Transversal, a: ChainMap) -> bool:
     return all(abs(x - y) == abs(a(x) - a(y)) for x, y in combinations(pts, 2))
 
 
-@cache  # one entry per kernel word asked about: 9,842 at ct10, about 5.5 MB
-def refinement_windows(word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The intervals [lo, lo + p) that pass ``_admissible`` for the partition
-    with word ``word``, the admissible convex transversals of its refinements,
-    as pairs (lo, p) ordered by size p and then by least point lo."""
-    n, masks = len(word), _block_masks(word)
-    return tuple((lo, p) for p in range(1, n + 1) for lo in range(1, n - p + 2) if _admissible(masks, lo, p))
+@cache  # one entry per chain size, n <= 15
+def _intervals(n: int):
+    """The intervals [lo, lo + p) of 1..n ordered by p, then lo, as arrays
+    ``lo`` and ``p``; per sweep, left ones then right ones, its interval as a
+    bit set, its start bit, and per step the point it visits, n past the chain."""
+    p, lo = np.array([(p, lo) for p in range(1, n + 1) for lo in range(1, n - p + 2)]).T
+    ends = np.concatenate([lo - 1, lo + p - 2])
+    at = ends + np.arange(1, n)[:, None] * np.repeat([-1, 1], len(lo))
+    return lo, p, np.tile(((1 << p) - 1) << (lo - 1), 2), 1 << ends, np.where((at >= 0) & (at < n), at, n)
+
+
+def refinement_windows(words):
+    """The admissible convex transversals of the refinements of each row of an
+    (m, n) array, entries equal exactly within a block: the intervals of 1..n as
+    arrays ``lo`` and ``p``, ordered by p, then lo, and the (m, intervals) mask of
+    those taken.  [lo, lo + p) is taken when a contraction fixes it pointwise and
+    sends each point into it inside its block.  Adjacent steps are at most 1, so
+    two sweeps outward from its ends decide it, each holding the points the next
+    may go to as a bit set; all sweeps run as n - 1 array steps, a block of rows
+    at a time."""
+    words = np.asarray(words)
+    n = words.shape[1]
+    lo, p, inside, start, visits = _intervals(n)
+    ok = np.empty((len(words), len(lo)), dtype=bool)
+    for rows in row_blocks(np.arange(len(words)), visits.size):
+        block = words[rows]
+        masks = np.full((len(rows), n + 1), -1)  # past the chain, any point
+        masks[:, :n] = (block[:, :, None] == block[:, None, :]) @ (1 << np.arange(n))
+        allowed, values = masks[:, visits] & inside, start
+        for step in range(n - 1):
+            values = (values | values << 1 | values >> 1) & allowed[:, step]
+        ok[rows] = np.logical_and(values[..., : len(lo)], values[..., len(lo) :])
+    return lo, p, ok
 
 
 def convex_refinement_transversals(k: KernelPartition) -> tuple[tuple[int, ...], ...]:
     """``refinement_windows`` of ``k``, each interval spelled out point by point."""
-    return tuple(tuple(range(lo, lo + p)) for lo, p in refinement_windows(_word(k)))
+    lo, p, [ok] = refinement_windows([_word(k)])
+    return tuple(tuple(range(a, a + b)) for a, b in zip(lo[ok].tolist(), p[ok].tolist()))
 
 
 # -- text and JSON encodings -------------------------------------------------

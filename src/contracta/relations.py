@@ -310,12 +310,9 @@ def _probe_edges(words, kind: str) -> tuple[np.ndarray, np.ndarray]:
     if kind in ("r", "rstar", "hstar"):
         return elements, kernels if kind != "hstar" else _ids(kernels.astype(np.int64) << n | image)
     # each element takes the windows of its kernel, found once per kernel
-    windows = [refinement_windows(kernel_word(row)) for row in first[reps].tolist()]
-    starts = np.cumsum([0] + [len(w) for w in windows])
-    count = np.diff(starts)[kernels]
-    elements = np.repeat(elements, count)
-    at = np.arange(len(elements)) + np.repeat(starts[kernels] - np.cumsum(count) + count, count)
-    lo, p = np.array([lp for w in windows for lp in w])[at, :, None].transpose(1, 0, 2)
+    lo, p, ok = refinement_windows(first[reps])
+    elements, at = np.nonzero(ok[kernels])
+    lo, p = lo[at, None], p[at, None]
     # each profile and its reversal, padded to n points with its first value
     # and coded with digit 0 there: digits start from 1, so sizes stay apart
     codes = np.empty(len(elements), dtype=np.int64)

@@ -56,7 +56,7 @@ TABLE_DTYPE = np.int16
 _BLOCK_ENTRIES = 1 << 15
 
 # A semigroup codes its image words in base n as int64, exact while
-# n^n < 2^63: 15^15 is about 4.4e17, 16^16 about 1.8e19.
+# 2 * n^n < 2^63: 15^15 is about 4.4e17, 16^16 about 1.8e19.
 _MAX_CODED_N = 15
 
 
@@ -166,7 +166,7 @@ class _WordMaps(Sequence):
         if isinstance(m, ChainMap) and m.n == n:
             code = 0
             for v in m.images:
-                code = code * n + v - 1
+                code = code * n + v
             i = int(np.searchsorted(self._codes, code))
             if i < len(self) and self._codes[i] == code:
                 return i
@@ -219,16 +219,15 @@ class FiniteSemigroup(Carrier):
         if ((words < 1) | (words > n)).any():
             raise ValueError(f"a word has an image outside 1..{n}")
         weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self._codes, first = np.unique((words.astype(np.int64) - 1) @ weights, return_index=True)
+        self._codes, first = np.unique(words.astype(np.int64) @ weights, return_index=True)
         self.words = words[first].astype(np.int8)
         self.words.flags.writeable = False
         self.elements = _WordMaps(self.words, self._codes)
-        # The code of a*b is sum_x right_b[x] * spread_a[x], where right_b[x] is
-        # b(x) - 1 and spread_a[x] sums the weights of the positions k with a(k) = x.
-        self._right = self.words.astype(np.int64) - 1
+        # The code of a*b is sum_x b(x) * spread_a[x], where spread_a[x] sums
+        # the weights of the positions k with a(k) = x.
         self._spread = np.zeros((self.size, n), dtype=np.int64)
         for k in range(n):
-            self._spread[np.arange(self.size), self._right[:, k]] += weights[k]
+            self._spread[np.arange(self.size), self.words[:, k] - 1] += weights[k]
         self.rank = np.count_nonzero(self._spread, axis=1)  # image sizes
         # The left walk raises ClosureError on an escaping product.
         _, self._gens, rows = _left_walk(self, np.ones(self.size, dtype=bool))
@@ -253,7 +252,7 @@ class FiniteSemigroup(Carrier):
         proved closure, so codes are looked up without an escape check."""
         x, y = _index_pair(x, y)
         shape = np.broadcast_shapes(x.shape, y.shape)
-        a, b = _gather(self._spread, x, shape), _gather(self._right, y, shape)
+        a, b = _gather(self._spread, x, shape), _gather(self.words, y, shape)
         out = np.empty(shape, dtype=index_dtype(self.size))
         for ab, bb, ob in zip(*(row_blocks(v, prod(shape[1:])) for v in (a, b, out))):
             ob[...] = np.searchsorted(self._codes, np.einsum("...k,...k->...", ab, bb, order="C"))
@@ -262,7 +261,7 @@ class FiniteSemigroup(Carrier):
     def _raise_first_escape(self):
         """ClosureError naming the first escaping product, row by row."""
         for rows in row_blocks(np.arange(self.size), self.size):
-            _, bad = _direct_rows(self._spread, self._right, self._codes, rows)
+            _, bad = _direct_rows(self, rows)
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), self.size)
                 raise ClosureError(self.elements[rows[i]], self.elements[j])
@@ -275,12 +274,12 @@ def _gather(m, index, shape):
     return np.broadcast_to(m.take(index, axis=0), shape + m.shape[1:])
 
 
-def _direct_rows(spread, right, codes, rows):
-    """Indices of the products of ``rows`` by every element, and the mask of
-    those that escape: each product is coded and looked up in ``codes``."""
-    ccodes = spread[rows] @ right.T
-    idx = np.searchsorted(codes, ccodes)
-    return idx, codes[np.minimum(idx, len(codes) - 1)] != ccodes
+def _direct_rows(s, rows):
+    """Indices of the products of ``rows`` by every element of ``s``, and the
+    mask of those that escape: each product is coded and looked up."""
+    ccodes = s._spread[rows] @ s.words.T
+    idx = np.searchsorted(s._codes, ccodes)
+    return idx, s._codes[np.minimum(idx, s.size - 1)] != ccodes
 
 
 def _left_walk(s, candidates):
@@ -296,7 +295,7 @@ def _left_walk(s, candidates):
     gens, rows = [], []
     while (pending := candidates & ~reached).any():
         g = int(np.argmax(np.where(pending, s.rank, -1)))
-        idx, bad = _direct_rows(s._spread, s._right, s._codes, [g])
+        idx, bad = _direct_rows(s, [g])
         if bad.any():
             s._raise_first_escape()
         gens.append(g)

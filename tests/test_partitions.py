@@ -465,7 +465,22 @@ class TestRefinementWindowsByTable:
     def test_every_partition(self, n, monkeypatch):
         monkeypatch.setattr(limits, "REFINEMENT_SCAN_MAX_N", 8)
         routes = _table_route(n)
-        assert [refinement_windows(w) for w in routes] == list(routes.values())
+        lo, p, ok = refinement_windows(list(routes))
+        intervals = list(zip(lo.tolist(), p.tolist()))
+        assert intervals == [(start, size) for size in range(1, n + 1) for start in range(1, n - size + 2)]
+        taken = [tuple(w for w, hit in zip(intervals, row) if hit) for row in ok.tolist()]
+        assert taken == list(routes.values())
+
+    def test_single_point(self, family):
+        lo, p, ok = refinement_windows([[0]])
+        assert (lo.tolist(), p.tolist(), ok.tolist()) == ([1], [1], [[True]])
+        s = family("ct", 1)
+        for kind in ("l", "h", "d"):
+            assert relations.char_partition(s, kind).labels.tolist() == [0]
+            assert [e.tolist() for e in relations._probe_edges(s.words, kind)] == [[0], [0]]
+
+    def test_no_per_input_cache(self):
+        assert not hasattr(refinement_windows, "cache_info")
 
     def test_refinement_facts(self):
         for word in _bell_words(7):

@@ -393,12 +393,18 @@ def _reference_kernel_patterns(a):
     )
 
 
+def _windows(kernel):
+    """``refinement_windows`` of one kernel word, as (lo, p) pairs."""
+    lo, p, [ok] = refinement_windows([kernel])
+    return list(zip(lo[ok].tolist(), p[ok].tolist()))
+
+
 def _reflection_closed_probes(kind, a):
     """The l, h and d keys of ``a`` as first characterized: every collapse
     profile together with its reversal, alone (l), beside the kernel word
     (h), or renumbered beside the height (d)."""
     word = kernel_word(a.images)
-    profiles = {a.images[lo - 1 : lo - 1 + p] for lo, p in refinement_windows(word)}
+    profiles = {a.images[lo - 1 : lo - 1 + p] for lo, p in _windows(word)}
     profiles |= {t[::-1] for t in profiles}
     if kind == "l":
         return profiles
@@ -436,7 +442,7 @@ def _reference_probes(kind, word):
         return {kernel}
     if kind == "hstar":
         return {(points, kernel)}
-    profiles = [word[lo - 1 : lo - 1 + p] for lo, p in refinement_windows(kernel)]
+    profiles = [word[lo - 1 : lo - 1 + p] for lo, p in _windows(kernel)]
     if kind == "d":
         return {(len(points), min(kernel_word(t), kernel_word(t[::-1]))) for t in profiles}
     keys = {min(t, t[::-1]) for t in profiles}

@@ -175,9 +175,9 @@ def _record_direct_rows(monkeypatch):
     calls = []
     direct = semigroups._direct_rows
 
-    def recorded(spread, right, codes, rows):
-        idx, bad = direct(spread, right, codes, rows)
-        calls.append((len(rows), bool(bad.any()), len(codes)))
+    def recorded(s, rows):
+        idx, bad = direct(s, rows)
+        calls.append((len(rows), bool(bad.any()), s.size))
         return idx, bad
 
     monkeypatch.setattr(semigroups, "_direct_rows", recorded)
